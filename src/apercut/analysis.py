@@ -49,6 +49,18 @@ def _axis_interior(value, lo, hi, margin) -> bool:
     return lo + margin <= value <= hi - margin
 
 
+def _t_margin(k: Fraction, span) -> Fraction:
+    """Heisenberg t-axis reach of translates by gauge(g) <= k from a point
+    (or region) with sum|x_i| (or sum|y_i|) at most span."""
+    return k * k + k * span
+
+
+def _region_xspan(ms: ModelSet) -> Fraction:
+    """Bound on sum|x_i| over the region."""
+    n = ms.scheme.kind.rank
+    return sum(max(abs(lo), abs(hi)) for lo, hi in ms.region.intervals[:n])
+
+
 def right_interior(ms: ModelSet, depth: Fraction) -> list[int]:
     """Indices of points p with p * (gauge ball of radius depth) inside the
     region, so every point within symmetric distance depth is in the sample."""
@@ -81,8 +93,7 @@ def _interior(ms: ModelSet, depth: Fraction, use_x_margin: bool) -> list[int]:
             continue
         anchor = c[:n] if use_x_margin else c[n:2 * n]
         span = sum(abs(a) for a in anchor)
-        t_margin = depth * depth + depth * span
-        if _axis_interior(c[2 * n], *ivs[2 * n], t_margin):
+        if _axis_interior(c[2 * n], *ivs[2 * n], _t_margin(depth, span)):
             out.append(idx)
     return out
 
@@ -109,12 +120,8 @@ class NeighborIndex:
         if kind.family is Family.EUCLIDEAN:
             self.cell_sizes = (radius,) * kind.rank
         else:
-            n = kind.rank
-            xspan = sum(
-                max(abs(lo), abs(hi)) for lo, hi in ms.region.intervals[:n]
-            )
-            self.cell_sizes = (radius,) * (2 * n) + (
-                radius * radius + radius * xspan,)
+            self.cell_sizes = (radius,) * (2 * kind.rank) + (
+                _t_margin(radius, _region_xspan(ms)),)
         self.cells: dict[tuple, list[int]] = {}
         for idx, p in enumerate(ms.points):
             key = self._key(p.coords)
@@ -247,10 +254,7 @@ def covering_radius_estimate(
     axes = []
     for i, (lo, hi) in enumerate(ms.region.intervals):
         if kind.family is Family.HEISENBERG and i == kind.coord_count - 1:
-            xspan = sum(
-                max(abs(a), abs(b)) for a, b in ms.region.intervals[: kind.rank]
-            )
-            margin = erosion * erosion + erosion * xspan
+            margin = _t_margin(erosion, _region_xspan(ms))
         else:
             margin = erosion
         a, b = lo + margin, hi - margin

@@ -62,15 +62,10 @@ def hull_dim_bound(kind: GroupKind) -> int:
 
 
 class Evidence(enum.Enum):
-    """Evidence level for one hypothesis on one finite sample.
+    """Evidence level for one hypothesis on one finite sample: a finite
+    sample either supports a hypothesis about the infinite configuration
+    (EVIDENCE_ONLY) or refutes it outright (FAILED)."""
 
-    VERIFIED_FINITE is part of the report vocabulary but the builder below
-    never emits it: each hypothesis concerns the infinite configuration, so
-    positive finite-sample results stay at EVIDENCE_ONLY. FAILED means the
-    sample refutes the hypothesis outright.
-    """
-
-    VERIFIED_FINITE = "verified-finite"
     EVIDENCE_ONLY = "evidence-only"
     FAILED = "failed"
 

@@ -111,11 +111,6 @@ def _print_regularity(report) -> None:
     for witness in report.boundary_witnesses:
         pretty = ", ".join(str(c) for c in witness)
         print(f"  boundary witness: ({pretty})")
-    print(
-        "window stabilizer: none found among "
-        f"{report.stabilizer_candidates_checked} candidates "
-        f"(search bound {report.search_bound})"
-    )
     print(f"window regular: {_bool_str(report.window_regular)}")
 
 
@@ -265,8 +260,7 @@ def cmd_bounds(args) -> int:
 def cmd_check_window(args) -> int:
     scheme = _scheme_from_args(args)
     window = _parse_box(args.window)
-    report = check_window_regular(scheme, window,
-                                  search_bound=args.search_bound)
+    report = check_window_regular(scheme, window)
     _print_regularity(report)
     return EXIT_OK if report.window_regular else EXIT_REGULARITY
 
@@ -364,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="window-regularity check without enumeration")
     _add_scheme_flags(p)
     p.add_argument("--window", required=True)
-    p.add_argument("--search-bound", type=int, default=10,
-                   help="stabilizer search bound")
     p.set_defaults(func=cmd_check_window)
 
     return parser

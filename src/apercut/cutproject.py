@@ -81,10 +81,6 @@ class Box:
         return tuple(hi - lo for lo, hi in self.intervals)
 
 
-Window = Box
-Region = Box
-
-
 @dataclass(frozen=True)
 class Scheme:
     """Group kind plus the quadratic ring defining the lattice."""
@@ -214,115 +210,77 @@ def periodic_control_model_set(scheme: Scheme, region: Box) -> ModelSet:
 # window regularity
 # ---------------------------------------------------------------------------
 
+# Witness fill values come from lattice elements within this physical bound
+# (widened to the axis window's endpoints); it bounds only which witnesses are
+# printed, never whether the boundary is hit.
+WITNESS_FILL_BOUND = 10
+
+
 @dataclass(frozen=True)
 class RegularityReport:
-    """Window checks: interior, lattice points on the boundary, box
-    stabilizer search, and the structural boundary-null fact for boxes."""
+    """Window checks: nonempty interior and lattice points on the boundary,
+    with example boundary points where small ones exist."""
 
     interior_nonempty: bool
     boundary_clear: bool
     boundary_witnesses: Tuple[Tuple[QuadNum, ...], ...]
-    boundary_null: bool
-    stabilizer_candidates_checked: int
-    stabilizer_found: bool
-    search_bound: Fraction
 
     @property
     def window_regular(self) -> bool:
-        return (
-            self.interior_nonempty
-            and self.boundary_clear
-            and not self.stabilizer_found
-        )
+        return self.interior_nonempty and self.boundary_clear
 
 
-def _axis_window_elements(
-    ring: RingSpec, w: FractionPair, phys_bound: Fraction
-) -> list[QuadNum]:
+def _integer_endpoints(iv: FractionPair) -> list[Fraction]:
+    return sorted({e for e in iv if e.denominator == 1})
+
+
+def _axis_window_elements(ring: RingSpec, w: FractionPair) -> list[QuadNum]:
     """Ring elements with conjugate in the closed axis window and physical
-    value within the (widened) search bound."""
-    bound = max(phys_bound, abs(w[0]), abs(w[1]))
+    value within the witness fill bound, widened to the window endpoints."""
+    bound = max(Fraction(WITNESS_FILL_BOUND), abs(w[0]), abs(w[1]))
     return enumerate_ring_in_rectangle(ring, (-bound, bound), w)
 
 
-def check_window_regular(
-    scheme: Scheme, window: Box, search_bound=10
-) -> RegularityReport:
-    """Decide boundary intersection and search for box stabilizers.
+def check_window_regular(scheme: Scheme, window: Box) -> RegularityReport:
+    """Decide exactly whether the projected lattice hits the window boundary.
 
-    A lattice point projects onto the window boundary iff some internal
-    coordinate hits a window endpoint exactly. Conjugates of irrational ring
-    elements are irrational, so a rational endpoint is hit iff it is a plain
-    integer; widening the per-axis physical search bound to the endpoint
-    magnitudes therefore makes the witness enumeration complete, not just a
-    bounded search. The stabilizer check, by contrast, is genuinely partial:
-    it tests gW = W only for lattice translations within the search bound.
+    A ring element with a rational conjugate has b = 0 (in both ring
+    variants), so only integers land on rational endpoints, and conjugates
+    are dense, so an axis with interior always holds some conjugate. The
+    boundary is therefore hit iff some axis has an integer endpoint and every
+    other axis has interior or is a single integer point. No nontrivial
+    lattice translation fixes a box: in Z^m it moves some interval, and in
+    H_n it must fix the x/y box, so it is central, and a central one moves
+    the t-interval.
     """
     _check_box(scheme, window, "window")
-    bound = Fraction(search_bound)
-    ring = scheme.ring
-    kind = scheme.kind
-    interior = window.has_interior
+    ivs = window.intervals
+    dims = range(len(ivs))
+    touching = [_integer_endpoints(iv) for iv in ivs]
+    reachable = [lo < hi or lo.denominator == 1 for lo, hi in ivs]
+    hit = any(
+        touching[i] and all(reachable[j] for j in dims if j != i)
+        for i in dims
+    )
 
-    axis_elems = [
-        _axis_window_elements(ring, window.intervals[i], bound)
-        for i in range(kind.coord_count)
-    ]
+    # one witness per touching endpoint, the other coordinates filled with
+    # the first in-window lattice value below the fill bound, if any
     witnesses: list[Tuple[QuadNum, ...]] = []
-    for i in range(kind.coord_count):
-        lo, hi = window.intervals[i]
-        touching = [
-            x for x in axis_elems[i]
-            if x.conjugate() == lo or x.conjugate() == hi
-        ]
-        if not touching:
-            continue
-        # assemble one witness per touching element, filling the other
-        # coordinates with arbitrary in-window lattice values
-        fill = []
-        complete = True
-        for j in range(kind.coord_count):
-            if j == i:
+    if hit:
+        axis_elems = [_axis_window_elements(scheme.ring, iv) for iv in ivs]
+        for i in dims:
+            others = [axis_elems[j] for j in dims if j != i]
+            if not all(others):
                 continue
-            if not axis_elems[j]:
-                complete = False
-                break
-            fill.append(axis_elems[j][0])
-        if not complete:
-            continue
-        for x in touching:
-            coords = fill[:i] + [x] + fill[i:]
-            witnesses.append(tuple(coords))
-
-    # Bounded stabilizer search over internal projections of lattice points
-    # whose embeddings both lie in the search cube. Translating a box fixes
-    # it only if every axis translation is zero, so the product search
-    # factors: a non-identity candidate succeeds iff some axis list contains
-    # a nonzero element whose translation fixes its interval, which never
-    # happens for intervals. The reported candidate count is the full
-    # product; the search is still partial in that only lattice translations
-    # within the bound were considered.
-    sbound = (-bound, bound)
-    trans_axes = [
-        enumerate_ring_in_rectangle(ring, sbound, sbound)
-        for _ in range(kind.coord_count)
-    ]
-    checked = 1
-    for axis in trans_axes:
-        checked *= len(axis)
-    checked -= 1  # identity excluded
-    # conjugation is injective, so a non-identity candidate has a nonzero
-    # internal component and moves that axis interval: no candidate fixes W
-    found = False
+            fill = [elems[0] for elems in others]
+            for e in touching[i]:
+                x = QuadNum(int(e), 0, scheme.d)
+                witnesses.append(tuple(fill[:i] + [x] + fill[i:]))
 
     return RegularityReport(
-        interior_nonempty=interior,
-        boundary_clear=not witnesses,
+        interior_nonempty=window.has_interior,
+        boundary_clear=not hit,
         boundary_witnesses=tuple(witnesses),
-        boundary_null=True,
-        stabilizer_candidates_checked=checked,
-        stabilizer_found=found,
-        search_bound=bound,
     )
 
 
@@ -333,8 +291,6 @@ def check_window_regular(
 @dataclass(frozen=True)
 class IrreducibilityReport:
     sample_size: int
-    physical_injective: bool
-    internal_injective: bool
     density_fractions: Tuple[Tuple[int, float], ...]
     sample_bound: Fraction
 
@@ -345,9 +301,11 @@ def check_irreducibility(
     density_box: Box | None = None,
     max_subdivision: int = 4,
 ) -> IrreducibilityReport:
-    """Test injectivity of both projections on a finite lattice sample and
-    report how densely the internal projections fill a fixed box when split
-    into 2^k cells per axis (heuristic evidence for dense image)."""
+    """Report how densely the internal projections of a finite lattice
+    sample fill a fixed box when split into 2^k cells per axis (heuristic
+    evidence for dense image). Both projections are injective by
+    construction: the sample is a product of distinct axis values, and
+    conjugation is injective."""
     bound = Fraction(sample_bound)
     kind = scheme.kind
     sample_box = Box.gauge_box(kind, bound)
@@ -356,9 +314,7 @@ def check_irreducibility(
         for iv in sample_box.intervals
     ]
     sample = list(itertools.product(*axes))
-    internal = {scheme.conjugate_coords(coords) for coords in sample}
-    phys_ok = len(set(sample)) == len(sample)
-    internal_ok = len(internal) == len(sample)
+    internal = [scheme.conjugate_coords(coords) for coords in sample]
 
     if density_box is None:
         density_box = Box.cube(kind, 1)
@@ -383,8 +339,6 @@ def check_irreducibility(
 
     return IrreducibilityReport(
         sample_size=len(sample),
-        physical_injective=phys_ok,
-        internal_injective=internal_ok,
         density_fractions=tuple(fractions_by_k),
         sample_bound=bound,
     )

@@ -35,7 +35,9 @@ from .quadratic import (
     serialize_quadnum,
 )
 
-FORMAT_VERSION = 1
+# Readers accept format 1 too: its model-set files differ only by a derivable
+# float_points array that nothing reads.
+FORMAT_VERSION = 2
 HASH_FIELD = "content_hash"
 
 
@@ -163,7 +165,6 @@ def model_set_payload(ms: ModelSet, config: dict | None = None) -> dict:
         "window": _box_payload(ms.window),
         "region": _box_payload(ms.region),
         "points": [_coords_payload(p.coords) for p in ms.points],
-        "float_points": [list(p.to_float()) for p in ms.points],
         "config": config or {},
     }
 

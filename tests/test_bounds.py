@@ -143,14 +143,6 @@ def test_checklist_periodic_control_fails_aperiodicity():
     assert cl.failed_hypotheses == ("aperiodicity",)
 
 
-def test_checklist_never_verifies_infinite_hypotheses():
-    ms, kw = sturmian_reports()
-    kw["sample_size"] = len(ms)
-    cl = build_checklist(**kw)
-    assert cl.flc_evidence is not Evidence.VERIFIED_FINITE
-    assert cl.repetitivity_evidence is not Evidence.VERIFIED_FINITE
-
-
 def test_checklist_provenance_mismatch():
     ms, kw = sturmian_reports()
     kw["sample_size"] = len(ms)

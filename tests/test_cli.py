@@ -7,7 +7,7 @@ from apercut.cli import main
 from apercut.cutproject import Box, Scheme, generate_model_set
 from apercut.heisenberg import GroupKind
 from apercut.quadratic import RingSpec
-from apercut.serialize import read_json, read_model_set
+from apercut.serialize import FORMAT_VERSION, read_json, read_model_set
 
 GEN_1D = [
     "generate", "--kind", "euclidean", "--m", "1", "--d", "2",
@@ -138,7 +138,10 @@ def test_analyze_missing_input(tmp_path, capsys):
 def test_analyze_corrupted_hash_exits_5(tmp_path, capsys):
     ms_path = gen_file(tmp_path, capsys)
     raw = ms_path.read_bytes()
-    ms_path.write_bytes(raw.replace(b'"format":1', b'"format":2', 1))
+    old = f'"format":{FORMAT_VERSION}'.encode()
+    new = f'"format":{FORMAT_VERSION + 1}'.encode()
+    assert old in raw
+    ms_path.write_bytes(raw.replace(old, new, 1))
     code, _, err = run(capsys, [
         "analyze", "--in", str(ms_path), "--out", str(tmp_path / "r.json"),
     ])
@@ -246,7 +249,7 @@ def test_check_window(capsys):
     base = ["check-window", "--kind", "euclidean", "--m", "1", "--d", "2"]
     code, out, _ = run(capsys, base + ["--window=-9/10,11/10"])
     assert code == 0
-    assert "window regular: true" in out
+    assert out == "window boundary clear: true\nwindow regular: true\n"
     code, out, _ = run(capsys, base + ["--window=-1,1"])
     assert code == 3
     assert "boundary witness" in out

@@ -169,33 +169,58 @@ def test_periodic_control_set():
 # ---------------------------------------------------------------------------
 
 def test_regularity_integer_endpoints_not_clear():
-    report = check_window_regular(SCHEME_1D, interval_box((-1, 1)),
-                                  search_bound=10)
+    report = check_window_regular(SCHEME_1D, interval_box((-1, 1)))
     assert report.interior_nonempty
     assert not report.boundary_clear
     touched = {w[0] for w in report.boundary_witnesses}
     assert touched == {QuadNum(-1, 0, 2), QuadNum(1, 0, 2)}
     assert not report.window_regular
-    assert not report.stabilizer_found
-    assert report.boundary_null
 
 
 def test_regularity_shifted_window_clear():
     report = check_window_regular(
-        SCHEME_1D, interval_box((Fraction(-9, 10), Fraction(11, 10))),
-        search_bound=10)
+        SCHEME_1D, interval_box((Fraction(-9, 10), Fraction(11, 10))))
     assert report.boundary_clear
     assert report.window_regular
-    assert report.stabilizer_candidates_checked > 0
+    assert report.boundary_witnesses == ()
 
 
 def test_regularity_witness_found_beyond_small_bound():
-    # endpoint 7 is integer; the widened per-axis bound finds the witness
-    # even though the nominal search bound stops at 1
-    report = check_window_regular(SCHEME_1D, interval_box((Fraction(1, 2), 7)),
-                                  search_bound=1)
+    # endpoint 17 is an integer beyond the witness fill bound of 10; the
+    # endpoint itself is the witness
+    report = check_window_regular(SCHEME_1D,
+                                  interval_box((Fraction(1, 2), 17)))
     assert not report.boundary_clear
-    assert any(w[0] == QuadNum(7, 0, 2) for w in report.boundary_witnesses)
+    assert report.boundary_witnesses == ((QuadNum(17, 0, 2),),)
+
+
+@pytest.mark.parametrize("scheme,window,hit", [
+    # (1, -4179 - 2955*sqrt(2)) has internal image (1, 0.001077...), on the
+    # face w_0 = 1, though no fill value below the fill bound exists
+    (Scheme(GroupKind.euclidean(2), RingSpec(2)),
+     interval_box((1, Fraction(3, 2)), (Fraction(1, 1000), Fraction(2, 1000))),
+     (QuadNum(1, 0, 2), QuadNum(-4179, -2955, 2))),
+    (SCHEME_H1,
+     interval_box((Fraction(1, 1000), Fraction(2, 1000)),
+                  (Fraction(-9, 10), Fraction(9, 10)), (-1, 1)),
+     (QuadNum(-4179, -2955, 2), QuadNum(0, 0, 2), QuadNum(1, 0, 2))),
+], ids=["z2", "h1"])
+def test_regularity_boundary_hit_without_small_fill(scheme, window, hit):
+    assert window.contains(scheme.conjugate_coords(hit))
+    report = check_window_regular(scheme, window)
+    assert not report.boundary_clear
+    assert not report.window_regular
+
+
+@pytest.mark.parametrize("intervals,clear", [
+    # a degenerate axis that is no integer point carries no lattice value
+    (((1, Fraction(3, 2)), (Fraction(1, 2), Fraction(1, 2))), True),
+    (((1, Fraction(3, 2)), (2, 2)), False),
+], ids=["non-integer-point", "integer-point"])
+def test_regularity_degenerate_axis(intervals, clear):
+    scheme = Scheme(GroupKind.euclidean(2), RingSpec(2))
+    report = check_window_regular(scheme, interval_box(*intervals))
+    assert report.boundary_clear is clear
 
 
 def test_regularity_degenerate_interior():
@@ -205,12 +230,10 @@ def test_regularity_degenerate_interior():
 
 
 def test_regularity_h1_window():
-    report = check_window_regular(SCHEME_H1, Box.cube(H1, Fraction(9, 10)),
-                                  search_bound=3)
+    report = check_window_regular(SCHEME_H1, Box.cube(H1, Fraction(9, 10)))
     assert report.boundary_clear
     assert report.window_regular
-    report2 = check_window_regular(SCHEME_H1, Box.cube(H1, 1),
-                                   search_bound=3)
+    report2 = check_window_regular(SCHEME_H1, Box.cube(H1, 1))
     assert not report2.boundary_clear
     # a witness is a full lattice coordinate tuple with one conjugate at +-1
     w = report2.boundary_witnesses[0]
@@ -225,8 +248,6 @@ def test_regularity_h1_window():
 
 def test_irreducibility_1d():
     report = check_irreducibility(SCHEME_1D, sample_bound=5)
-    assert report.physical_injective
-    assert report.internal_injective
     assert report.sample_size > 0
     ks = [k for k, _ in report.density_fractions]
     assert ks == [1, 2, 3, 4]
@@ -250,5 +271,7 @@ def test_irreducibility_density_fills_at_bound_50():
 
 def test_irreducibility_h1():
     report = check_irreducibility(SCHEME_H1, sample_bound=3)
-    assert report.physical_injective
-    assert report.internal_injective
+    assert report.sample_size == 25875
+    # fractions of the 2^(3k) cells of the unit cube hit at k = 1..4
+    assert report.density_fractions == (
+        (1, 1.0), (2, 1.0), (3, 200 / 512), (4, 275 / 4096))

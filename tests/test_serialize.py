@@ -16,6 +16,7 @@ from apercut.growth import GenSet, bfs_balls, verify_cover
 from apercut.heisenberg import GroupKind
 from apercut.quadratic import QuadNum, RingSpec
 from apercut.serialize import (
+    FORMAT_VERSION,
     analysis_report_payload,
     ball_table_csv_text,
     bounds_report_payload,
@@ -112,7 +113,7 @@ def test_model_set_round_trip_1d(tmp_path):
     back, payload = read_model_set(path)
     assert back == ms
     assert payload["config"] == {"source": "test"}
-    assert payload["format"] == 1
+    assert payload["format"] == FORMAT_VERSION == 2
 
 
 def test_model_set_round_trip_h1(tmp_path):
@@ -121,9 +122,21 @@ def test_model_set_round_trip_h1(tmp_path):
     write_model_set(path, ms)
     back, payload = read_model_set(path)
     assert back == ms
-    assert len(payload["float_points"]) == len(ms)
+    assert "float_points" not in payload
     assert payload["scheme"] == {"kind": "heisenberg", "n": 1, "d": 2,
                                  "ring": "zsqrt"}
+
+
+def test_model_set_format_1_still_reads(tmp_path):
+    # format 1 also carried float_points, which readers never used
+    ms = small_h1()
+    payload = model_set_payload(ms)
+    payload["format"] = 1
+    payload["float_points"] = [list(p.to_float()) for p in ms.points]
+    path = tmp_path / "ms.json"
+    write_json(path, payload)
+    back, _ = read_model_set(path)
+    assert back == ms
 
 
 def test_model_set_write_is_byte_identical(tmp_path):
