@@ -12,42 +12,37 @@ cannot fake or hide structure:
 In Heisenberg coordinates the t-axis margins are position dependent:
 K^2 + K*sum|x_i| for right translates, K^2 + K*sum|y_i| for left ones.
 
-Separation is computed exactly (squared symmetric gauges stay inside the
-field), with a rational bisection bracket reported alongside the float value.
+Separation, patch membership and the period search decide every predicate
+on the integer-row kernel of `lattice` (`ModelSet.lattice`): the index
+emits candidate pairs as index arrays, in bounded chunks, and the kernel
+tests whole chunks with exact integer arithmetic. Separation is exact
+(squared symmetric gauges stay inside the field), with a rational bisection
+bracket reported alongside the float value.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
 from .cutproject import ModelSet
 from .errors import ErosionError
-from .heisenberg import (
-    Family,
-    GroupKind,
-    GroupPoint,
-    inv_coords,
-    mul_coords,
-    qnorm_leq,
-    sym_dist_leq,
-    sym_dist_sq,
-)
+from .heisenberg import Family, GroupKind, sym_dist_leq
+# perfbench/worker.py looks these up on this module to count their calls
+from .heisenberg import mul_coords, qnorm_leq, sym_dist_sq  # noqa: F401
+from .lattice import LIMIT, Quad, unique_rows
 from .quadratic import QuadNum, floor_div
 
 
 # ---------------------------------------------------------------------------
 # interior cores
 # ---------------------------------------------------------------------------
-
-def _axis_interior(value, lo, hi, margin) -> bool:
-    return lo + margin <= value <= hi - margin
-
 
 def _t_margin(k: Fraction, span) -> Fraction:
     """Heisenberg t-axis reach of translates by gauge(g) <= k from a point
@@ -77,37 +72,46 @@ def _interior(ms: ModelSet, depth: Fraction, use_x_margin: bool) -> list[int]:
     if depth < 0:
         raise ValueError("erosion depth must be >= 0")
     kind = ms.scheme.kind
+    lat = ms.lattice
+    e = lat.e
     ivs = ms.region.intervals
-    out = []
-    for idx, p in enumerate(ms.points):
-        c = p.coords
-        if kind.family is Family.EUCLIDEAN:
-            if all(_axis_interior(c[i], *ivs[i], depth)
-                   for i in range(kind.rank)):
-                out.append(idx)
-            continue
+    ok = np.ones(len(lat), dtype=bool)
+    for k in range(lat.head_len):
+        x = lat.coord(k)
+        ok &= ((x.cmp_rational(e, ivs[k][0] + depth) >= 0)
+               & (x.cmp_rational(e, ivs[k][1] - depth) <= 0))
+    if kind.family is Family.HEISENBERG:
+        # lo + K^2 + K*span <= t <= hi - K^2 - K*span, span = sum|anchor|
         n = kind.rank
-        head_ok = all(_axis_interior(c[i], *ivs[i], depth)
-                      for i in range(2 * n))
-        if not head_ok:
-            continue
-        anchor = c[:n] if use_x_margin else c[n:2 * n]
-        span = sum(abs(a) for a in anchor)
-        if _axis_interior(c[2 * n], *ivs[2 * n], _t_margin(depth, span)):
-            out.append(idx)
-    return out
+        anchor = range(n) if use_x_margin else range(n, 2 * n)
+        span = lat.coord(anchor[0]).abs()
+        for k in anchor[1:]:
+            span = span + lat.coord(k).abs()
+        t = lat.coord(2 * n).scale(depth.denominator)
+        drift = span.scale(depth.numerator)
+        lo, hi = ivs[2 * n]
+        den = depth.denominator * e
+        ok &= (((t - drift).cmp_rational(den, lo + depth * depth) >= 0)
+               & ((t + drift).cmp_rational(den, hi - depth * depth) <= 0))
+    return np.flatnonzero(ok).tolist()
 
 
 # ---------------------------------------------------------------------------
 # neighbor index
 # ---------------------------------------------------------------------------
 
+# Candidate pairs per chunk: bounds the memory of the vectorized predicates.
+PAIR_CHUNK = 1 << 18
+
+
 class NeighborIndex:
     """Cell index over exact coordinates for radius-bounded candidate lookup.
 
     x/y cells have side `radius`; the t cells use radius^2 + radius * X where
     X bounds sum|x_i| over the region, which covers the Heisenberg t-drift of
-    both directed translates at that radius.
+    both directed translates at that radius. Cell keys are exact floors; each
+    key is packed into one integer code and the points are sorted by code,
+    so a cell is a searchsorted range.
     """
 
     def __init__(self, ms: ModelSet, radius: Fraction) -> None:
@@ -122,18 +126,31 @@ class NeighborIndex:
         else:
             self.cell_sizes = (radius,) * (2 * kind.rank) + (
                 _t_margin(radius, _region_xspan(ms)),)
-        self.cells: dict[tuple, list[int]] = {}
-        for idx, p in enumerate(ms.points):
-            key = self._key(p.coords)
-            self.cells.setdefault(key, []).append(idx)
-        self._float_array: np.ndarray | None = None
-
-    @property
-    def float_array(self) -> np.ndarray:
-        """All sample points as a float matrix, built on first use."""
-        if self._float_array is None:
-            self._float_array = np.array(self.ms.float_points(), dtype=float)
-        return self._float_array
+        lat = ms.lattice
+        keys = [lat.floor_div(k, size)
+                for k, size in enumerate(self.cell_sizes)]
+        # shifted keys of the points and of their neighbor cells lie in
+        # [0, span + 2], so radix span + 3 packs them without collisions
+        self._key_lo = [int(k.min()) - 1 if k.size else 0 for k in keys]
+        self._radices = [int(k.max()) - lo + 2 if k.size else 1
+                         for k, lo in zip(keys, self._key_lo)]
+        strides, stride = [], 1
+        for radix in reversed(self._radices):
+            strides.append(stride)
+            stride *= radix
+        self._strides = strides[::-1]
+        dtype = np.int64 if stride < LIMIT else object
+        codes = np.zeros(len(ms.points), dtype=dtype)
+        for k, lo, st in zip(keys, self._key_lo, self._strides):
+            codes += (k - lo).astype(dtype) * st
+        self._codes = codes
+        self._order = np.argsort(codes, kind="stable")
+        self._sorted = codes[self._order]
+        self._deltas = np.array(
+            [sum(o * st for o, st in zip(offsets, self._strides))
+             for offsets in itertools.product((-1, 0, 1),
+                                              repeat=len(keys))],
+            dtype=dtype)
 
     def _key(self, coords) -> tuple:
         return tuple(
@@ -145,10 +162,49 @@ class NeighborIndex:
         within symmetric distance `radius`."""
         center = self._key(coords)
         for offsets in itertools.product((-1, 0, 1), repeat=len(center)):
-            key = tuple(c + o for c, o in zip(center, offsets))
-            bucket = self.cells.get(key)
-            if bucket:
-                yield from bucket
+            shifted = [c + o - lo
+                       for c, o, lo in zip(center, offsets, self._key_lo)]
+            # cells outside the key range of the points are empty
+            if any(not 1 <= s <= radix - 2
+                   for s, radix in zip(shifted, self._radices)):
+                continue
+            code = sum(s * st for s, st in zip(shifted, self._strides))
+            lo = np.searchsorted(self._sorted, code, side="left")
+            hi = np.searchsorted(self._sorted, code, side="right")
+            yield from self._order[lo:hi].tolist()
+
+    def pairs(self, centers: Sequence[int] | None = None,
+              chunk: int = PAIR_CHUNK) -> Iterator[tuple]:
+        """Index arrays (i, j): i over centers (default: every point), j
+        over the 3^dim cell neighborhood of i, i itself included. Yields
+        about `chunk` pairs at a time, never splitting one center's pairs."""
+        if centers is None:
+            queries = np.arange(len(self._codes))
+        else:
+            queries = np.asarray(centers, dtype=np.intp)
+        block = max(1, chunk // len(self._deltas))
+        for start in range(0, len(queries), block):
+            q = queries[start:start + block]
+            targets = self._codes[q][:, None] + self._deltas[None, :]
+            lo = np.searchsorted(self._sorted, targets, side="left")
+            counts = np.searchsorted(self._sorted, targets,
+                                     side="right") - lo
+            ends = np.cumsum(counts.sum(axis=1))
+            a = 0
+            while a < len(q):
+                base = ends[a - 1] if a else 0
+                b = max(a + 1, int(np.searchsorted(ends, base + chunk,
+                                                   side="right")))
+                yield self._expand(q[a:b], lo[a:b], counts[a:b])
+                a = b
+
+    def _expand(self, q, lo, counts) -> tuple:
+        per_query = counts.sum(axis=1)
+        flat_lo, flat_n = lo.ravel(), counts.ravel()
+        total = int(flat_n.sum())
+        first = np.cumsum(flat_n) - flat_n
+        pos = np.repeat(flat_lo - first, flat_n) + np.arange(total)
+        return np.repeat(q, per_query), self._order[pos]
 
 
 # ---------------------------------------------------------------------------
@@ -172,32 +228,51 @@ class SeparationResult:
 def separation(ms: ModelSet, bisection_steps: int = 40) -> SeparationResult:
     """Minimum symmetric gauge distance over all point pairs.
 
-    The argmin pair is found by exact comparison of squared distances over
-    index candidates at a doubling search radius; a rational bisection with
-    the boolean distance test then brackets the minimum.
+    The search radius starts at `_initial_radius` and doubles until some
+    pair lies within it; every index candidate pair is tested exactly at
+    that radius. The squared distances of the pairs within it are compared
+    exactly, and the certificate is the lexicographically smallest pair
+    (i, j), i < j, at the minimum. A rational bisection with the boolean
+    distance test then brackets the minimum inside [0, radius], so
+    bracket[1] never exceeds the first doubling radius that holds a pair.
     """
     pts = ms.points
     if len(pts) < 2:
         return SeparationResult(math.inf, None, None, None)
+    lat = ms.lattice
     radius = _initial_radius(ms)
     while True:
-        best_sq = None
-        best_pair = None
-        index = NeighborIndex(ms, radius)
-        for i, p in enumerate(pts):
-            for j in index.candidates(p.coords):
-                if j <= i:
-                    continue
-                if not sym_dist_leq(p, pts[j], radius):
-                    continue
-                d2 = sym_dist_sq(p, pts[j])
-                if best_sq is None or _less(d2, best_sq):
-                    best_sq, best_pair = d2, (i, j)
-        if best_pair is not None:
+        found = []
+        for i, j in NeighborIndex(ms, radius).pairs():
+            upper = i < j
+            i, j = i[upper], j[upper]
+            g = lat.left_diff(i, j)
+            near = np.flatnonzero(lat.gauge_leq(g, radius, symmetric=True))
+            if near.size:
+                found.append((i[near], j[near], lat.sq_gauge(g[near])))
+        if found:
             break
         radius *= 2
         if radius > _region_span(ms):
             raise AssertionError("distinct points but no pair found")
+
+    i = np.concatenate([f[0] for f in found])
+    j = np.concatenate([f[1] for f in found])
+    sq = Quad.concat([f[2] for f in found])
+    # guess the minimum by float, then refine until no pair is smaller
+    approx = sq.to_float()
+    pool = np.arange(len(i))
+    while True:
+        best = pool[np.argmin(approx[pool])]
+        order = (sq - sq[np.full(len(i), best)]).sign()
+        pool = np.flatnonzero(order < 0)
+        if not pool.size:
+            break
+    ties = np.flatnonzero(order == 0)
+    first = ties[np.lexsort((j[ties], i[ties]))[0]]
+    best_pair = (int(i[first]), int(j[first]))
+    best_sq = QuadNum._mk(int(sq.u[first]), int(sq.w[first]),
+                          lat.e * lat.e, lat.d)
 
     lo, hi = Fraction(0), radius
     p, q = pts[best_pair[0]], pts[best_pair[1]]
@@ -213,13 +288,6 @@ def separation(ms: ModelSet, bisection_steps: int = 40) -> SeparationResult:
         certificate=best_pair,
         bracket=(lo, hi),
     )
-
-
-def _less(a, b) -> bool:
-    diff = a - b
-    if isinstance(diff, QuadNum):
-        return diff.sign() < 0
-    return diff < 0
 
 
 def _region_span(ms: ModelSet) -> Fraction:
@@ -365,33 +433,30 @@ def patch_at(ms: ModelSet, center_index: int, radius: Fraction,
     return _patch(ms, center_index, radius, index)
 
 
-# Absolute band around the patch radius inside which membership is decided
-# exactly; outside it the float gauge is trusted.  The accumulated rounding
-# error of the float gauge stays below ~1e-9 for coordinate magnitudes up to
-# ~2^30, several orders under this margin.
-_PRESCREEN_BAND = 2.0 ** -20
-
-
 def _patch(ms: ModelSet, center_index: int, radius: Fraction,
            index: NeighborIndex) -> Tuple[tuple, ...]:
-    kind = ms.scheme.kind
-    center = ms.points[center_index]
-    inv_center = inv_coords(kind, center.coords)
-    cand = np.fromiter(index.candidates(center.coords), dtype=np.intp)
-    arr = index.float_array
-    dists = _float_sym_gauge(kind, arr[center_index:center_index + 1],
-                             arr[cand])[0]
-    r = float(radius)
-    rel = []
-    for j, dist in zip(cand.tolist(), dists.tolist()):
-        if dist > r + _PRESCREEN_BAND:
-            continue
-        if dist > r - _PRESCREEN_BAND and not sym_dist_leq(
-                center, ms.points[j], radius):
-            continue
-        rel.append(mul_coords(kind, inv_center, ms.points[j].coords))
-    rel.sort()
-    return tuple(rel)
+    keys, coords = _patch_rows(ms, [center_index], radius, index)
+    return coords[keys[0]]
+
+
+def _patch_rows(ms: ModelSet, centers: Sequence[int], radius: Fraction,
+                index: NeighborIndex) -> tuple[list, dict]:
+    """Patches at the centers, each as the sorted numerator rows of the
+    relative coordinates p_c^-1 * q of the points q within symmetric
+    distance radius; and, per distinct patch, those coordinates as sorted
+    exact tuples."""
+    lat = ms.lattice
+    keys = []
+    for i, j in index.pairs(centers):
+        g = lat.left_diff(i, j)
+        near = lat.gauge_leq(g, radius, symmetric=True)
+        i, rows = i[near], list(map(tuple, g[near].rows().tolist()))
+        # pairs arrive grouped by center, in the order of centers
+        cuts = (np.flatnonzero(np.diff(i)) + 1).tolist()
+        keys += [tuple(sorted(rows[a:b]))
+                 for a, b in zip([0] + cuts, cuts + [len(rows)])]
+    coords = {key: tuple(sorted(lat.to_coords(key))) for key in set(keys)}
+    return keys, coords
 
 
 def patch_catalog(ms: ModelSet, radius: Fraction) -> PatchCatalog:
@@ -400,15 +465,12 @@ def patch_catalog(ms: ModelSet, radius: Fraction) -> PatchCatalog:
     centers = right_interior(ms, radius)
     if not centers:
         raise ErosionError(f"no interior centers at radius {radius}")
-    index = NeighborIndex(ms, radius)
-    groups: dict[tuple, int] = {}
-    for idx in centers:
-        key = _patch(ms, idx, radius, index)
-        groups[key] = groups.get(key, 0) + 1
-    classes = tuple(
-        PatchClass(radius, key, count)
-        for key, count in sorted(groups.items())
-    )
+    keys, coords = _patch_rows(ms, centers, radius,
+                               NeighborIndex(ms, radius))
+    classes = tuple(sorted(
+        (PatchClass(radius, coords[key], count)
+         for key, count in Counter(keys).items()),
+        key=lambda c: c.relative_coords))
     return PatchCatalog(radius, classes, len(centers))
 
 
@@ -457,8 +519,8 @@ def repetitivity_radii(ms: ModelSet, radius: Fraction) -> RepetitivityReport:
     centers = right_interior(ms, radius)
     if not centers:
         raise ErosionError(f"no interior centers at radius {radius}")
-    index = NeighborIndex(ms, radius)
-    keys = [_patch(ms, idx, radius, index) for idx in centers]
+    keys, coords = _patch_rows(ms, centers, radius,
+                               NeighborIndex(ms, radius))
     by_key: dict[tuple, list[int]] = {}
     for pos, key in enumerate(keys):
         by_key.setdefault(key, []).append(pos)
@@ -468,7 +530,8 @@ def repetitivity_radii(ms: ModelSet, radius: Fraction) -> RepetitivityReport:
     per_class = []
     overall = 0.0
     any_lb = False
-    for ci, (key, members) in enumerate(sorted(by_key.items())):
+    classes = sorted(by_key.items(), key=lambda item: coords[item[0]])
+    for ci, (_, members) in enumerate(classes):
         member_feats = feats[members]
         dists = _float_sym_gauge(kind, feats, member_feats)
         for col, pos in enumerate(members):
@@ -520,36 +583,34 @@ def period_search(ms: ModelSet, gauge_bound: Fraction,
     core = left_interior(ms, erosion)
     if not core:
         raise ErosionError(f"eroded core empty at depth {erosion}")
-    kind = ms.scheme.kind
-    pts = ms.points
-    index = NeighborIndex(ms, gauge_bound)
-    ident = tuple(QuadNum(0, 0, ms.scheme.d) for _ in range(kind.coord_count))
+    lat = ms.lattice
+    found = []
+    for i, j in NeighborIndex(ms, gauge_bound).pairs():
+        apart = i != j
+        g = lat.left_diff(i[apart], j[apart])
+        found.append(unique_rows(g[lat.gauge_leq(g, gauge_bound)].rows()))
+    rows = unique_rows(np.concatenate(found))
+    rows = rows[(rows != 0).any(axis=1)]  # drop the identity
+    candidates = lat.elems(rows)
 
-    candidates = set()
-    for i, p in enumerate(pts):
-        inv_p = inv_coords(kind, p.coords)
-        for j in index.candidates(p.coords):
-            if j == i:
-                continue
-            g = mul_coords(kind, inv_p, pts[j].coords)
-            if g in candidates:
-                continue
-            if qnorm_leq(GroupPoint(kind, g), gauge_bound):
-                candidates.add(g)
-    candidates.discard(ident)
-
-    membership = ms.coords_set()
-    core_coords = [pts[i].coords for i in core]
-    survivors = []
-    for g in sorted(candidates):
-        if all(
-            mul_coords(kind, g, p) in membership for p in core_coords
-        ):
-            survivors.append(g)
+    # a candidate dies at its first core point p with g*p outside the
+    # sample; blocks of core points grow while candidates survive
+    alive = np.arange(len(rows))
+    core = np.asarray(core)
+    start, size = 0, 16
+    while alive.size and start < len(core):
+        block = core[start:start + size]
+        g = candidates[np.repeat(alive, len(block))]
+        inside = lat.contains(lat.mul(g, lat.points(np.tile(block,
+                                                             len(alive)))))
+        alive = alive[inside.reshape(len(alive), len(block)).all(axis=1)]
+        start += len(block)
+        size = max(1, min(2 * size, PAIR_CHUNK // max(len(alive), 1)))
+    survivors = sorted(lat.to_coords(rows[alive].tolist()))
     return PeriodReport(
         gauge_bound=gauge_bound,
         erosion=erosion,
         core_size=len(core),
-        candidates_tested=len(candidates),
+        candidates_tested=len(rows),
         nontrivial_periods=tuple(survivors),
     )

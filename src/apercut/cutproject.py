@@ -15,10 +15,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Tuple
 
 from .errors import WindowError
 from .heisenberg import Family, GroupKind, GroupPoint
+from .lattice import Lattice
 from .quadratic import (
     QuadNum,
     RingSpec,
@@ -128,6 +130,12 @@ class ModelSet:
 
     def float_points(self) -> list:
         return [p.to_float() for p in self.points]
+
+    @cached_property
+    def lattice(self) -> Lattice:
+        """The points as integer numerator rows, built on first use."""
+        return Lattice(self.scheme.kind, self.scheme.d,
+                       [p.coords for p in self.points])
 
     def validate(self) -> None:
         """Re-verify every structural invariant; raises on violation."""
@@ -280,7 +288,8 @@ def check_window_regular(scheme: Scheme, window: Box) -> RegularityReport:
     return RegularityReport(
         interior_nonempty=window.has_interior,
         boundary_clear=not hit,
-        boundary_witnesses=tuple(witnesses),
+        # two touching axes can yield one point twice; keep the first
+        boundary_witnesses=tuple(dict.fromkeys(witnesses)),
     )
 
 

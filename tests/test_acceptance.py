@@ -270,7 +270,7 @@ def test_heisenberg_model_set_delone_flc_aperiodic():
     assert len({p.coords for p in ms8.internal_points}) == len(ms8.points)
     _finish(
         f"Heisenberg model set (sep^2=1, classes {len(counts8)}->"
-        f"{len(counts12)} persistent, no periods)", t0, 600)
+        f"{len(counts12)} persistent, no periods)", t0, 35)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from apercut.analysis import (
     NeighborIndex,
+    _initial_radius,
     complexity_table,
     covering_radius_estimate,
     delone_report,
@@ -25,8 +26,16 @@ from apercut.cutproject import (
     periodic_control_model_set,
 )
 from apercut.errors import ErosionError
-from apercut.heisenberg import GroupKind, inv_coords, mul_coords, sym_dist_leq
-from apercut.quadratic import QuadNum, RingSpec
+from apercut.heisenberg import (
+    GroupKind,
+    GroupPoint,
+    inv_coords,
+    mul_coords,
+    qnorm_leq,
+    sym_dist_leq,
+    sym_dist_sq,
+)
+from apercut.quadratic import QuadNum, RingSpec, RingVariant
 
 E1 = GroupKind.euclidean(1)
 H1 = GroupKind.heisenberg(1)
@@ -82,6 +91,23 @@ def test_separation_h1_certificate_is_global_min():
     below = lo * Fraction(999, 1000)
     for p, q in itertools.combinations(ms.points, 2):
         assert not sym_dist_leq(p, q, below)
+
+
+def test_separation_certificate_and_bracket_contract():
+    # tie-heavy sample: many pairs at the minimum sep^2 = 1
+    ms = h1_sample(3)
+    result = separation(ms)
+    pairs = list(itertools.combinations(range(len(ms.points)), 2))
+    sq = {(i, j): sym_dist_sq(ms.points[i], ms.points[j]) for i, j in pairs}
+    least = min(sq.values())
+    ties = sorted(pair for pair, value in sq.items() if value == least)
+    assert least == 1 and len(ties) > 1
+    assert result.separation_sq == least
+    assert result.certificate == ties[0]
+    radius = _initial_radius(ms)
+    while least > radius * radius:
+        radius *= 2
+    assert result.bracket[1] == radius
 
 
 def test_separation_tiny_sets():
@@ -157,6 +183,24 @@ def test_index_candidates_complete():
         for j, q in enumerate(ms.points):
             if sym_dist_leq(p, q, radius):
                 assert j in cands, (i, j)
+
+
+def test_index_pairs_match_candidates_in_any_chunking():
+    ms = h1_sample(3)
+    index = NeighborIndex(ms, Fraction(3, 2))
+    expected = sorted(
+        (i, j) for i, p in enumerate(ms.points)
+        for j in index.candidates(p.coords))
+    for chunk in (1, 50, 1 << 18):
+        got = [pair for i, j in index.pairs(chunk=chunk)
+               for pair in zip(i.tolist(), j.tolist())]
+        assert sorted(got) == expected
+    # chosen centers come out grouped, in the order given, never split
+    centers = [40, 2, 17]
+    chunks = [i.tolist() for i, _ in index.pairs(centers, chunk=5)]
+    assert [i for chunk in chunks for i in chunk] == [
+        c for c in centers for _ in index.candidates(ms.points[c].coords)]
+    assert all(len(set(chunk)) == 1 for chunk in chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +344,72 @@ def test_period_search_validation():
         period_search(ms, Fraction(5), Fraction(2))
     with pytest.raises(ErosionError):
         period_search(ms, Fraction(25), Fraction(25))
+
+
+# ---------------------------------------------------------------------------
+# full ring of integers (coordinates with denominator 2), against brute force
+# ---------------------------------------------------------------------------
+
+FULL5 = RingSpec(5, RingVariant.FULL_INTEGERS)
+
+
+def full_ring_samples():
+    line = generate_model_set(Scheme(E1, FULL5), STURMIAN_WINDOW,
+                              Box(((Fraction(-30), Fraction(30)),)))
+    heis = generate_model_set(Scheme(H1, FULL5), Box.cube(H1, Fraction(9, 10)),
+                              Box.gauge_box(H1, 2))
+    return [line, heis]
+
+
+@pytest.mark.parametrize("ms", full_ring_samples(), ids=["e1", "h1"])
+def test_full_ring_separation_brute_force(ms):
+    assert any(c.b.denominator == 2 for p in ms.points for c in p.coords)
+    result = separation(ms)
+    sq = {
+        (i, j): sym_dist_sq(ms.points[i], ms.points[j])
+        for i, j in itertools.combinations(range(len(ms.points)), 2)
+    }
+    least = min(sq.values())
+    assert result.separation_sq == least
+    assert result.certificate == min(k for k, v in sq.items() if v == least)
+
+
+@pytest.mark.parametrize("ms", full_ring_samples(), ids=["e1", "h1"])
+def test_full_ring_patch_catalog_brute_force(ms):
+    kind = ms.scheme.kind
+    radius = Fraction(1)
+    brute = {}
+    for idx in right_interior(ms, radius):
+        center = ms.points[idx]
+        inv_c = inv_coords(kind, center.coords)
+        key = tuple(sorted(
+            mul_coords(kind, inv_c, q.coords)
+            for q in ms.points if sym_dist_leq(center, q, radius)))
+        brute[key] = brute.get(key, 0) + 1
+    cat = patch_catalog(ms, radius)
+    assert {c.relative_coords: c.multiplicity for c in cat.classes} == brute
+    assert [c.relative_coords for c in cat.classes] == sorted(brute)
+
+
+@pytest.mark.parametrize("ms", full_ring_samples(), ids=["e1", "h1"])
+def test_full_ring_period_search_brute_force(ms):
+    kind = ms.scheme.kind
+    bound = Fraction(1)
+    candidates = set()
+    for p in ms.points:
+        inv_p = inv_coords(kind, p.coords)
+        for q in ms.points:
+            g = mul_coords(kind, inv_p, q.coords)
+            if p is not q and qnorm_leq(GroupPoint(kind, g), bound):
+                candidates.add(g)
+    members = ms.coords_set()
+    core = [ms.points[i].coords for i in left_interior(ms, bound)]
+    survivors = sorted(
+        g for g in candidates
+        if all(mul_coords(kind, g, c) in members for c in core))
+    report = period_search(ms, bound, bound)
+    assert report.candidates_tested == len(candidates) > 0
+    assert list(report.nontrivial_periods) == survivors
 
 
 def test_delone_report_combined():

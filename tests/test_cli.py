@@ -255,6 +255,23 @@ def test_check_window(capsys):
     assert "boundary witness" in out
 
 
+def test_check_window_witnesses_listed_once(capsys):
+    # the y endpoint 0 and the t endpoint -30 both give (-5 - 2*sqrt(3), 0,
+    # -30); it is printed once, in the order of first occurrence
+    code, out, _ = run(capsys, [
+        "check-window", "--kind", "heisenberg", "--n", "1", "--d", "3",
+        "--window=-2,1/2;0,0;-30,13",
+    ])
+    assert code == 3
+    assert out == (
+        "window boundary clear: false\n"
+        "  boundary witness: (-2, 0, -30)\n"
+        "  boundary witness: (-5 - 2*sqrt(3), 0, -30)\n"
+        "  boundary witness: (-5 - 2*sqrt(3), 0, 13)\n"
+        "window regular: false\n"
+    )
+
+
 def test_cli_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
