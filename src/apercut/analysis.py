@@ -36,7 +36,7 @@ from .errors import ErosionError
 from .heisenberg import Family, GroupKind, sym_dist_leq
 # perfbench/worker.py looks these up on this module to count their calls
 from .heisenberg import mul_coords, qnorm_leq, sym_dist_sq  # noqa: F401
-from .lattice import LIMIT, Quad, unique_rows
+from .lattice import Quad, unique_rows
 from .quadratic import QuadNum, floor_div
 
 
@@ -44,9 +44,15 @@ from .quadratic import QuadNum, floor_div
 # interior cores
 # ---------------------------------------------------------------------------
 
-def _t_margin(k: Fraction, span) -> Fraction:
-    """Heisenberg t-axis reach of translates by gauge(g) <= k from a point
-    (or region) with sum|x_i| (or sum|y_i|) at most span."""
+def _t_margin(k: Fraction, span, den: int = 1):
+    """Heisenberg t-axis reach K^2 + K*span of translates by gauge(g) <= k
+    from a point (or region) with sum|x_i| (or sum|y_i|) at most span.
+
+    span is a Fraction, or a `Quad` of per-point numerators over den; the
+    reach of a Quad comes back as numerators over k.denominator**2 * den."""
+    if isinstance(span, Quad):
+        a, b = k.numerator, k.denominator
+        return span.scale(a * b).add_int(a * a * den)
     return k * k + k * span
 
 
@@ -81,18 +87,18 @@ def _interior(ms: ModelSet, depth: Fraction, use_x_margin: bool) -> list[int]:
         ok &= ((x.cmp_rational(e, ivs[k][0] + depth) >= 0)
                & (x.cmp_rational(e, ivs[k][1] - depth) <= 0))
     if kind.family is Family.HEISENBERG:
-        # lo + K^2 + K*span <= t <= hi - K^2 - K*span, span = sum|anchor|
+        # lo + margin <= t <= hi - margin, with the margin of sum|anchor|
         n = kind.rank
         anchor = range(n) if use_x_margin else range(n, 2 * n)
         span = lat.coord(anchor[0]).abs()
         for k in anchor[1:]:
             span = span + lat.coord(k).abs()
-        t = lat.coord(2 * n).scale(depth.denominator)
-        drift = span.scale(depth.numerator)
+        margin = _t_margin(depth, span, e)
+        scale = depth.denominator ** 2
+        t = lat.coord(2 * n).scale(scale)
         lo, hi = ivs[2 * n]
-        den = depth.denominator * e
-        ok &= (((t - drift).cmp_rational(den, lo + depth * depth) >= 0)
-               & ((t + drift).cmp_rational(den, hi - depth * depth) <= 0))
+        ok &= (((t - margin).cmp_rational(scale * e, lo) >= 0)
+               & ((t + margin).cmp_rational(scale * e, hi) <= 0))
     return np.flatnonzero(ok).tolist()
 
 
@@ -126,31 +132,11 @@ class NeighborIndex:
         else:
             self.cell_sizes = (radius,) * (2 * kind.rank) + (
                 _t_margin(radius, _region_xspan(ms)),)
-        lat = ms.lattice
-        keys = [lat.floor_div(k, size)
-                for k, size in enumerate(self.cell_sizes)]
-        # shifted keys of the points and of their neighbor cells lie in
-        # [0, span + 2], so radix span + 3 packs them without collisions
-        self._key_lo = [int(k.min()) - 1 if k.size else 0 for k in keys]
-        self._radices = [int(k.max()) - lo + 2 if k.size else 1
-                         for k, lo in zip(keys, self._key_lo)]
-        strides, stride = [], 1
-        for radix in reversed(self._radices):
-            strides.append(stride)
-            stride *= radix
-        self._strides = strides[::-1]
-        dtype = np.int64 if stride < LIMIT else object
-        codes = np.zeros(len(ms.points), dtype=dtype)
-        for k, lo, st in zip(keys, self._key_lo, self._strides):
-            codes += (k - lo).astype(dtype) * st
-        self._codes = codes
+        self._cells = ms.lattice.cell_codes(self.cell_sizes)
+        codes = self._codes = self._cells.codes
         self._order = np.argsort(codes, kind="stable")
         self._sorted = codes[self._order]
-        self._deltas = np.array(
-            [sum(o * st for o, st in zip(offsets, self._strides))
-             for offsets in itertools.product((-1, 0, 1),
-                                              repeat=len(keys))],
-            dtype=dtype)
+        self._deltas = self._cells.neighbor_deltas
 
     def _key(self, coords) -> tuple:
         return tuple(
@@ -160,24 +146,17 @@ class NeighborIndex:
     def candidates(self, coords) -> Iterable[int]:
         """Indices in the 3^dim cell neighborhood; superset of all points
         within symmetric distance `radius`."""
-        center = self._key(coords)
-        for offsets in itertools.product((-1, 0, 1), repeat=len(center)):
-            shifted = [c + o - lo
-                       for c, o, lo in zip(center, offsets, self._key_lo)]
-            # cells outside the key range of the points are empty
-            if any(not 1 <= s <= radix - 2
-                   for s, radix in zip(shifted, self._radices)):
-                continue
-            code = sum(s * st for s, st in zip(shifted, self._strides))
+        for code in self._cells.neighbor_codes(self._key(coords)):
             lo = np.searchsorted(self._sorted, code, side="left")
             hi = np.searchsorted(self._sorted, code, side="right")
             yield from self._order[lo:hi].tolist()
 
-    def pairs(self, centers: Sequence[int] | None = None,
-              chunk: int = PAIR_CHUNK) -> Iterator[tuple]:
+    def pairs(self, centers: Sequence[int] | None = None) -> Iterator[tuple]:
         """Index arrays (i, j): i over centers (default: every point), j
         over the 3^dim cell neighborhood of i, i itself included. Yields
-        about `chunk` pairs at a time, never splitting one center's pairs."""
+        about `PAIR_CHUNK` pairs at a time, never splitting one center's
+        pairs."""
+        chunk = PAIR_CHUNK
         if centers is None:
             queries = np.arange(len(self._codes))
         else:

@@ -125,9 +125,6 @@ class ModelSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def coords_set(self) -> set:
-        return {p.coords for p in self.points}
-
     def float_points(self) -> list:
         return [p.to_float() for p in self.points]
 

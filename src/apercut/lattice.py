@@ -18,9 +18,10 @@ answers are the same either way.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -337,6 +338,51 @@ class Lattice:
         if divisor >= LIMIT:
             total = _as_object(total)
         return total // divisor
+
+    def cell_codes(self, sizes: Sequence[Fraction]) -> "CellCodes":
+        """The cells of side sizes[k] along coordinate k holding each point."""
+        return CellCodes([self.floor_div(k, size)
+                          for k, size in enumerate(sizes)])
+
+
+class CellCodes:
+    """Exact cell keys (one floor per axis) packed into one integer code.
+
+    Shifted by one below the smallest key of the points, the keys of the
+    points and of their neighbor cells lie in [0, span + 2] on each axis, so
+    radix span + 3 packs them without collisions. The codes are int64 when
+    the largest one stays below LIMIT, Python ints otherwise.
+    """
+
+    def __init__(self, keys: Sequence[np.ndarray]) -> None:
+        self._lo = [int(k.min()) - 1 if k.size else 0 for k in keys]
+        self._radices = [int(k.max()) - lo + 2 if k.size else 1
+                         for k, lo in zip(keys, self._lo)]
+        strides, stride = [], 1
+        for radix in reversed(self._radices):
+            strides.append(stride)
+            stride *= radix
+        self._strides = strides[::-1]
+        dtype = np.int64 if stride < LIMIT else object
+        codes = np.zeros(len(keys[0]), dtype=dtype)
+        for k, lo, st in zip(keys, self._lo, self._strides):
+            codes += (k - lo).astype(dtype) * st
+        self.codes = codes
+        # code offsets to the 3^dim neighbor cells, in `neighbor_codes` order
+        self.neighbor_deltas = np.array(
+            [sum(o * st for o, st in zip(offsets, self._strides))
+             for offsets in itertools.product((-1, 0, 1), repeat=len(keys))],
+            dtype=dtype)
+
+    def neighbor_codes(self, key: Sequence[int]) -> Iterator[int]:
+        """Codes of the 3^dim cells around the cell key, skipping those
+        outside the key range of the points (they are empty)."""
+        for offsets in itertools.product((-1, 0, 1), repeat=len(key)):
+            shifted = [c + o - lo for c, o, lo in zip(key, offsets, self._lo)]
+            if any(not 1 <= s <= radix - 2
+                   for s, radix in zip(shifted, self._radices)):
+                continue
+            yield sum(s * st for s, st in zip(shifted, self._strides))
 
 
 def unique_rows(rows: np.ndarray) -> np.ndarray:

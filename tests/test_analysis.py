@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from apercut import analysis
 from apercut.analysis import (
     NeighborIndex,
     _initial_radius,
@@ -185,19 +186,21 @@ def test_index_candidates_complete():
                 assert j in cands, (i, j)
 
 
-def test_index_pairs_match_candidates_in_any_chunking():
+def test_index_pairs_match_candidates_in_any_chunking(monkeypatch):
     ms = h1_sample(3)
     index = NeighborIndex(ms, Fraction(3, 2))
     expected = sorted(
         (i, j) for i, p in enumerate(ms.points)
         for j in index.candidates(p.coords))
     for chunk in (1, 50, 1 << 18):
-        got = [pair for i, j in index.pairs(chunk=chunk)
+        monkeypatch.setattr(analysis, "PAIR_CHUNK", chunk)
+        got = [pair for i, j in index.pairs()
                for pair in zip(i.tolist(), j.tolist())]
         assert sorted(got) == expected
     # chosen centers come out grouped, in the order given, never split
     centers = [40, 2, 17]
-    chunks = [i.tolist() for i, _ in index.pairs(centers, chunk=5)]
+    monkeypatch.setattr(analysis, "PAIR_CHUNK", 5)
+    chunks = [i.tolist() for i, _ in index.pairs(centers)]
     assert [i for chunk in chunks for i in chunk] == [
         c for c in centers for _ in index.candidates(ms.points[c].coords)]
     assert all(len(set(chunk)) == 1 for chunk in chunks)
@@ -402,7 +405,7 @@ def test_full_ring_period_search_brute_force(ms):
             g = mul_coords(kind, inv_p, q.coords)
             if p is not q and qnorm_leq(GroupPoint(kind, g), bound):
                 candidates.add(g)
-    members = ms.coords_set()
+    members = {p.coords for p in ms.points}
     core = [ms.points[i].coords for i in left_interior(ms, bound)]
     survivors = sorted(
         g for g in candidates
