@@ -4,6 +4,7 @@ Coordinates are drawn at three magnitudes. At 2^40 every product and every
 sign test leaves int64, so the Python-int path of each step runs too.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from apercut.heisenberg import (
     sym_dist_leq,
     sym_dist_sq,
 )
-from apercut.lattice import LIMIT, Lattice, Quad
+from apercut.lattice import LIMIT, CellCodes, Lattice, Quad
 from apercut.quadratic import QuadNum, RingSpec, RingVariant, floor_div
 
 FULL = RingVariant.FULL_INTEGERS
@@ -162,3 +163,29 @@ def test_cell_keys_match_floor_div(sample, size):
     for k in range(kind.coord_count):
         got = lat.floor_div(k, size).tolist()
         assert got == [floor_div(p[k], size) for p in points]
+
+
+@SETTINGS
+@given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=1,
+                max_size=40),
+       st.sampled_from([3, 2 ** 40]))
+def test_cell_codes_pack_keys_and_neighbors(near, far):
+    # one far cell stretches the key range; at 2^40 the codes leave int64
+    cell_keys = near + [(far, -far, far)]
+    cells = CellCodes([np.array(axis) for axis in zip(*cell_keys)])
+    assert (cells.codes.dtype == object) == (far == 2 ** 40)
+    code_of = dict(zip(cell_keys, cells.codes.tolist()))
+    assert len(set(code_of.values())) == len(code_of)
+    lo = [min(axis) for axis in zip(*cell_keys)]
+    hi = [max(axis) for axis in zip(*cell_keys)]
+    offsets = itertools.product((-1, 0, 1), repeat=3)
+    deltas = list(zip(offsets, cells.neighbor_deltas.tolist()))
+    for key, code in code_of.items():
+        in_range = []
+        for offset, delta in deltas:
+            cell = tuple(k + o for k, o in zip(key, offset))
+            if all(a <= c <= b for a, c, b in zip(lo, cell, hi)):
+                in_range.append(code + delta)
+            if cell in code_of:
+                assert code_of[cell] == code + delta
+        assert list(cells.neighbor_codes(key)) == in_range
