@@ -22,7 +22,6 @@ bracket reported alongside the float value.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 import numpy as np
 
 from .cutproject import ModelSet
-from .errors import ErosionError
+from .errors import BudgetExceededError, ErosionError
 from .heisenberg import Family, GroupKind, sym_dist_leq
 # perfbench/worker.py looks these up on this module to count their calls
 from .heisenberg import mul_coords, qnorm_leq, sym_dist_sq  # noqa: F401
@@ -106,8 +105,10 @@ def _interior(ms: ModelSet, depth: Fraction, use_x_margin: bool) -> list[int]:
 # neighbor index
 # ---------------------------------------------------------------------------
 
-# Candidate pairs per chunk: bounds the memory of the vectorized predicates.
-PAIR_CHUNK = 1 << 18
+# Candidate pairs per chunk: bounds the memory of the vectorized predicates
+# (about 130 bytes a pair for the float gauge). At 2^16 the temporaries stay
+# near cache size; 2^18 was no faster on the R=8 and R=12 H1 samples.
+PAIR_CHUNK = 1 << 16
 
 
 class NeighborIndex:
@@ -133,10 +134,9 @@ class NeighborIndex:
             self.cell_sizes = (radius,) * (2 * kind.rank) + (
                 _t_margin(radius, _region_xspan(ms)),)
         self._cells = ms.lattice.cell_codes(self.cell_sizes)
-        codes = self._codes = self._cells.codes
+        codes = self._cells.codes
         self._order = np.argsort(codes, kind="stable")
         self._sorted = codes[self._order]
-        self._deltas = self._cells.neighbor_deltas
 
     def _key(self, coords) -> tuple:
         return tuple(
@@ -156,15 +156,25 @@ class NeighborIndex:
         over the 3^dim cell neighborhood of i, i itself included. Yields
         about `PAIR_CHUNK` pairs at a time, never splitting one center's
         pairs."""
-        chunk = PAIR_CHUNK
         if centers is None:
-            queries = np.arange(len(self._codes))
+            queries = np.arange(len(self._sorted))
         else:
             queries = np.asarray(centers, dtype=np.intp)
-        block = max(1, chunk // len(self._deltas))
+        return self.pairs_near(queries,
+                               [k[queries] for k in self._cells.keys])
+
+    def pairs_near(self, queries: np.ndarray,
+                   keys: Sequence[np.ndarray]) -> Iterator[tuple]:
+        """Index arrays (i, j): i over queries, j over the points in the
+        3^dim cells around the cell key of i (keys[k][n] on axis k for
+        queries[n]; a key may lie outside the points' range). Chunked as
+        `pairs`."""
+        chunk = PAIR_CHUNK
+        block = max(1, chunk // 3 ** len(keys))
         for start in range(0, len(queries), block):
             q = queries[start:start + block]
-            targets = self._codes[q][:, None] + self._deltas[None, :]
+            targets = self._cells.neighbors(
+                [k[start:start + block] for k in keys])
             lo = np.searchsorted(self._sorted, targets, side="left")
             counts = np.searchsorted(self._sorted, targets,
                                      side="right") - lo
@@ -288,7 +298,26 @@ def covering_radius_estimate(
     ms: ModelSet, grid_step: Fraction, erosion: Fraction
 ) -> float:
     """Float estimate: max over grid points of the eroded region of the
-    distance to the nearest sample point. Resolution grid_step; not exact."""
+    float symmetric distance to the nearest sample point. Resolution
+    grid_step; not exact.
+
+    The grid is walked in blocks, never built whole. Each grid point is
+    compared only with the points of its index neighbourhood, in rounds of
+    doubling radius r from grid_step. A round indexes at r + delta, where delta (`_float_gauge_error`) bounds
+    |float gauge - exact gauge| over the region. A grid point whose float
+    minimum over its candidates is <= r is settled: the nearest point p* of
+    the full scan has float gauge <= r, so its exact gauge is <= r + delta,
+    so p* is a candidate and both minima are the same float. The others go
+    to the next round. Once r + delta reaches the region span, every cell is
+    wider than the region on every axis, so every point is a candidate and
+    that round settles everything left. The float gauge takes the same
+    operations as the full scan, so the estimate equals it bit for bit.
+
+    Raises BudgetExceededError before any work when the grid has more
+    points than `growth.element_budget()`.
+    """
+    from .growth import element_budget
+
     grid_step = Fraction(grid_step)
     erosion = Fraction(erosion)
     if grid_step <= 0:
@@ -298,7 +327,7 @@ def covering_radius_estimate(
     if not ms.points:
         raise ErosionError("empty point set has no covering radius")
     kind = ms.scheme.kind
-    axes = []
+    starts, shape = [], []
     for i, (lo, hi) in enumerate(ms.region.intervals):
         if kind.family is Family.HEISENBERG and i == kind.coord_count - 1:
             margin = _t_margin(erosion, _region_xspan(ms))
@@ -307,42 +336,119 @@ def covering_radius_estimate(
         a, b = lo + margin, hi - margin
         if a > b:
             raise ErosionError(f"eroded region empty on axis {i}")
-        steps = int((b - a) / grid_step)
-        axes.append([float(a + k * grid_step) for k in range(steps + 1)])
+        starts.append(a)
+        shape.append(int((b - a) / grid_step) + 1)
+    total = math.prod(shape)
+    limit = element_budget()
+    if total > limit:
+        raise BudgetExceededError(
+            f"covering grid of {total} points would exceed element budget "
+            f"{limit}")
+    axes = [[a + k * grid_step for k in range(count)]
+            for a, count in zip(starts, shape)]
+    grid_axes = [np.array([float(v) for v in axis]) for axis in axes]
     pts = np.array(ms.float_points(), dtype=float)
+    delta = _float_gauge_error(kind, _float_magnitude(ms))
+    span = _region_span(ms)
+    rounds = []  # per doubling radius: its index, and the axis cell keys
     worst = 0.0
-    chunk = []
-    for coords in itertools.product(*axes):
-        chunk.append(coords)
-        if len(chunk) >= 2048:
-            worst = max(worst, _chunk_min_dist_max(kind, chunk, pts))
-            chunk = []
-    if chunk:
-        worst = max(worst, _chunk_min_dist_max(kind, chunk, pts))
+    block = max(1, PAIR_CHUNK // 3 ** len(shape))
+    for start in range(0, total, block):
+        todo = np.arange(start, min(start + block, total))
+        r = grid_step
+        k = 0
+        while todo.size:
+            if k == len(rounds):
+                index = NeighborIndex(ms, r + delta)
+                rounds.append((index, [
+                    np.array([floor_div(v, size) for v in axis])
+                    for axis, size in zip(axes, index.cell_sizes)]))
+            index, axis_keys = rounds[k]
+            at = np.unravel_index(todo, shape)
+            grid = np.stack([g[a] for g, a in zip(grid_axes, at)], axis=1)
+            keys = [c[a] for c, a in zip(axis_keys, at)]
+            nearest = np.full(len(todo), np.inf)
+            for i, j in index.pairs_near(np.arange(len(todo)), keys):
+                np.minimum.at(nearest, i,
+                              _float_sym_gauge(kind, grid[i], pts[j]))
+            if r + delta >= span:
+                settled = np.ones(len(todo), dtype=bool)
+            else:
+                settled = nearest <= _float_at_most(r)
+            if settled.any():
+                worst = max(worst, float(nearest[settled].max()))
+            todo = todo[~settled]
+            r *= 2
+            k += 1
     return worst
 
 
-def _float_sym_gauge(kind: GroupKind, centers: np.ndarray,
-                     pts: np.ndarray) -> np.ndarray:
-    """Pairwise float symmetric gauge, centers (C, dim) x points (N, dim)."""
-    c = centers[:, None, :]
-    p = pts[None, :, :]
+def _float_at_most(r: Fraction) -> float:
+    """The largest float <= r."""
+    f = float(r)
+    return math.nextafter(f, -math.inf) if Fraction(f) > r else f
+
+
+def _float_magnitude(ms: ModelSet) -> int:
+    """An integer B >= 1 with |v| <= B for every coordinate v of the region
+    and, for every sample coordinate (p + q*sqrt(d))/den, with
+    (|p| + |q|*sqrt(d))/den <= B: the float conversion works on p and q, so
+    its error scales with that sum, which cancellation can make larger than
+    |v|."""
+    region = max(max(abs(lo), abs(hi)) for lo, hi in ms.region.intervals)
+    lat = ms.lattice
+    parts = Fraction(lat.bound * (math.isqrt(lat.d) + 2), lat.e)
+    return max(1, math.ceil(region), math.ceil(parts))
+
+
+def _float_gauge_error(kind: GroupKind, bound: int) -> Fraction:
+    """A power of two delta >= |float gauge - exact gauge| of c^-1 p, for a
+    rational grid point c and a sample point p whose magnitudes and float
+    conversions are bounded by `bound` >= 1 as in `_float_magnitude`.
+
+    With u = 2^-53, each float operation is exact up to a factor (1 + e),
+    |e| <= u. Then float(c) is off by <= u*B, and float(p), computed as
+    (p + q*sqrt(d))/den, by <= 7u*B (about 3u on each of |p| and |q|sqrt(d),
+    3u on |v|). Differences are off by <= 11u*B, and so are the coordinate
+    terms of the gauge and their maximum. For H_n, each product x*dy is off
+    by <= 28u*B^2 (|dy| <= 2.03B); with dt off by 11u*B and the roundings of
+    the n-term sum and of the subtraction (<= 2.1(n^2 + n)u*B^2 + 2.03u*B),
+    each t part tau is off by E <= 32(n+1)^2 u*B^2, as B >= 1. sqrt is not
+    Lipschitz at 0, but |sqrt(a) - sqrt(b)| <= sqrt|a - b|, and rounding the
+    sqrt adds u*sqrt|tau| <= 2(n+1)u*B; so the sqrt term is off by at most
+    sqrt(E) + 2(n+1)u*B = (n+1)*B*(2^-24 + 2^-52), which exceeds 11u*B.
+    The bound is rounded up to a power of two, which keeps the index cell
+    sizes r + delta short fractions.
+    """
+    u = Fraction(1, 1 << 53)
     if kind.family is Family.EUCLIDEAN:
-        return np.abs(p - c).max(axis=2)
+        err = 11 * u * bound
+    else:
+        err = (kind.rank + 1) * bound * (Fraction(1, 1 << 24) + 2 * u)
+    delta = Fraction(1)
+    while delta < err:
+        delta *= 2
+    while delta / 2 >= err:
+        delta /= 2
+    return delta
+
+
+def _float_sym_gauge(kind: GroupKind, c: np.ndarray,
+                     p: np.ndarray) -> np.ndarray:
+    """Float symmetric gauge of c^-1 p over the last axis of two arrays
+    that broadcast together: (P, dim) pairs, or (C, 1, dim) against
+    (1, N, dim) for all pairs."""
+    if kind.family is Family.EUCLIDEAN:
+        return np.abs(p - c).max(axis=-1)
     n = kind.rank
     dx = p[..., :n] - c[..., :n]
     dy = p[..., n:2 * n] - c[..., n:2 * n]
     dt = p[..., 2 * n] - c[..., 2 * n]
-    tau1 = dt - (c[..., :n] * dy).sum(axis=2)     # t part of c^-1 p
-    tau2 = (p[..., :n] * dy).sum(axis=2) - dt     # t part of p^-1 c
-    head = np.maximum(np.abs(dx).max(axis=2), np.abs(dy).max(axis=2))
+    tau1 = dt - (c[..., :n] * dy).sum(axis=-1)    # t part of c^-1 p
+    tau2 = (p[..., :n] * dy).sum(axis=-1) - dt    # t part of p^-1 c
+    head = np.maximum(np.abs(dx).max(axis=-1), np.abs(dy).max(axis=-1))
     tmax = np.maximum(np.abs(tau1), np.abs(tau2))
     return np.maximum(head, np.sqrt(tmax))
-
-
-def _chunk_min_dist_max(kind, chunk, pts) -> float:
-    dists = _float_sym_gauge(kind, np.array(chunk, dtype=float), pts)
-    return float(dists.min(axis=1).max())
 
 
 @dataclass(frozen=True)
@@ -511,11 +617,7 @@ def repetitivity_radii(ms: ModelSet, radius: Fraction) -> RepetitivityReport:
     any_lb = False
     classes = sorted(by_key.items(), key=lambda item: coords[item[0]])
     for ci, (_, members) in enumerate(classes):
-        member_feats = feats[members]
-        dists = _float_sym_gauge(kind, feats, member_feats)
-        for col, pos in enumerate(members):
-            dists[pos, col] = math.inf  # self-returns do not count
-        nearest = dists.min(axis=1)
+        nearest = _nearest_other(kind, feats, members)
         finite = nearest[np.isfinite(nearest)]
         lb = len(members) == 1
         if lb:
@@ -525,6 +627,26 @@ def repetitivity_radii(ms: ModelSet, radius: Fraction) -> RepetitivityReport:
         if math.isfinite(radius_c):
             overall = max(overall, radius_c)
     return RepetitivityReport(radius, tuple(per_class), overall, any_lb)
+
+
+def _nearest_other(kind: GroupKind, feats: np.ndarray,
+                   members: Sequence[int]) -> np.ndarray:
+    """Per row of feats, the float symmetric gauge to the nearest row of
+    members other than itself (inf if there is none), over tiles of at most
+    `PAIR_CHUNK` pairs."""
+    members = np.asarray(members)
+    nearest = np.full(len(feats), np.inf)
+    cols = min(len(members), PAIR_CHUNK)
+    rows = max(1, PAIR_CHUNK // cols)
+    for a in range(0, len(feats), rows):
+        block = np.arange(a, min(a + rows, len(feats)))
+        for b in range(0, len(members), cols):
+            m = members[b:b + cols]
+            dists = _float_sym_gauge(kind, feats[block, None, :],
+                                     feats[None, m, :])
+            dists[block[:, None] == m[None, :]] = math.inf  # self-returns
+            nearest[block] = np.minimum(nearest[block], dists.min(axis=1))
+    return nearest
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ answers are the same either way.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -355,6 +354,7 @@ class CellCodes:
     """
 
     def __init__(self, keys: Sequence[np.ndarray]) -> None:
+        self.keys = keys
         self._lo = [int(k.min()) - 1 if k.size else 0 for k in keys]
         self._radices = [int(k.max()) - lo + 2 if k.size else 1
                          for k, lo in zip(keys, self._lo)]
@@ -368,21 +368,34 @@ class CellCodes:
         for k, lo, st in zip(keys, self._lo, self._strides):
             codes += (k - lo).astype(dtype) * st
         self.codes = codes
-        # code offsets to the 3^dim neighbor cells, in `neighbor_codes` order
-        self.neighbor_deltas = np.array(
-            [sum(o * st for o, st in zip(offsets, self._strides))
-             for offsets in itertools.product((-1, 0, 1), repeat=len(keys))],
-            dtype=dtype)
+
+    def neighbors(self, keys: Sequence[np.ndarray]) -> np.ndarray:
+        """Codes of the 3^dim cells around each cell key (keys[k][i] on axis
+        k), shape (Q, 3^dim) with the offsets in `itertools.product` order of
+        (-1, 0, 1); -1 for the cells outside the key range of the points
+        (they are empty), which are skipped rather than packed."""
+        n, dtype = len(keys[0]), self.codes.dtype
+        codes = np.zeros((n, 1), dtype=dtype)
+        inside = np.ones((n, 1), dtype=bool)
+        steps = np.array([-1, 0, 1], dtype=dtype)
+        for k, lo, radix, st in zip(keys, self._lo, self._radices,
+                                    self._strides):
+            # keys beyond the range by more than one have no cell inside
+            near = np.minimum(np.maximum(np.asarray(k) - lo, -1), radix)
+            shifted = near.astype(dtype)[:, None] + steps
+            ok = (shifted >= 1) & (shifted <= radix - 2)
+            width = 3 * codes.shape[1]
+            codes = (codes[:, :, None] + (shifted * ok * st)[:, None, :]
+                     ).reshape(n, width)
+            inside = (inside[:, :, None] & ok[:, None, :]).reshape(n, width)
+        codes[~inside] = -1
+        return codes
 
     def neighbor_codes(self, key: Sequence[int]) -> Iterator[int]:
         """Codes of the 3^dim cells around the cell key, skipping those
         outside the key range of the points (they are empty)."""
-        for offsets in itertools.product((-1, 0, 1), repeat=len(key)):
-            shifted = [c + o - lo for c, o, lo in zip(key, offsets, self._lo)]
-            if any(not 1 <= s <= radix - 2
-                   for s, radix in zip(shifted, self._radices)):
-                continue
-            yield sum(s * st for s, st in zip(shifted, self._strides))
+        row = self.neighbors([np.array([k]) for k in key])
+        return (int(c) for c in row[0].tolist() if c >= 0)
 
 
 def unique_rows(rows: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from apercut.analysis import (
     NeighborIndex,
-    _patch,
+    _patch_rows,
     patch_catalog,
     period_search,
     repetitivity_radii,
@@ -242,8 +242,8 @@ def test_heisenberg_model_set_delone_flc_aperiodic():
 
     # patch-by-center catalog of the radius-8 sample
     centers8 = right_interior(ms8, one)
-    index8 = NeighborIndex(ms8, one)
-    per_center8 = {i: _patch(ms8, i, one, index8) for i in centers8}
+    keys8, coords8 = _patch_rows(ms8, centers8, one, NeighborIndex(ms8, one))
+    per_center8 = {i: coords8[k] for i, k in zip(centers8, keys8)}
     counts8 = Counter(per_center8.values())
     assert len(counts8) == 43
 
@@ -251,10 +251,12 @@ def test_heisenberg_model_set_delone_flc_aperiodic():
     # (Strict equality of the two catalogs is false as a matter of fact:
     # fresh classes do appear at centers beyond gauge norm 8, because a
     # larger physical region samples the window at finer resolution.)
-    index12 = NeighborIndex(ms12, one)
     pos12 = {p.coords: j for j, p in enumerate(ms12.points)}
-    for i, key in per_center8.items():
-        assert _patch(ms12, pos12[ms8.points[i].coords], one, index12) == key
+    centers12 = [pos12[ms8.points[i].coords] for i in per_center8]
+    keys12, coords12 = _patch_rows(ms12, centers12, one,
+                                   NeighborIndex(ms12, one))
+    for key, k12 in zip(per_center8.values(), keys12):
+        assert coords12[k12] == key
 
     cat12 = patch_catalog(ms12, one)
     counts12 = {c.relative_coords: c.multiplicity for c in cat12.classes}

@@ -3,7 +3,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apercut import analysis
 from apercut.analysis import (
@@ -28,6 +31,7 @@ from apercut.cutproject import (
 )
 from apercut.errors import ErosionError
 from apercut.heisenberg import (
+    Family,
     GroupKind,
     GroupPoint,
     inv_coords,
@@ -42,6 +46,7 @@ E1 = GroupKind.euclidean(1)
 H1 = GroupKind.heisenberg(1)
 SCHEME_1D = Scheme(E1, RingSpec(2))
 SCHEME_H1 = Scheme(H1, RingSpec(2))
+FULL5 = RingSpec(5, RingVariant.FULL_INTEGERS)
 
 STURMIAN_WINDOW = Box(((Fraction(-9, 10), Fraction(11, 10)),))
 
@@ -297,6 +302,136 @@ def test_covering_radius_validation():
         covering_radius_estimate(ms, Fraction(1, 10), Fraction(30))
 
 
+def _dense_gauge(kind, centers, pts):
+    """Float symmetric gauge of every center against every point, as the
+    full scan computed it."""
+    c = centers[:, None, :]
+    p = pts[None, :, :]
+    if kind.family is Family.EUCLIDEAN:
+        return np.abs(p - c).max(axis=2)
+    n = kind.rank
+    dx = p[..., :n] - c[..., :n]
+    dy = p[..., n:2 * n] - c[..., n:2 * n]
+    dt = p[..., 2 * n] - c[..., 2 * n]
+    tau1 = dt - (c[..., :n] * dy).sum(axis=2)
+    tau2 = (p[..., :n] * dy).sum(axis=2) - dt
+    head = np.maximum(np.abs(dx).max(axis=2), np.abs(dy).max(axis=2))
+    tmax = np.maximum(np.abs(tau1), np.abs(tau2))
+    return np.maximum(head, np.sqrt(tmax))
+
+
+def _dense_covering(ms, grid_step, erosion):
+    """Reference: every grid point against every sample point."""
+    kind = ms.scheme.kind
+    axes = []
+    for i, (lo, hi) in enumerate(ms.region.intervals):
+        margin = erosion
+        if kind.family is Family.HEISENBERG and i == kind.coord_count - 1:
+            xspan = sum(max(abs(a), abs(b))
+                        for a, b in ms.region.intervals[:kind.rank])
+            margin = erosion * erosion + erosion * xspan
+        a, b = lo + margin, hi - margin
+        steps = int((b - a) / grid_step)
+        axes.append([float(a + k * grid_step) for k in range(steps + 1)])
+    pts = np.array(ms.float_points(), dtype=float)
+    worst = 0.0
+    chunk = []
+    for coords in itertools.product(*axes):
+        chunk.append(coords)
+        if len(chunk) >= 2048:
+            dists = _dense_gauge(kind, np.array(chunk, dtype=float), pts)
+            worst = max(worst, float(dists.min(axis=1).max()))
+            chunk = []
+    if chunk:
+        dists = _dense_gauge(kind, np.array(chunk, dtype=float), pts)
+        worst = max(worst, float(dists.min(axis=1).max()))
+    return worst
+
+
+def covering_samples():
+    e2 = GroupKind.euclidean(2)
+    h2 = GroupKind.heisenberg(2)
+    return [
+        (sturmian(60), Fraction(1, 50), Fraction(3)),
+        (generate_model_set(Scheme(e2, RingSpec(2)), Box.cube(e2, Fraction(9, 10)),
+                            Box.cube(e2, 12)), Fraction(1, 3), Fraction(1)),
+        (generate_model_set(SCHEME_H1, Box.cube(H1, Fraction(9, 10)),
+                            Box(((-5, 5), (-5, 5), (-14, 14)))),
+         Fraction(1, 2), Fraction(1)),
+        (generate_model_set(Scheme(h2, RingSpec(2)), Box.cube(h2, Fraction(9, 10)),
+                            Box.gauge_box(h2, 3)), Fraction(1), Fraction(1)),
+        (generate_model_set(Scheme(H1, FULL5), Box.cube(H1, Fraction(9, 10)),
+                            Box(((-4, 4), (-4, 4), (-10, 10)))),
+         Fraction(1, 2), Fraction(1)),
+        # sparse: the eroded grid reaches past the points' cell keys
+        (generate_model_set(Scheme(e2, RingSpec(2)), Box.cube(e2, Fraction(1, 20)),
+                            Box.cube(e2, 40)), Fraction(1), Fraction(0)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "ms,step,erosion", covering_samples(),
+    ids=["e1", "e2", "h1", "h2", "h1-full5", "e2-sparse"])
+def test_covering_radius_equals_dense_scan(ms, step, erosion, monkeypatch):
+    expected = _dense_covering(ms, step, erosion)
+    assert covering_radius_estimate(ms, step, erosion) == expected
+    # small chunks split the grid blocks and the pairs of one round
+    monkeypatch.setattr(analysis, "PAIR_CHUNK", 200)
+    assert covering_radius_estimate(ms, step, erosion) == expected
+
+
+def test_covering_sparse_grid_leaves_point_key_range():
+    # cells of side >= 1 around the grid's edge at |x| = 40 lie more than
+    # one cell beyond every point, outside the key range the index packs
+    ms, step, _ = covering_samples()[-1]
+    farthest = max(abs(c) for p in ms.float_points() for c in p)
+    assert farthest + 2 * step < 40
+
+
+def test_covering_radius_doubles_through_three_rounds(monkeypatch):
+    ms = sturmian(60)
+    radii = []
+
+    class CountedIndex(NeighborIndex):
+        def __init__(self, ms, radius):
+            radii.append(radius)
+            super().__init__(ms, radius)
+
+    monkeypatch.setattr(analysis, "NeighborIndex", CountedIndex)
+    step = Fraction(1, 50)
+    assert covering_radius_estimate(ms, step, Fraction(3)) == \
+        _dense_covering(ms, step, Fraction(3))
+    delta = radii[0] - step
+    assert 0 < delta < Fraction(1, 10 ** 9)
+    assert len(radii) >= 3
+    assert radii == [step * 2 ** k + delta for k in range(len(radii))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_float_gauge_error_bounds_exact_gauge(data):
+    kind = data.draw(st.sampled_from([E1, GroupKind.euclidean(2), H1,
+                                      GroupKind.heisenberg(2)]))
+    scale = data.draw(st.sampled_from([1, 2 ** 6, 2 ** 19]))
+    grid = tuple(
+        Fraction(data.draw(st.integers(-scale * 8, scale * 8)), 8)
+        for _ in range(kind.coord_count))
+    point = tuple(
+        QuadNum(data.draw(st.integers(-scale, scale)),
+                data.draw(st.integers(-scale // 2, scale // 2)), 2)
+        for _ in range(kind.coord_count))
+    # |c| <= scale and |p| + |q|*sqrt(2) < 2*scale, so coordinates and
+    # their float conversions stay within 2^20
+    delta = analysis._float_gauge_error(kind, 2 * scale)
+    d_f = float(analysis._float_sym_gauge(
+        kind, np.array(grid, dtype=float)[None, :],
+        np.array([float(c) for c in point])[None, :])[0])
+    c, p = GroupPoint(kind, grid), GroupPoint(kind, point)
+    assert sym_dist_leq(c, p, Fraction(d_f) + delta)
+    if d_f > delta:
+        assert not sym_dist_leq(c, p, Fraction(d_f) - delta)
+
+
 # ---------------------------------------------------------------------------
 # repetitivity
 # ---------------------------------------------------------------------------
@@ -318,6 +453,17 @@ def test_repetitivity_sturmian_finite():
     for c in report.per_class:
         if c.multiplicity == 1:
             assert c.lower_bound_only
+
+
+@pytest.mark.parametrize("ms", [sturmian(100), h1_sample(4)],
+                         ids=["e1", "h1"])
+def test_repetitivity_row_blocks_match_unblocked(ms, monkeypatch):
+    monkeypatch.setattr(analysis, "PAIR_CHUNK", 1 << 40)
+    whole = repetitivity_radii(ms, Fraction(1))
+    for chunk in (1, 5, 64):
+        monkeypatch.setattr(analysis, "PAIR_CHUNK", chunk)
+        assert repetitivity_radii(ms, Fraction(1)) == whole
+    assert any(c.multiplicity > 5 for c in whole.per_class)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +499,6 @@ def test_period_search_validation():
 # full ring of integers (coordinates with denominator 2), against brute force
 # ---------------------------------------------------------------------------
 
-FULL5 = RingSpec(5, RingVariant.FULL_INTEGERS)
 
 
 def full_ring_samples():

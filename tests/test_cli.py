@@ -201,6 +201,20 @@ def test_growth_budget_exceeded_exits_6(capsys):
     assert code == 6
 
 
+def test_analyze_covering_grid_over_budget_exits_6(tmp_path, capsys,
+                                                  monkeypatch):
+    ms_path = gen_file(tmp_path, capsys)
+    rep_path = tmp_path / "report.json"
+    monkeypatch.setenv("APERCUT_BUDGET", "100")
+    code, out, err = run(capsys, [
+        "analyze", "--in", str(ms_path), "--K", "1",
+        "--grid-step", "1/2", "--out", str(rep_path),
+    ])
+    assert code == 6
+    assert "covering grid of 233 points" in err
+    assert not rep_path.exists()
+
+
 def test_growth_unknown_group(capsys):
     code, _, err = run(capsys, ["growth", "--group", "q3", "--kmax", "2"])
     assert code == 2

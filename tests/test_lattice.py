@@ -168,8 +168,9 @@ def test_cell_keys_match_floor_div(sample, size):
 @SETTINGS
 @given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=1,
                 max_size=40),
-       st.sampled_from([3, 2 ** 40]))
-def test_cell_codes_pack_keys_and_neighbors(near, far):
+       st.sampled_from([3, 2 ** 40]),
+       st.lists(st.tuples(*[st.integers(-6, 6)] * 3), max_size=10))
+def test_cell_codes_pack_keys_and_neighbors(near, far, outside):
     # one far cell stretches the key range; at 2^40 the codes leave int64
     cell_keys = near + [(far, -far, far)]
     cells = CellCodes([np.array(axis) for axis in zip(*cell_keys)])
@@ -178,14 +179,19 @@ def test_cell_codes_pack_keys_and_neighbors(near, far):
     assert len(set(code_of.values())) == len(code_of)
     lo = [min(axis) for axis in zip(*cell_keys)]
     hi = [max(axis) for axis in zip(*cell_keys)]
-    offsets = itertools.product((-1, 0, 1), repeat=3)
-    deltas = list(zip(offsets, cells.neighbor_deltas.tolist()))
-    for key, code in code_of.items():
-        in_range = []
-        for offset, delta in deltas:
+    offsets = list(itertools.product((-1, 0, 1), repeat=3))
+    # the points' own keys, and keys at and beyond the edge of their range
+    asked = list(code_of) + outside + [(far + 2, 0, -far - 5)]
+    rows = cells.neighbors([np.array(axis) for axis in zip(*asked)])
+    packed = {}
+    for key, row in zip(asked, rows.tolist()):
+        for offset, code in zip(offsets, row):
             cell = tuple(k + o for k, o in zip(key, offset))
             if all(a <= c <= b for a, c, b in zip(lo, cell, hi)):
-                in_range.append(code + delta)
-            if cell in code_of:
-                assert code_of[cell] == code + delta
-        assert list(cells.neighbor_codes(key)) == in_range
+                assert packed.setdefault(cell, code) == code
+                if cell in code_of:
+                    assert code_of[cell] == code
+            else:
+                assert code == -1  # skipped, never packed onto another cell
+        assert list(cells.neighbor_codes(key)) == [c for c in row if c >= 0]
+    assert len(set(packed.values())) == len(packed)
