@@ -303,15 +303,16 @@ def covering_radius_estimate(
 
     The grid is walked in blocks, never built whole. Each grid point is
     compared only with the points of its index neighbourhood, in rounds of
-    doubling radius r from grid_step. A round indexes at r + delta, where delta (`_float_gauge_error`) bounds
-    |float gauge - exact gauge| over the region. A grid point whose float
-    minimum over its candidates is <= r is settled: the nearest point p* of
-    the full scan has float gauge <= r, so its exact gauge is <= r + delta,
-    so p* is a candidate and both minima are the same float. The others go
-    to the next round. Once r + delta reaches the region span, every cell is
-    wider than the region on every axis, so every point is a candidate and
-    that round settles everything left. The float gauge takes the same
-    operations as the full scan, so the estimate equals it bit for bit.
+    doubling radius r from grid_step. A round indexes at r + delta, where
+    delta (`_float_gauge_error`) bounds |float gauge - exact gauge| over the
+    region. A grid point whose float minimum over its candidates is <= r is
+    settled: the nearest point p* of the full scan has float gauge <= r, so
+    its exact gauge is <= r + delta, so p* is a candidate and both minima
+    are the same float. The others go to the next round. Once r + delta
+    reaches the region span, every cell is wider than the region on every
+    axis, so every point is a candidate and that round settles everything
+    left. The float gauge takes the same operations as the full scan, so
+    the estimate equals it bit for bit.
 
     Raises BudgetExceededError before any work when the grid has more
     points than `growth.element_budget()`.

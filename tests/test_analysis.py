@@ -43,7 +43,9 @@ from apercut.heisenberg import (
 from apercut.quadratic import QuadNum, RingSpec, RingVariant
 
 E1 = GroupKind.euclidean(1)
+E2 = GroupKind.euclidean(2)
 H1 = GroupKind.heisenberg(1)
+H2 = GroupKind.heisenberg(2)
 SCHEME_1D = Scheme(E1, RingSpec(2))
 SCHEME_H1 = Scheme(H1, RingSpec(2))
 FULL5 = RingSpec(5, RingVariant.FULL_INTEGERS)
@@ -348,24 +350,27 @@ def _dense_covering(ms, grid_step, erosion):
     return worst
 
 
+def sparse_e2():
+    # a window of width 1/10 leaves nine points, about 34 apart
+    return generate_model_set(Scheme(E2, RingSpec(2)),
+                              Box.cube(E2, Fraction(1, 20)), Box.cube(E2, 40))
+
+
 def covering_samples():
-    e2 = GroupKind.euclidean(2)
-    h2 = GroupKind.heisenberg(2)
+    cube = Fraction(9, 10)
     return [
         (sturmian(60), Fraction(1, 50), Fraction(3)),
-        (generate_model_set(Scheme(e2, RingSpec(2)), Box.cube(e2, Fraction(9, 10)),
-                            Box.cube(e2, 12)), Fraction(1, 3), Fraction(1)),
-        (generate_model_set(SCHEME_H1, Box.cube(H1, Fraction(9, 10)),
+        (generate_model_set(Scheme(E2, RingSpec(2)), Box.cube(E2, cube),
+                            Box.cube(E2, 12)), Fraction(1, 3), Fraction(1)),
+        (generate_model_set(SCHEME_H1, Box.cube(H1, cube),
                             Box(((-5, 5), (-5, 5), (-14, 14)))),
          Fraction(1, 2), Fraction(1)),
-        (generate_model_set(Scheme(h2, RingSpec(2)), Box.cube(h2, Fraction(9, 10)),
-                            Box.gauge_box(h2, 3)), Fraction(1), Fraction(1)),
-        (generate_model_set(Scheme(H1, FULL5), Box.cube(H1, Fraction(9, 10)),
+        (generate_model_set(Scheme(H2, RingSpec(2)), Box.cube(H2, cube),
+                            Box.gauge_box(H2, 3)), Fraction(1), Fraction(1)),
+        (generate_model_set(Scheme(H1, FULL5), Box.cube(H1, cube),
                             Box(((-4, 4), (-4, 4), (-10, 10)))),
          Fraction(1, 2), Fraction(1)),
-        # sparse: the eroded grid reaches past the points' cell keys
-        (generate_model_set(Scheme(e2, RingSpec(2)), Box.cube(e2, Fraction(1, 20)),
-                            Box.cube(e2, 40)), Fraction(1), Fraction(0)),
+        (sparse_e2(), Fraction(1), Fraction(0)),
     ]
 
 
@@ -381,11 +386,11 @@ def test_covering_radius_equals_dense_scan(ms, step, erosion, monkeypatch):
 
 
 def test_covering_sparse_grid_leaves_point_key_range():
-    # cells of side >= 1 around the grid's edge at |x| = 40 lie more than
-    # one cell beyond every point, outside the key range the index packs
-    ms, step, _ = covering_samples()[-1]
-    farthest = max(abs(c) for p in ms.float_points() for c in p)
-    assert farthest + 2 * step < 40
+    # the eroded grid of the e2-sparse case reaches |x| = 40; cells of side
+    # >= 1 there lie more than one cell beyond every point, outside the key
+    # range the index packs
+    farthest = max(abs(c) for p in sparse_e2().float_points() for c in p)
+    assert farthest + 2 < 40
 
 
 def test_covering_radius_doubles_through_three_rounds(monkeypatch):
@@ -410,8 +415,7 @@ def test_covering_radius_doubles_through_three_rounds(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_float_gauge_error_bounds_exact_gauge(data):
-    kind = data.draw(st.sampled_from([E1, GroupKind.euclidean(2), H1,
-                                      GroupKind.heisenberg(2)]))
+    kind = data.draw(st.sampled_from([E1, E2, H1, H2]))
     scale = data.draw(st.sampled_from([1, 2 ** 6, 2 ** 19]))
     grid = tuple(
         Fraction(data.draw(st.integers(-scale * 8, scale * 8)), 8)
@@ -498,7 +502,6 @@ def test_period_search_validation():
 # ---------------------------------------------------------------------------
 # full ring of integers (coordinates with denominator 2), against brute force
 # ---------------------------------------------------------------------------
-
 
 
 def full_ring_samples():
