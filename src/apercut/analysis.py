@@ -23,8 +23,7 @@ bracket reported alongside the float value.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Tuple
 
@@ -479,11 +478,16 @@ def delone_report(
 @dataclass(frozen=True)
 class PatchClass:
     """A patch up to translation: exact relative coordinates of the points
-    within distance K of a center, the center mapped to the identity."""
+    within distance K of a center, the center mapped to the identity; and
+    the sample indices of the centers carrying it, ascending."""
 
     radius: Fraction
     relative_coords: Tuple[tuple, ...]
-    multiplicity: int
+    centers: Tuple[int, ...]
+
+    @property
+    def multiplicity(self) -> int:
+        return len(self.centers)
 
     @property
     def size(self) -> int:
@@ -553,9 +557,12 @@ def patch_catalog(ms: ModelSet, radius: Fraction) -> PatchCatalog:
         raise ErosionError(f"no interior centers at radius {radius}")
     keys, coords = _patch_rows(ms, centers, radius,
                                NeighborIndex(ms, radius))
+    members: dict[tuple, list[int]] = {}
+    for center, key in zip(centers, keys):
+        members.setdefault(key, []).append(center)
     classes = tuple(sorted(
-        (PatchClass(radius, coords[key], count)
-         for key, count in Counter(keys).items()),
+        (PatchClass(radius, coords[key], tuple(found))
+         for key, found in members.items()),
         key=lambda c: c.relative_coords))
     return PatchCatalog(radius, classes, len(centers))
 
@@ -565,6 +572,8 @@ class ComplexityRow:
     radius: Fraction
     class_count: int
     center_count: int
+    # the catalog the row counts, for reuse by `repetitivity_radii`
+    catalog: PatchCatalog = field(compare=False, repr=False)
 
 
 def complexity_table(ms: ModelSet, radii: Sequence[Fraction]) -> list[ComplexityRow]:
@@ -572,7 +581,7 @@ def complexity_table(ms: ModelSet, radii: Sequence[Fraction]) -> list[Complexity
     for r in radii:
         cat = patch_catalog(ms, Fraction(r))
         rows.append(ComplexityRow(Fraction(r), cat.class_count,
-                                  cat.center_count))
+                                  cat.center_count, cat))
     return rows
 
 
@@ -596,28 +605,30 @@ class RepetitivityReport:
     any_lower_bound: bool
 
 
-def repetitivity_radii(ms: ModelSet, radius: Fraction) -> RepetitivityReport:
+def repetitivity_radii(ms: ModelSet, radius: Fraction,
+                       catalog: PatchCatalog | None = None
+                       ) -> RepetitivityReport:
     """Finite-sample return radii: for each patch class, the largest over
     interior centers of the distance to the nearest other center carrying
     that class. Classes seen only once are flagged as lower bounds (their
-    recurrence lies beyond the sampled region)."""
+    recurrence lies beyond the sampled region). `catalog`, if given, is
+    `patch_catalog(ms, radius)`, already built."""
     radius = Fraction(radius)
-    centers = right_interior(ms, radius)
-    if not centers:
-        raise ErosionError(f"no interior centers at radius {radius}")
-    keys, coords = _patch_rows(ms, centers, radius,
-                               NeighborIndex(ms, radius))
-    by_key: dict[tuple, list[int]] = {}
-    for pos, key in enumerate(keys):
-        by_key.setdefault(key, []).append(pos)
+    if catalog is None:
+        catalog = patch_catalog(ms, radius)
+    elif catalog.radius != radius:
+        raise ValueError(f"catalog is at radius {catalog.radius}, "
+                         f"not {radius}")
+    centers = sorted(c for cls in catalog.classes for c in cls.centers)
+    position = {c: pos for pos, c in enumerate(centers)}
 
     kind = ms.scheme.kind
     feats = np.array([ms.points[i].to_float() for i in centers], dtype=float)
     per_class = []
     overall = 0.0
     any_lb = False
-    classes = sorted(by_key.items(), key=lambda item: coords[item[0]])
-    for ci, (_, members) in enumerate(classes):
+    for ci, cls in enumerate(catalog.classes):
+        members = [position[c] for c in cls.centers]
         nearest = _nearest_other(kind, feats, members)
         finite = nearest[np.isfinite(nearest)]
         lb = len(members) == 1

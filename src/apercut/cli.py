@@ -153,7 +153,8 @@ def cmd_analyze(args) -> int:
     delone = delone_report(ms, grid_step=grid_step,
                            erosion=None if grid_step is None else erosion)
     rows = complexity_table(ms, radii)
-    rep = repetitivity_radii(ms, max(radii))
+    top = max(rows, key=lambda row: row.radius)
+    rep = repetitivity_radii(ms, top.radius, top.catalog)
     periods = period_search(ms, period_bound, erosion)
 
     config = {

@@ -53,10 +53,10 @@ H2 = GroupKind.heisenberg(2)
 
 def _finish(label: str, t0: float, limit: float | None) -> None:
     dt = time.perf_counter() - t0
-    ceiling = f" / limit {limit:.0f}s" if limit is not None else ""
+    ceiling = f" / limit {limit:g}s" if limit is not None else ""
     print(f"{label}: PASS ({dt:.2f}s{ceiling})")
     if limit is not None:
-        assert dt < limit, f"{label} took {dt:.2f}s, over the {limit:.0f}s ceiling"
+        assert dt < limit, f"{label} took {dt:.2f}s, over the {limit:g}s ceiling"
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ def test_growth_tables_and_fitted_exponents():
     assert all(a < b for a, b in zip(ratios2, ratios2[1:]))
     assert all(r <= 2 ** 2 for r in ratios2)
     _finish(f"growth (H1 exp {fit.exponent:.3f}, Z2 exp {fit2.exponent:.3f})",
-            t0, 120)
+            t0, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ def test_cover_experiment_hard_invariants():
         assert first_bound_n is not None
         print(f"  {kind.family.value} rank {kind.rank}: |S| <= (a+1)^"
               f"{d_used} first holds at n={first_bound_n}")
-    _finish("cover experiment hard invariants", t0, 600)
+    _finish("cover experiment hard invariants", t0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -470,6 +470,24 @@ def test_repetitivity_row_blocks_match_unblocked(ms, monkeypatch):
     assert any(c.multiplicity > 5 for c in whole.per_class)
 
 
+@pytest.mark.parametrize("ms", [sturmian(100), h1_sample(4)],
+                         ids=["e1", "h1"])
+def test_repetitivity_reuses_the_catalog(ms):
+    radius = Fraction(1)
+    cat = patch_catalog(ms, radius)
+    centers = [c for cls in cat.classes for c in cls.centers]
+    assert sorted(centers) == right_interior(ms, radius)
+    index = NeighborIndex(ms, radius)
+    for cls in cat.classes:
+        assert list(cls.centers) == sorted(cls.centers)
+        assert all(patch_at(ms, c, radius, index) == cls.relative_coords
+                   for c in cls.centers)
+    assert repetitivity_radii(ms, radius, cat) == repetitivity_radii(
+        ms, radius)
+    with pytest.raises(ValueError):
+        repetitivity_radii(ms, Fraction(2), cat)
+
+
 # ---------------------------------------------------------------------------
 # periods
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from apercut import analysis
 from apercut.cli import main
 from apercut.cutproject import Box, Scheme, generate_model_set
+from apercut.growth import GenSet, bfs_balls
 from apercut.heisenberg import GroupKind
 from apercut.quadratic import RingSpec
 from apercut.serialize import FORMAT_VERSION, read_json, read_model_set
@@ -172,6 +174,24 @@ def test_analyze_rerun_byte_identical_any_threads(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_analyze_builds_each_catalog_once(tmp_path, capsys, monkeypatch):
+    # repetitivity reuses the catalog at the largest K
+    radii = []
+    patch_rows = analysis._patch_rows
+
+    def counted(ms, centers, radius, index):
+        radii.append(radius)
+        return patch_rows(ms, centers, radius, index)
+    monkeypatch.setattr(analysis, "_patch_rows", counted)
+    ms_path = gen_file(tmp_path, capsys)
+    code, _, err = run(capsys, [
+        "analyze", "--in", str(ms_path), "--K", "2,1", "--period-bound", "1",
+        "--out", str(tmp_path / "report.json"),
+    ])
+    assert code == 0, err
+    assert radii == [2, 1]
+
+
 def test_growth_kmax_zero(capsys):
     code, out, _ = run(capsys, ["growth", "--group", "h1z", "--kmax", "0"])
     assert code == 0
@@ -199,6 +219,23 @@ def test_growth_budget_exceeded_exits_6(capsys):
         "growth", "--group", "z2", "--kmax", "50", "--budget", "100",
     ])
     assert code == 6
+
+
+@pytest.mark.parametrize("argv,kind,k", [
+    (["growth", "--group", "h1z", "--kmax", "6"], GroupKind.heisenberg(1), 6),
+    (["cover", "--group", "h1z", "--a", "2", "--n", "2"],
+     GroupKind.heisenberg(1), 6),
+    (["cover", "--group", "z2", "--a", "3", "--n", "2"],
+     GroupKind.euclidean(2), 8),
+], ids=["growth-h1", "cover-h1", "cover-z2"])
+def test_budget_boundary_is_the_largest_ball(capsys, argv, kind, k):
+    # growth needs B_kmax and cover B_((a+1)n), and nothing larger
+    size = bfs_balls(GenSet.standard(kind), k).counts[-1]
+    code, _, err = run(capsys, argv + ["--budget", str(size)])
+    assert code == 0, err
+    code, _, err = run(capsys, argv + ["--budget", str(size - 1)])
+    assert code == 6
+    assert f"ball would exceed element budget {size - 1}" in err
 
 
 def test_analyze_covering_grid_over_budget_exits_6(tmp_path, capsys,

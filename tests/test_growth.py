@@ -2,10 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apercut.errors import BudgetExceededError
 from apercut.growth import (
     BallTable,
+    CoverReport,
     GenSet,
     ball_elements,
     bfs_balls,
@@ -18,7 +21,10 @@ from apercut.heisenberg import GroupKind, inv_coords, mul_coords
 
 Z1 = GroupKind.euclidean(1)
 Z2 = GroupKind.euclidean(2)
+Z3 = GroupKind.euclidean(3)
 H1 = GroupKind.heisenberg(1)
+H2 = GroupKind.heisenberg(2)
+BIG = 1 << 40
 
 
 # ---------------------------------------------------------------------------
@@ -201,3 +207,171 @@ def test_separation_property_of_greedy():
     _, near = ball_elements(gens, 2 * n)
     for s, t in itertools.combinations(S, 2):
         assert mul_coords(H1, inv_coords(H1, s), t) not in near
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-tuple breadth-first search, greedy walk and cover checks
+# the packed-code kernel replaced, kept as the oracle for it
+# ---------------------------------------------------------------------------
+
+def ref_layers(gens, kmax):
+    kind = gens.kind
+    ident = (0,) * kind.coord_count
+    seen = {ident}
+    layers = [[ident]]
+    frontier = [ident]
+    for _ in range(kmax):
+        nxt = set()
+        for p in frontier:
+            for g in gens.generators:
+                q = mul_coords(kind, p, g)
+                if q not in seen:
+                    nxt.add(q)
+        frontier = sorted(nxt)
+        seen.update(nxt)
+        layers.append(frontier)
+    return layers
+
+
+def ref_ball(gens, k):
+    ordered = [p for layer in ref_layers(gens, k) for p in layer]
+    return ordered, set(ordered)
+
+
+def ref_greedy(gens, a, n):
+    ordered, _ = ref_ball(gens, a * n)
+    _, near = ref_ball(gens, 2 * n)
+    kind = gens.kind
+    kept = []
+    for g in ordered:
+        if all(mul_coords(kind, inv_coords(kind, s), g) not in near
+               for s in kept):
+            kept.append(g)
+    return kept
+
+
+def ref_cover(gens, a, n, d_used, separated=None):
+    kind = gens.kind
+    S = list(separated) if separated is not None else ref_greedy(gens, a, n)
+    ordered_an, set_an = ref_ball(gens, a * n)
+    _, set_2n = ref_ball(gens, 2 * n)
+    ordered_n, _ = ref_ball(gens, n)
+    _, set_a1n = ref_ball(gens, (a + 1) * n)
+    inv_S = [inv_coords(kind, s) for s in S]
+    covered = all(any(mul_coords(kind, si, g) in set_2n for si in inv_S)
+                  for g in ordered_an)
+    if not covered:
+        raise AssertionError("fails to cover")
+    translates = set()
+    total = 0
+    inside = True
+    for s in S:
+        for g in ordered_n:
+            q = mul_coords(kind, s, g)
+            translates.add(q)
+            total += 1
+            inside = inside and q in set_a1n
+    disjoint = len(translates) == total
+    if not disjoint:
+        raise AssertionError("packing translates overlap")
+    volume_ok = inside and total <= len(set_a1n)
+    if not volume_ok:
+        raise AssertionError("packing volume inequality violated")
+    bound = (a + 1) ** d_used
+    return CoverReport(a, n, len(S), bound, len(S) <= bound, covered,
+                       disjoint, volume_ok, d_used, len(ordered_n),
+                       len(set_2n), len(set_an), len(set_a1n), tuple(S))
+
+
+def assert_balls_match(gens, kmax):
+    layers = ref_layers(gens, kmax)
+    ordered, as_set = ball_elements(gens, kmax)
+    assert ordered == [p for layer in layers for p in layer]
+    assert as_set == set(ordered)
+    assert all(type(c) is int for p in ordered for c in p)
+    counts = list(itertools.accumulate(len(layer) for layer in layers))
+    assert bfs_balls(gens, kmax).counts == tuple(counts)
+
+
+STANDARD = [(Z1, 12), (Z2, 8), (Z3, 5), (H1, 7), (H2, 3)]
+
+
+@pytest.mark.parametrize("kind,kmax", STANDARD,
+                         ids=["z1", "z2", "z3", "h1", "h2"])
+def test_balls_match_reference_standard(kind, kmax):
+    assert_balls_match(GenSet.standard(kind), kmax)
+
+
+# generators with coordinates near 2^40: the codes of Z^2 balls (about
+# 2^84), Z^3 balls and H_n balls (t grows like k^2 * 2^80) pass 2^62 and
+# run on Python ints
+WIDE = [
+    (Z1, [(BIG + 1,), (3,)], 6),
+    (Z2, [(BIG, 3), (-2, BIG + 1)], 4),
+    (Z3, [(BIG, 1, -BIG - 3), (0, BIG + 5, 2)], 3),
+    (H1, [(BIG, 1, 0), (0, BIG + 1, -3)], 4),
+    (H2, [(BIG, 0, 1, 0, 7), (0, -BIG, 0, 2, BIG)], 3),
+]
+
+
+@pytest.mark.parametrize("kind,gens,kmax", WIDE,
+                         ids=["z1", "z2", "z3", "h1", "h2"])
+def test_balls_and_cover_match_reference_wide(kind, gens, kmax):
+    gens = GenSet.make(kind, gens)
+    assert_balls_match(gens, kmax)
+    assert verify_cover(gens, 2, 1, 4) == ref_cover(gens, 2, 1, 4)
+
+
+@pytest.mark.parametrize("kind,a,n", [
+    (Z1, 10, 3), (Z1, 4, 2), (Z2, 3, 2), (Z3, 2, 1), (H1, 3, 1),
+    (H1, 2, 2), (H2, 2, 1),
+])
+def test_cover_matches_reference_standard(kind, a, n):
+    gens = GenSet.standard(kind)
+    assert greedy_maximal_separated(gens, a, n) == ref_greedy(gens, a, n)
+    assert verify_cover(gens, a, n, kind.growth_degree) == ref_cover(
+        gens, a, n, kind.growth_degree)
+
+
+COORD = st.one_of(st.integers(-3, 3), st.integers(BIG - 2, BIG + 2),
+                  st.integers(-BIG - 2, -BIG + 2))
+
+
+@st.composite
+def gen_sets(draw):
+    kind = draw(st.sampled_from([Z1, Z2, Z3, H1, H2]))
+    raw = draw(st.lists(st.tuples(*[COORD] * kind.coord_count),
+                        min_size=1, max_size=3))
+    if all(not any(g) for g in raw):
+        raw.append((1,) + (0,) * (kind.coord_count - 1))
+    return GenSet.make(kind, raw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gens=gen_sets(), kmax=st.integers(0, 3), a=st.integers(1, 2))
+@example(gens=GenSet.make(H1, [(BIG, BIG, BIG)]), kmax=3, a=2)
+def test_balls_and_cover_match_reference_drawn(gens, kmax, a):
+    assert_balls_match(gens, kmax)
+    assert greedy_maximal_separated(gens, a, 1) == ref_greedy(gens, a, 1)
+    assert verify_cover(gens, a, 1, 1) == ref_cover(gens, a, 1, 1)
+
+
+def test_cover_rejects_non_covering_set():
+    with pytest.raises(AssertionError, match="fails to cover B_3"):
+        verify_cover(GenSet.standard(H1), 3, 1, 4, separated=[(0, 0, 0)])
+
+
+def test_cover_rejects_overlapping_translates():
+    gens = GenSet.standard(H1)
+    S = greedy_maximal_separated(gens, 3, 1)
+    extra = mul_coords(H1, S[-1], (1, 0, 0))
+    with pytest.raises(AssertionError, match="packing translates overlap"):
+        verify_cover(gens, 3, 1, 4, separated=S + [extra])
+
+
+def test_cover_rejects_translate_outside_ball():
+    gens = GenSet.standard(H1)
+    S = greedy_maximal_separated(gens, 3, 1)
+    with pytest.raises(AssertionError,
+                       match="packing volume inequality violated"):
+        verify_cover(gens, 3, 1, 4, separated=S + [(100, 0, 0)])
