@@ -1,6 +1,10 @@
 """apercut: exact cut-and-project sets in Heisenberg and Euclidean groups
 over real quadratic rings, with Delone/complexity analysis, word-growth and
-covering experiments, and dimension-bound calculators."""
+covering experiments, and dimension-bound calculators.
+
+The analysis and growth names load numpy, so they are bound on first use
+(PEP 562): `import apercut` and the commands that need neither stay free of
+it."""
 
 from .errors import (
     ApercutError,
@@ -43,31 +47,6 @@ from .cutproject import (
     generate_model_set,
     periodic_control_model_set,
 )
-from .analysis import (
-    DeloneReport,
-    PatchCatalog,
-    PeriodReport,
-    RepetitivityReport,
-    SeparationResult,
-    complexity_table,
-    covering_radius_estimate,
-    delone_report,
-    patch_at,
-    patch_catalog,
-    period_search,
-    repetitivity_radii,
-    separation,
-)
-from .growth import (
-    BallTable,
-    CoverReport,
-    FitReport,
-    GenSet,
-    bfs_balls,
-    fit_growth_exponent,
-    greedy_maximal_separated,
-    verify_cover,
-)
 from .bounds import (
     ClassifiabilityChecklist,
     Evidence,
@@ -84,6 +63,51 @@ from .serialize import (
 )
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    "analysis": (
+        "DeloneReport",
+        "PatchCatalog",
+        "PeriodReport",
+        "RepetitivityReport",
+        "SeparationResult",
+        "complexity_table",
+        "covering_radius_estimate",
+        "delone_report",
+        "patch_at",
+        "patch_catalog",
+        "period_search",
+        "repetitivity_radii",
+        "separation",
+    ),
+    "growth": (
+        "BallTable",
+        "CoverReport",
+        "FitReport",
+        "GenSet",
+        "bfs_balls",
+        "fit_growth_exponent",
+        "greedy_maximal_separated",
+        "verify_cover",
+    ),
+}
+_LAZY_MODULE = {name: mod for mod, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    mod = _LAZY_MODULE.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{mod}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY_MODULE))
+
 
 __all__ = [
     "ApercutError",

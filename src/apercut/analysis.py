@@ -14,8 +14,9 @@ K^2 + K*sum|x_i| for right translates, K^2 + K*sum|y_i| for left ones.
 
 Separation, patch membership and the period search decide every predicate
 on the integer-row kernel of `lattice` (`ModelSet.lattice`): the index
-emits candidate pairs as index arrays, in bounded chunks, and the kernel
-tests whole chunks with exact integer arithmetic. Separation is exact
+emits candidate pairs as index arrays, in bounded chunks (the period search
+takes its candidates from one core point instead), and the kernel tests
+whole chunks with exact integer arithmetic. Separation is exact
 (squared symmetric gauges stay inside the field), with a rational bisection
 bracket reported alongside the float value.
 """
@@ -34,7 +35,7 @@ from .errors import BudgetExceededError, ErosionError
 from .heisenberg import Family, GroupKind, sym_dist_leq
 # perfbench/worker.py looks these up on this module to count their calls
 from .heisenberg import mul_coords, qnorm_leq, sym_dist_sq  # noqa: F401
-from .lattice import Quad, unique_rows
+from .lattice import Quad
 from .quadratic import QuadNum, floor_div
 
 
@@ -667,6 +668,12 @@ def _nearest_other(kind: GroupKind, feats: np.ndarray,
 
 @dataclass(frozen=True)
 class PeriodReport:
+    """Left periods g with gauge(g) <= gauge_bound of a sample.
+
+    candidates_tested counts the elements q * p0^-1 (q a sample point other
+    than p0, p0 the first core point) within the gauge bound: every such
+    period is one of them."""
+
     gauge_bound: Fraction
     erosion: Fraction
     core_size: int
@@ -680,12 +687,13 @@ class PeriodReport:
 
 def period_search(ms: ModelSet, gauge_bound: Fraction,
                   erosion: Fraction) -> PeriodReport:
-    """Test every small difference vector as a global left translation.
+    """Find every nontrivial g with gauge(g) <= gauge_bound such that g*p
+    lies in the sample for every core point p.
 
-    Candidates are the products p^-1 q over point pairs with directed gauge
-    at most gauge_bound. A candidate survives iff g*p lands in the sample
-    for every core point p; the core is left-eroded at depth erosion >=
-    gauge_bound, so survivors cannot be truncation artifacts.
+    The core is left-eroded at depth erosion >= gauge_bound, so survivors
+    cannot be truncation artifacts. Such a g maps the first core point p0
+    into the sample, so the candidates q * p0^-1 over the sample points q
+    include every one; q -> q * p0^-1 is one to one, so they are distinct.
     """
     gauge_bound = Fraction(gauge_bound)
     erosion = Fraction(erosion)
@@ -697,13 +705,9 @@ def period_search(ms: ModelSet, gauge_bound: Fraction,
     if not core:
         raise ErosionError(f"eroded core empty at depth {erosion}")
     lat = ms.lattice
-    found = []
-    for i, j in NeighborIndex(ms, gauge_bound).pairs():
-        apart = i != j
-        g = lat.left_diff(i[apart], j[apart])
-        found.append(unique_rows(g[lat.gauge_leq(g, gauge_bound)].rows()))
-    rows = unique_rows(np.concatenate(found))
-    rows = rows[(rows != 0).any(axis=1)]  # drop the identity
+    others = np.delete(np.arange(len(lat)), core[0])  # q = p0 is the identity
+    g = lat.right_diff(np.full(len(others), core[0]), others)
+    rows = g[lat.gauge_leq(g, gauge_bound)].rows()
     candidates = lat.elems(rows)
 
     # a candidate dies at its first core point p with g*p outside the

@@ -11,12 +11,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Mapping, Sequence, Tuple
 
-from .analysis import ComplexityRow, DeloneReport, PeriodReport, RepetitivityReport
 from .cutproject import RegularityReport
 from .errors import ProvenanceError
 from .heisenberg import GroupKind
+
+if TYPE_CHECKING:
+    from .analysis import (
+        ComplexityRow,
+        DeloneReport,
+        PeriodReport,
+        RepetitivityReport,
+    )
 
 
 def _check_nonneg(name: str, value: int) -> None:

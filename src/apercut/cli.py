@@ -17,15 +17,9 @@ import argparse
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import bounds as bounds_mod
-from . import growth as growth_mod
-from .analysis import (
-    complexity_table,
-    delone_report,
-    period_search,
-    repetitivity_radii,
-)
 from .cutproject import Box, Scheme, check_window_regular, generate_model_set
 from .errors import (
     ApercutError,
@@ -49,6 +43,39 @@ from .serialize import (
     write_json,
     write_model_set,
 )
+
+if TYPE_CHECKING:
+    from .analysis import (
+        complexity_table,
+        delone_report,
+        period_search,
+        repetitivity_radii,
+    )
+
+# The analysis entry points cmd_analyze calls. They load numpy, so they are
+# bound as module attributes on first use (by cmd_analyze or by a lookup from
+# outside, see __getattr__); a name already bound, say to a wrapper, is kept.
+_ANALYSIS_NAMES = (
+    "complexity_table",
+    "delone_report",
+    "period_search",
+    "repetitivity_radii",
+)
+
+
+def _import_analysis() -> None:
+    from . import analysis
+
+    for name in _ANALYSIS_NAMES:
+        globals().setdefault(name, getattr(analysis, name))
+
+
+def __getattr__(name: str):
+    if name in _ANALYSIS_NAMES:
+        _import_analysis()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -144,6 +171,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    _import_analysis()
     ms, payload = read_model_set(args.input)
     radii = _parse_radii(args.K)
     period_bound = Fraction(args.period_bound)
@@ -193,6 +221,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    from . import growth as growth_mod
+
     kind = _parse_group(args.group)
     gens = growth_mod.GenSet.standard(kind)
     budget = growth_mod.element_budget(args.budget)
@@ -217,6 +247,8 @@ def cmd_growth(args) -> int:
 
 
 def cmd_cover(args) -> int:
+    from . import growth as growth_mod
+
     kind = _parse_group(args.group)
     gens = growth_mod.GenSet.standard(kind)
     budget = growth_mod.element_budget(args.budget)

@@ -16,17 +16,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 from .errors import WindowError
 from .heisenberg import Family, GroupKind, GroupPoint
-from .lattice import Lattice
 from .quadratic import (
     QuadNum,
     RingSpec,
     enumerate_ring_in_rectangle,
     floor_div,
 )
+
+if TYPE_CHECKING:
+    from .lattice import Lattice
 
 FractionPair = Tuple[Fraction, Fraction]
 
@@ -131,6 +133,8 @@ class ModelSet:
     @cached_property
     def lattice(self) -> Lattice:
         """The points as integer numerator rows, built on first use."""
+        from .lattice import Lattice  # numpy loads with the first analysis
+
         return Lattice(self.scheme.kind, self.scheme.d,
                        [p.coords for p in self.points])
 

@@ -253,6 +253,12 @@ class Lattice:
         cross = (head_i[:, :n] * dhead[:, n:h]).sum(axis=1)
         return Elems(dhead, dt - cross)
 
+    def right_diff(self, i: np.ndarray, j: np.ndarray) -> Elems:
+        """p_j * p_i^-1 for index arrays i, j: the g with g * p_i = p_j."""
+        p = self.points(i)
+        inverse = Elems(-p.head, None if p.t is None else self._inverse_t(p))
+        return self.mul(self.points(j), inverse)
+
     def mul(self, a: Elems, b: Elems) -> Elems:
         """Elementwise products a * b."""
         head = a.head + b.head
@@ -397,11 +403,3 @@ class CellCodes:
         row = self.neighbors([np.array([k]) for k in key])
         return (int(c) for c in row[0].tolist() if c >= 0)
 
-
-def unique_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-d integer array."""
-    if rows.dtype != object:
-        return np.unique(rows, axis=0)
-    distinct = sorted(set(map(tuple, rows.tolist())))
-    return np.array(distinct, dtype=object).reshape(len(distinct),
-                                                    rows.shape[1])

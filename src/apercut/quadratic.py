@@ -294,6 +294,10 @@ class QuadNum:
         return hash((self._p, self._q, self._den, self._d))
 
     def _cmp(self, other: object) -> int:
+        if isinstance(other, (int, Fraction)):
+            # self - n/m = (p*m - n*den + q*m*sqrt(d)) / (den*m), den, m > 0
+            n, m = other.numerator, other.denominator
+            return _sign_pq(self._p * m - n * self._den, self._q * m, self._d)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented  # type: ignore[return-value]

@@ -15,17 +15,10 @@ import io
 import json
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .analysis import (
-    ComplexityRow,
-    DeloneReport,
-    PeriodReport,
-    RepetitivityReport,
-)
 from .cutproject import Box, ModelSet, Scheme
 from .errors import ProvenanceError
-from .growth import BallTable, CoverReport
 from .heisenberg import Family, GroupKind, GroupPoint
 from .quadratic import (
     QuadNum,
@@ -34,6 +27,15 @@ from .quadratic import (
     deserialize_quadnum,
     serialize_quadnum,
 )
+
+if TYPE_CHECKING:
+    from .analysis import (
+        ComplexityRow,
+        DeloneReport,
+        PeriodReport,
+        RepetitivityReport,
+    )
+    from .growth import BallTable, CoverReport
 
 # Readers accept format 1 too: its model-set files differ only by a derivable
 # float_points array that nothing reads.

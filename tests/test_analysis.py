@@ -25,6 +25,7 @@ from apercut.analysis import (
 )
 from apercut.cutproject import (
     Box,
+    ModelSet,
     Scheme,
     generate_model_set,
     periodic_control_model_set,
@@ -564,21 +565,43 @@ def test_full_ring_patch_catalog_brute_force(ms):
 def test_full_ring_period_search_brute_force(ms):
     kind = ms.scheme.kind
     bound = Fraction(1)
-    candidates = set()
-    for p in ms.points:
-        inv_p = inv_coords(kind, p.coords)
-        for q in ms.points:
-            g = mul_coords(kind, inv_p, q.coords)
-            if p is not q and qnorm_leq(GroupPoint(kind, g), bound):
-                candidates.add(g)
     members = {p.coords for p in ms.points}
     core = [ms.points[i].coords for i in left_interior(ms, bound)]
+    # every g = q * c^-1 within the bound, over every core point c
+    candidates = {}
+    for c in core:
+        inv_c = inv_coords(kind, c)
+        candidates[c] = {
+            g for g in (mul_coords(kind, q.coords, inv_c)
+                        for q in ms.points if q.coords != c)
+            if qnorm_leq(GroupPoint(kind, g), bound)
+        }
     survivors = sorted(
-        g for g in candidates
+        g for g in set().union(*candidates.values())
         if all(mul_coords(kind, g, c) in members for c in core))
     report = period_search(ms, bound, bound)
-    assert report.candidates_tested == len(candidates) > 0
+    assert report.candidates_tested == len(candidates[core[0]]) > 0
     assert list(report.nontrivial_periods) == survivors
+
+
+def test_period_search_finds_left_periods_that_are_not_right_differences():
+    """In {(k, y, k*y + 10m)} the left translation by (1, 0, 0) maps
+    (k, y, t) to (k + 1, y, t + y), so every (j, 0, 0) is a period. Yet
+    (1, 0, 0) is never a difference p^-1 q of two points (that needs
+    y = 0 mod 10), so a search over those differences misses it."""
+    triples = sorted(
+        (k, y, t)
+        for k in range(-20, 21) for y in range(3, 10)
+        for t in range(-400, 401) if (t - k * y) % 10 == 0)
+    assert len(triples) == 23023
+    points = tuple(GroupPoint(H1, tuple(QuadNum(v, 0, 2) for v in p))
+                   for p in triples)
+    region = Box(((-20, 20), (3, 9), (-400, 400)))
+    ms = ModelSet(SCHEME_H1, region, region, points, points)
+    ms.validate()
+    report = period_search(ms, Fraction(2), Fraction(2))
+    assert [tuple(int(c.a) for c in g) for g in report.nontrivial_periods] \
+        == [(-2, 0, 0), (-1, 0, 0), (1, 0, 0), (2, 0, 0)]
 
 
 def test_delone_report_combined():

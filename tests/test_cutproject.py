@@ -130,17 +130,29 @@ def test_lattice_closure_under_group_law():
 def test_model_set_validate_catches_corruption():
     ms = generate_model_set(SCHEME_1D, interval_box((-1, 1)),
                             interval_box((0, 3)))
-    bad = ModelSet(ms.scheme, ms.window, ms.region,
-                   ms.points + (ms.points[-1],),
-                   ms.internal_points + (ms.internal_points[-1],))
-    with pytest.raises(ValueError):
-        bad.validate()
-    outside = GroupPoint(E1, (QuadNum(7, 0, 2),))
-    bad2 = ModelSet(ms.scheme, ms.window, ms.region,
-                    ms.points + (outside,),
-                    ms.internal_points + (outside,))
-    with pytest.raises(ValueError):
-        bad2.validate()
+    pts, internal = ms.points, ms.internal_points
+    assert len(pts) >= 2
+
+    def point(a, b):
+        return GroupPoint(E1, (QuadNum(a, b, 2),))
+
+    def check(points, internal_points, message):
+        bad = ModelSet(ms.scheme, ms.window, ms.region, points,
+                       internal_points)
+        with pytest.raises(ValueError, match=message):
+            bad.validate()
+
+    ms.validate()
+    check(pts, internal[:-1], "points and internal_points differ in length")
+    check(pts, internal[::-1], "internal point mismatch")
+    # 7 is its own conjugate; sqrt(2) is in the region, its conjugate not
+    # in the window
+    check(pts + (point(7, 0),), internal + (point(7, 0),),
+          "physical point outside region")
+    check(pts + (point(0, 1),), internal + (point(0, -1),),
+          "internal point outside window")
+    check(pts + pts[-1:], internal + internal[-1:], "duplicate point")
+    check(pts[::-1], internal[::-1], "points not in canonical sorted order")
 
 
 def test_generate_full_ring_denser():

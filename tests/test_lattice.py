@@ -89,13 +89,16 @@ def test_sign_matches_quadnum(u, w, d, cap):
 
 @SETTINGS
 @given(samples())
-def test_left_differences_match_group_product(sample):
+def test_differences_match_group_product(sample):
     kind, d, points = sample
     lat = Lattice(kind, d, points)
     i, j = all_pairs(len(points))
-    got = lat.to_coords(lat.left_diff(i, j).rows().tolist())
-    for a, b, g in zip(i.tolist(), j.tolist(), got):
-        assert g == mul_coords(kind, inv_coords(kind, points[a]), points[b])
+    left = lat.to_coords(lat.left_diff(i, j).rows().tolist())
+    right = lat.to_coords(lat.right_diff(i, j).rows().tolist())
+    for a, b, g, h in zip(i.tolist(), j.tolist(), left, right):
+        inv_a = inv_coords(kind, points[a])
+        assert g == mul_coords(kind, inv_a, points[b])
+        assert h == mul_coords(kind, points[b], inv_a)
 
 
 @SETTINGS

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from apercut.errors import EmptyIntervalError, FieldMismatchError
 from apercut.quadratic import (
@@ -187,6 +189,23 @@ def test_total_order():
     floats = [float(v) for v in ordered]
     assert floats == sorted(floats)
     assert ordered[0] == QuadNum(0, 0, 2)
+
+
+nonzero = st.integers(-50, 50).filter(bool)
+quadnums = st.builds(QuadNum._mk, st.integers(-10**6, 10**6),
+                     st.integers(-10**6, 10**6), nonzero,
+                     st.sampled_from([2, 3, 5, 7]))
+rationals = st.one_of(st.integers(-10**6, 10**6),
+                      st.builds(Fraction, st.integers(-10**6, 10**6), nonzero))
+
+
+@given(quadnums, rationals)
+def test_rational_comparisons_match_coerced(x, r):
+    """Comparisons with int and Fraction equal those with the QuadNum that
+    _coerce makes of them, denominators of either sign included."""
+    s = exact_sign(x - x._coerce(r))
+    assert (x < r, x <= r, x > r, x >= r) == (s < 0, s <= 0, s > 0, s >= 0)
+    assert (r > x, r >= x, r < x, r <= x) == (s < 0, s <= 0, s > 0, s >= 0)
 
 
 def test_floor():
