@@ -31,10 +31,15 @@ from typing import Iterable, Iterator, Sequence, Tuple
 import numpy as np
 
 from .cutproject import ModelSet
-from .errors import BudgetExceededError, ErosionError
-from .heisenberg import Family, GroupKind, sym_dist_leq
+from .errors import BudgetExceededError, ErosionError, element_budget
+from .heisenberg import Family, GroupKind
 # perfbench/worker.py looks these up on this module to count their calls
-from .heisenberg import mul_coords, qnorm_leq, sym_dist_sq  # noqa: F401
+from .heisenberg import (  # noqa: F401
+    mul_coords,
+    qnorm_leq,
+    sym_dist_leq,
+    sym_dist_sq,
+)
 from .lattice import Quad
 from .quadratic import QuadNum, floor_div
 
@@ -221,12 +226,11 @@ def separation(ms: ModelSet, bisection_steps: int = 40) -> SeparationResult:
     pair lies within it; every index candidate pair is tested exactly at
     that radius. The squared distances of the pairs within it are compared
     exactly, and the certificate is the lexicographically smallest pair
-    (i, j), i < j, at the minimum. A rational bisection with the boolean
-    distance test then brackets the minimum inside [0, radius], so
+    (i, j), i < j, at the minimum. A rational bisection on that exact
+    square then brackets the minimum inside [0, radius], so
     bracket[1] never exceeds the first doubling radius that holds a pair.
     """
-    pts = ms.points
-    if len(pts) < 2:
+    if len(ms) < 2:
         return SeparationResult(math.inf, None, None, None)
     lat = ms.lattice
     radius = _initial_radius(ms)
@@ -263,11 +267,11 @@ def separation(ms: ModelSet, bisection_steps: int = 40) -> SeparationResult:
     best_sq = QuadNum._mk(int(sq.u[first]), int(sq.w[first]),
                           lat.e * lat.e, lat.d)
 
+    # the symmetric gauge is at most mid iff its square is at most mid^2
     lo, hi = Fraction(0), radius
-    p, q = pts[best_pair[0]], pts[best_pair[1]]
     for _ in range(bisection_steps):
         mid = (lo + hi) / 2
-        if sym_dist_leq(p, q, mid):
+        if best_sq <= mid * mid:
             hi = mid
         else:
             lo = mid
@@ -286,7 +290,7 @@ def _region_span(ms: ModelSet) -> Fraction:
 def _initial_radius(ms: ModelSet) -> Fraction:
     # heuristic seed; doubling makes correctness independent of the guess
     span = min(hi - lo for lo, hi in ms.region.intervals)
-    guess = span / max(len(ms.points), 1)
+    guess = span / max(len(ms), 1)
     return max(guess, Fraction(1, 16))
 
 
@@ -315,17 +319,15 @@ def covering_radius_estimate(
     the estimate equals it bit for bit.
 
     Raises BudgetExceededError before any work when the grid has more
-    points than `growth.element_budget()`.
+    points than `errors.element_budget()`.
     """
-    from .growth import element_budget
-
     grid_step = Fraction(grid_step)
     erosion = Fraction(erosion)
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
     if erosion < 0:
         raise ValueError("erosion must be >= 0")
-    if not ms.points:
+    if not len(ms):
         raise ErosionError("empty point set has no covering radius")
     kind = ms.scheme.kind
     starts, shape = [], []
@@ -348,7 +350,7 @@ def covering_radius_estimate(
     axes = [[a + k * grid_step for k in range(count)]
             for a, count in zip(starts, shape)]
     grid_axes = [np.array([float(v) for v in axis]) for axis in axes]
-    pts = np.array(ms.float_points(), dtype=float)
+    pts = ms.lattice.float_coords()
     delta = _float_gauge_error(kind, _float_magnitude(ms))
     span = _region_span(ms)
     rounds = []  # per doubling radius: its index, and the axis cell keys
@@ -624,7 +626,7 @@ def repetitivity_radii(ms: ModelSet, radius: Fraction,
     position = {c: pos for pos, c in enumerate(centers)}
 
     kind = ms.scheme.kind
-    feats = np.array([ms.points[i].to_float() for i in centers], dtype=float)
+    feats = ms.lattice.float_coords()[np.asarray(centers, dtype=np.intp)]
     per_class = []
     overall = 0.0
     any_lb = False

@@ -30,6 +30,7 @@ from .errors import (
     KindMismatchError,
     ProvenanceError,
     WindowError,
+    element_budget,
 )
 from .heisenberg import GroupKind
 from .quadratic import RingSpec, RingVariant
@@ -225,7 +226,7 @@ def cmd_growth(args) -> int:
 
     kind = _parse_group(args.group)
     gens = growth_mod.GenSet.standard(kind)
-    budget = growth_mod.element_budget(args.budget)
+    budget = element_budget(args.budget)
     table = growth_mod.bfs_balls(gens, args.kmax, budget)
     config = {"command": "growth", "kmax": args.kmax, "kmin": args.kmin}
     text = ball_table_csv_text(table, config=config)
@@ -251,7 +252,7 @@ def cmd_cover(args) -> int:
 
     kind = _parse_group(args.group)
     gens = growth_mod.GenSet.standard(kind)
-    budget = growth_mod.element_budget(args.budget)
+    budget = element_budget(args.budget)
     report = growth_mod.verify_cover(
         gens, a=args.a, n=args.n, d_used=kind.growth_degree, budget=budget
     )

@@ -18,13 +18,17 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence, Tuple
 
-from .errors import WindowError
+from .errors import BudgetExceededError, WindowError, element_budget
 from .heisenberg import Family, GroupKind, GroupPoint
 from .quadratic import (
     QuadNum,
     RingSpec,
+    common_denominator,
     enumerate_ring_in_rectangle,
     floor_div,
+    numerator_rows,
+    numerators,
+    sign_pq,
 )
 
 if TYPE_CHECKING:
@@ -108,55 +112,129 @@ def _check_box(scheme: Scheme, box: Box, name: str) -> None:
         )
 
 
+Row = Tuple[int, ...]
+
+
+def _in_interval(u: int, w: int, e: int, d: int, iv: FractionPair) -> bool:
+    """(u + w*sqrt(d))/e in the closed interval iv, for e > 0, exactly: the
+    sign of the value minus a/b is the sign of (u*b - a*e) + w*b*sqrt(d)."""
+    lo, hi = iv
+    return (sign_pq(u * lo.denominator - lo.numerator * e,
+                    w * lo.denominator, d) >= 0
+            and sign_pq(u * hi.denominator - hi.numerator * e,
+                        w * hi.denominator, d) <= 0)
+
+
+def _row_order(r: Row, s: Row, c: int, d: int) -> int:
+    """Sign of s - r in the lexicographic order of coordinate values, for
+    numerator rows over one denominator with c coordinates: the sign of the
+    first nonzero coordinate of the difference, 0 when the rows are equal."""
+    for k in range(c):
+        du, dw = s[k] - r[k], s[c + k] - r[c + k]
+        if du or dw:
+            return sign_pq(du, dw, d)
+    return 0
+
+
 @dataclass(frozen=True)
 class ModelSet:
     """An exact finite sample of a cut-and-project set.
 
-    points and internal_points correspond index-wise under conjugation,
-    points are pairwise distinct and sorted lexicographically by coordinates
-    (x_1..x_n, y_1..y_n, t), every physical point is in the region, and every
-    internal point is in the window.
+    Each point is one integer numerator row over the common denominator e,
+    laid out as `Lattice.rows`: coordinate k of the point is
+    (row[k] + row[c + k]*sqrt(d))/e, with c coordinates (x_1..x_n, y_1..y_n,
+    t). Its internal point, the conjugate, is the same row with the w parts
+    negated. The points are ring elements, pairwise distinct and sorted
+    lexicographically by coordinates; every physical point is in the region,
+    and every internal point is in the window. `points`, `internal_points`
+    (as `GroupPoint`s) and `lattice` are views built on first use.
     """
 
     scheme: Scheme
     window: Box
     region: Box
-    points: Tuple[GroupPoint, ...]
-    internal_points: Tuple[GroupPoint, ...]
+    rows: Tuple[Row, ...]
+    e: int
+
+    @classmethod
+    def from_points(cls, scheme: Scheme, window: Box, region: Box,
+                    points: Sequence[GroupPoint],
+                    internal_points: Sequence[GroupPoint]) -> "ModelSet":
+        """The model set of exact `GroupPoint`s; internal_points must be
+        their conjugates. Not validated."""
+        if len(internal_points) != len(points):
+            raise ValueError("points and internal_points differ in length")
+        rows, e = numerator_rows([p.coords for p in points]
+                                 + [q.coords for q in internal_points])
+        n = len(points)
+        for p, row, internal in zip(points, rows, rows[n:]):
+            c = len(p.coords)
+            if internal != row[:c] + tuple(-w for w in row[c:]):
+                raise ValueError(f"internal point mismatch at {p.coords}")
+        return cls(scheme, window, region, tuple(rows[:n]), e)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.rows)
+
+    def _coords(self, row: Row, sign: int = 1) -> Tuple[QuadNum, ...]:
+        """Exact coordinates of a row; sign=-1 gives its conjugate."""
+        c, d, e = self.scheme.kind.coord_count, self.scheme.d, self.e
+        return tuple(QuadNum._mk(row[k], sign * row[c + k], e, d)
+                     for k in range(c))
+
+    @cached_property
+    def points(self) -> Tuple[GroupPoint, ...]:
+        kind = self.scheme.kind
+        return tuple(GroupPoint(kind, self._coords(r)) for r in self.rows)
+
+    @cached_property
+    def internal_points(self) -> Tuple[GroupPoint, ...]:
+        kind = self.scheme.kind
+        return tuple(GroupPoint(kind, self._coords(r, -1)) for r in self.rows)
 
     def float_points(self) -> list:
-        return [p.to_float() for p in self.points]
+        """Float coordinates, each equal to float() of its exact value."""
+        return [tuple(p) for p in self.lattice.float_coords().tolist()]
 
     @cached_property
     def lattice(self) -> Lattice:
-        """The points as integer numerator rows, built on first use."""
+        """The rows as a `Lattice`, built on first use."""
         from .lattice import Lattice  # numpy loads with the first analysis
 
-        return Lattice(self.scheme.kind, self.scheme.d,
-                       [p.coords for p in self.points])
+        return Lattice(self.scheme.kind, self.scheme.d, self.rows, self.e)
 
     def validate(self) -> None:
-        """Re-verify every structural invariant; raises on violation."""
-        if len(self.points) != len(self.internal_points):
-            raise ValueError("points and internal_points differ in length")
-        seen = set()
-        prev = None
-        for p, q in zip(self.points, self.internal_points):
-            if self.scheme.conjugate_coords(p.coords) != q.coords:
-                raise ValueError(f"internal point mismatch at {p.coords}")
-            if not self.region.contains(p.coords):
-                raise ValueError(f"physical point outside region: {p.coords}")
-            if not self.window.contains(q.coords):
-                raise ValueError(f"internal point outside window: {q.coords}")
-            if p.coords in seen:
-                raise ValueError(f"duplicate point {p.coords}")
-            seen.add(p.coords)
-            if prev is not None and not prev < p.coords:
+        """Re-verify every structural invariant on the rows; raises
+        ValueError naming the first violation, checking the region, the
+        window, ring membership and then the order. The coordinate tests
+        are per axis, so each distinct value on an axis is decided once."""
+        kind, ring = self.scheme.kind, self.scheme.ring
+        c, d, e, rows = kind.coord_count, ring.d, self.e, self.rows
+        if any(len(r) != 2 * c for r in rows):
+            raise ValueError(f"{kind.label} points need {2 * c} numerators")
+        cols = list(zip(*rows)) or [()] * (2 * c)
+        values = [set(zip(cols[k], cols[c + k])) for k in range(c)]
+        tests = (
+            ("physical point outside region", 1, lambda k, u, w:
+                _in_interval(u, w, e, d, self.region.intervals[k])),
+            ("internal point outside window", -1, lambda k, u, w:
+                _in_interval(u, -w, e, d, self.window.intervals[k])),
+            ("point outside the ring", 1, lambda k, u, w:
+                ring.contains(QuadNum._mk(u, w, e, d))),
+        )
+        for message, sign, test in tests:
+            bad = [{v for v in vals if not test(k, *v)}
+                   for k, vals in enumerate(values)]
+            if any(bad):
+                row = next(r for r in rows if any(
+                    (r[k], r[c + k]) in bad[k] for k in range(c)))
+                raise ValueError(f"{message}: {self._coords(row, sign)}")
+        for prev, row in zip(rows, rows[1:]):
+            order = _row_order(prev, row, c, d)
+            if order == 0:
+                raise ValueError(f"duplicate point {self._coords(row)}")
+            if order < 0:
                 raise ValueError("points not in canonical sorted order")
-            prev = p.coords
 
 
 def generate_model_set(
@@ -169,7 +247,9 @@ def generate_model_set(
 
     The window must have nonempty interior unless allow_degenerate_window
     is set (degenerate windows make the boundary checks meaningless but the
-    enumeration itself stays well defined).
+    enumeration itself stays well defined). The sample is the product of
+    the per-axis enumerations; raises BudgetExceededError before building
+    it when it has more points than `errors.element_budget()`.
     """
     _check_box(scheme, window, "window")
     _check_box(scheme, region, "region")
@@ -180,14 +260,20 @@ def generate_model_set(
                                     window.intervals[i])
         for i in range(scheme.kind.coord_count)
     ]
-    # the product of ascending axes is already in lexicographic order
-    coords_list = list(itertools.product(*axes))
-    kind = scheme.kind
-    points = tuple(GroupPoint(kind, c) for c in coords_list)
-    internal = tuple(
-        GroupPoint(kind, scheme.conjugate_coords(c)) for c in coords_list
-    )
-    ms = ModelSet(scheme, window, region, points, internal)
+    total = math.prod(map(len, axes))
+    limit = element_budget()
+    if total > limit:
+        raise BudgetExceededError(
+            f"model set of {total} points would exceed element budget "
+            f"{limit}")
+    e = common_denominator(itertools.chain(*axes)) if total else 1
+    pairs = [[numerators(x, e) for x in axis] for axis in axes]
+    # the product of ascending axes is already in lexicographic order, and
+    # the products of the u and of the w lists run in step
+    us = itertools.product(*[[u for u, _ in axis] for axis in pairs])
+    ws = itertools.product(*[[w for _, w in axis] for axis in pairs])
+    ms = ModelSet(scheme, window, region,
+                  tuple(u + w for u, w in zip(us, ws)), e)
     ms.validate()
     return ms
 
@@ -202,15 +288,11 @@ def periodic_control_model_set(scheme: Scheme, region: Box) -> ModelSet:
     machinery must flag.
     """
     _check_box(scheme, region, "region")
-    d = scheme.d
-    kind = scheme.kind
-    axes = [
-        [QuadNum(k, 0, d) for k in range(math.ceil(lo), math.floor(hi) + 1)]
-        for lo, hi in region.intervals
-    ]
-    coords_list = list(itertools.product(*axes))
-    points = tuple(GroupPoint(kind, c) for c in coords_list)
-    ms = ModelSet(scheme, region, region, points, points)
+    axes = [range(math.ceil(lo), math.floor(hi) + 1)
+            for lo, hi in region.intervals]
+    zeros = (0,) * len(axes)
+    rows = tuple(u + zeros for u in itertools.product(*axes))
+    ms = ModelSet(scheme, region, region, rows, 1)
     ms.validate()
     return ms
 

@@ -1,8 +1,16 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the element budget that
+`BudgetExceededError` enforces.
 
 The CLI maps these onto process exit codes, so library code should raise
 the most specific type that applies.
 """
+
+from __future__ import annotations
+
+import os
+
+DEFAULT_ELEMENT_BUDGET = 50_000_000
+BUDGET_ENV_VAR = "APERCUT_BUDGET"
 
 
 class ApercutError(Exception):
@@ -36,3 +44,12 @@ class ProvenanceError(ApercutError, ValueError):
 
 class BudgetExceededError(ApercutError, RuntimeError):
     """An enumeration grew past the configured element budget."""
+
+
+def element_budget(override: int | None = None) -> int:
+    """The element budget: the override, else $APERCUT_BUDGET, else the
+    default."""
+    if override is not None:
+        return override
+    raw = os.environ.get(BUDGET_ENV_VAR)
+    return int(raw) if raw else DEFAULT_ELEMENT_BUDGET

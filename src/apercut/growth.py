@@ -23,29 +23,17 @@ the experiment uses, and translates are looked up in a ball by
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, element_budget
 from .heisenberg import Family, GroupKind, GroupPoint, inv_coords
 # perfbench/worker.py looks this up on this module to count its calls
 from .heisenberg import mul_coords  # noqa: F401
 
 IntCoords = Tuple[int, ...]
-
-DEFAULT_ELEMENT_BUDGET = 50_000_000
-BUDGET_ENV_VAR = "APERCUT_BUDGET"
-
-
-def element_budget(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    return int(raw) if raw else DEFAULT_ELEMENT_BUDGET
-
 
 @dataclass(frozen=True)
 class GenSet:

@@ -165,14 +165,6 @@ class Elems:
                           self.head.w, self.t.w[:, None]])
 
 
-def _triple(c) -> tuple[int, int, int]:
-    """(p, q, den) with c = (p + q*sqrt(d))/den."""
-    if isinstance(c, QuadNum):
-        return c._p, c._q, c._den
-    f = Fraction(c)
-    return f.numerator, 0, f.denominator
-
-
 def _floor_sqrt_d(w: np.ndarray, bound: int, d: int) -> np.ndarray:
     """floor(w * sqrt(d)) for an integer array w with |w| <= bound."""
     if bound * bound * d >= LIMIT:
@@ -194,21 +186,21 @@ class Lattice:
     integer numerator rows over one common denominator e."""
 
     def __init__(self, kind: GroupKind, d: int,
-                 coords: Sequence[Coords]) -> None:
+                 rows: Sequence[Sequence[int]], e: int) -> None:
+        """From numerator rows over e, laid out as `ModelSet.rows`."""
         self.kind = kind
         self.d = d
-        c = kind.coord_count
-        triples = [[_triple(x) for x in cs] for cs in coords]
-        e = 1
-        for row in triples:
-            for _, _, den in row:
-                e = e * den // math.gcd(e, den)
         self.e = e
-        values = [[p * (e // den) for p, _, den in row]
-                  + [q * (e // den) for _, q, den in row] for row in triples]
-        bound = max((abs(v) for row in values for v in row), default=0)
-        self.rows = np.array(values, dtype=np.int64 if bound < LIMIT
-                             else object).reshape(len(values), 2 * c)
+        width = 2 * kind.coord_count
+        try:
+            a = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+            bound = max(int(a.max()), -int(a.min())) if a.size else 0
+        except OverflowError:
+            bound = LIMIT
+        if bound >= LIMIT:
+            a = np.array(rows, dtype=object).reshape(len(rows), width)
+            bound = max((abs(v) for row in rows for v in row), default=0)
+        self.rows = a
         self.bound = bound
         self._members: set | None = None
 
@@ -331,6 +323,15 @@ class Lattice:
                   for k in range(c))
             for row in rows
         ]
+
+    def float_coords(self) -> np.ndarray:
+        """Float coordinates, shape (N, coord_count), each equal to float()
+        of its exact value: float(QuadNum) computes (p + q*sqrt(d))/den,
+        and when e is the least common denominator of ring elements, e/den
+        is 1 or 2, so scaling p, q and den by it changes no rounding."""
+        c = self.kind.coord_count
+        return Quad(self.rows[:, :c], self.rows[:, c:], self.d,
+                    self.bound).to_float() / self.e
 
     def floor_div(self, k: int, size: Fraction) -> np.ndarray:
         """floor(coordinate k / size) for every point, exactly."""

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 from .errors import EmptyIntervalError, FieldMismatchError
 
@@ -49,7 +49,7 @@ def floor_sqrt(q: Fraction) -> int:
     return math.isqrt(q.numerator * q.denominator) // q.denominator
 
 
-def _sign_pq(p: int, q: int, d: int) -> int:
+def sign_pq(p: int, q: int, d: int) -> int:
     """Exact sign of p + q*sqrt(d) by integer comparison."""
     if q == 0:
         return (p > 0) - (p < 0)
@@ -159,7 +159,7 @@ class QuadNum:
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, decided by integer comparisons only."""
-        return _sign_pq(self._p, self._q, self._d)
+        return sign_pq(self._p, self._q, self._d)
 
     def _coerce(self, other: object) -> "QuadNum":
         if isinstance(other, QuadNum):
@@ -297,14 +297,14 @@ class QuadNum:
         if isinstance(other, (int, Fraction)):
             # self - n/m = (p*m - n*den + q*m*sqrt(d)) / (den*m), den, m > 0
             n, m = other.numerator, other.denominator
-            return _sign_pq(self._p * m - n * self._den, self._q * m, self._d)
+            return sign_pq(self._p * m - n * self._den, self._q * m, self._d)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented  # type: ignore[return-value]
         e1, e2 = self._den, o._den
         if e1 == e2:
-            return _sign_pq(self._p - o._p, self._q - o._q, self._d)
-        return _sign_pq(
+            return sign_pq(self._p - o._p, self._q - o._q, self._d)
+        return sign_pq(
             self._p * e2 - o._p * e1, self._q * e2 - o._q * e1, self._d
         )
 
@@ -467,6 +467,41 @@ def deserialize_quadnum(parts: Sequence[str], d: int) -> QuadNum:
     a = Fraction(int(parts[0]), int(parts[1]))
     b = Fraction(int(parts[2]), int(parts[3]))
     return QuadNum(a, b, d)
+
+
+def _triple(x: QuadNum | RationalLike) -> Tuple[int, int, int]:
+    """(p, q, den) with x = (p + q*sqrt(d))/den in lowest terms."""
+    if isinstance(x, QuadNum):
+        return x._p, x._q, x._den
+    f = Fraction(x)
+    return f.numerator, 0, f.denominator
+
+
+def common_denominator(values: Iterable[QuadNum | RationalLike]) -> int:
+    """The least e > 0 with every value (u + w*sqrt(d))/e for integers u, w
+    (1 for no values)."""
+    return math.lcm(1, *(_triple(x)[2] for x in values))
+
+
+def numerators(x: QuadNum | RationalLike, e: int) -> Tuple[int, int]:
+    """(u, w) with x = (u + w*sqrt(d))/e, for e a multiple of x's
+    denominator (as `common_denominator` gives)."""
+    p, q, den = _triple(x)
+    return p * (e // den), q * (e // den)
+
+
+def numerator_rows(
+    rows: Sequence[Sequence[QuadNum | RationalLike]],
+) -> Tuple[list[Tuple[int, ...]], int]:
+    """Rows of exact scalars as integer numerator rows over their common
+    denominator e: the u parts of a row's values (u + w*sqrt(d))/e, then
+    the w parts. Returns the rows and e."""
+    e = common_denominator(x for row in rows for x in row)
+    out = []
+    for row in rows:
+        pairs = [numerators(x, e) for x in row]
+        out.append(tuple(u for u, _ in pairs) + tuple(w for _, w in pairs))
+    return out, e
 
 
 def floor_div(value: QuadNum | Fraction | int, cell: Fraction) -> int:

@@ -19,12 +19,14 @@ from typing import TYPE_CHECKING, Sequence
 
 from .cutproject import Box, ModelSet, Scheme
 from .errors import ProvenanceError
-from .heisenberg import Family, GroupKind, GroupPoint
+from .heisenberg import Family, GroupKind
 from .quadratic import (
     QuadNum,
     RingSpec,
     RingVariant,
+    common_denominator,
     deserialize_quadnum,
+    numerators,
     serialize_quadnum,
 )
 
@@ -159,6 +161,47 @@ def _scheme_from(obj: dict) -> Scheme:
     return Scheme(kind, ring)
 
 
+def _ratio_strings(n: int, e: int) -> list[str]:
+    """n/e in lowest terms as numerator and denominator strings."""
+    g = math.gcd(n, e)
+    return [str(n // g), str(e // g)]
+
+
+def _points_payload(ms: ModelSet) -> list:
+    """Every coordinate as four decimal strings [a_num, a_den, b_num, b_den]
+    (as `serialize_quadnum`), formatted from the rows, each distinct value
+    once."""
+    c, e = ms.scheme.kind.coord_count, ms.e
+    cols = list(zip(*ms.rows)) or [()] * (2 * c)
+    axes = [list(zip(cols[k], cols[c + k])) for k in range(c)]
+    strings = {(u, w): _ratio_strings(u, e) + _ratio_strings(w, e)
+               for axis in axes for u, w in set(axis)}
+    columns = [map(strings.__getitem__, axis) for axis in axes]
+    return [list(coords) for coords in zip(*columns)]
+
+
+def _rows_from(points: list, scheme: Scheme) -> tuple[tuple, int]:
+    """Numerator rows over their common denominator e, and e, from the
+    payload's points; each distinct coordinate is parsed once."""
+    kind, d = scheme.kind, scheme.d
+    c = kind.coord_count
+    for row in points:
+        if len(row) != c:
+            raise ValueError(
+                f"{kind.label} needs {c} coordinates, got {len(row)}")
+    if not points:
+        return (), 1
+    flat = [tuple(parts) for row in points for parts in row]
+    values = {key: deserialize_quadnum(key, d) for key in set(flat)}
+    e = common_denominator(values.values())
+    pairs = {key: numerators(x, e) for key, x in values.items()}
+    us = list(map({k: u for k, (u, _) in pairs.items()}.__getitem__, flat))
+    ws = list(map({k: w for k, (_, w) in pairs.items()}.__getitem__, flat))
+    # flat holds row after row, c coordinates each
+    return tuple(zip(*(us[k::c] for k in range(c)),
+                     *(ws[k::c] for k in range(c)))), e
+
+
 def model_set_payload(ms: ModelSet, config: dict | None = None) -> dict:
     return {
         "format": FORMAT_VERSION,
@@ -166,29 +209,20 @@ def model_set_payload(ms: ModelSet, config: dict | None = None) -> dict:
         "scheme": _scheme_payload(ms.scheme),
         "window": _box_payload(ms.window),
         "region": _box_payload(ms.region),
-        "points": [_coords_payload(p.coords) for p in ms.points],
+        "points": _points_payload(ms),
         "config": config or {},
     }
 
 
 def model_set_from_payload(payload: dict) -> ModelSet:
     scheme = _scheme_from(payload["scheme"])
-    kind = scheme.kind
-    d = scheme.d
-    coords_list = [
-        tuple(deserialize_quadnum(parts, d) for parts in row)
-        for row in payload["points"]
-    ]
-    points = tuple(GroupPoint(kind, c) for c in coords_list)
-    internal = tuple(
-        GroupPoint(kind, scheme.conjugate_coords(c)) for c in coords_list
-    )
+    rows, e = _rows_from(payload["points"], scheme)
     ms = ModelSet(
         scheme,
         _box_from(payload["window"]),
         _box_from(payload["region"]),
-        points,
-        internal,
+        rows,
+        e,
     )
     ms.validate()
     return ms

@@ -597,7 +597,7 @@ def test_period_search_finds_left_periods_that_are_not_right_differences():
     points = tuple(GroupPoint(H1, tuple(QuadNum(v, 0, 2) for v in p))
                    for p in triples)
     region = Box(((-20, 20), (3, 9), (-400, 400)))
-    ms = ModelSet(SCHEME_H1, region, region, points, points)
+    ms = ModelSet.from_points(SCHEME_H1, region, region, points, points)
     ms.validate()
     report = period_search(ms, Fraction(2), Fraction(2))
     assert [tuple(int(c.a) for c in g) for g in report.nontrivial_periods] \

@@ -3,13 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from apercut import analysis
+from apercut import analysis, cli
 from apercut.cli import main
 from apercut.cutproject import Box, Scheme, generate_model_set
 from apercut.growth import GenSet, bfs_balls
 from apercut.heisenberg import GroupKind
 from apercut.quadratic import RingSpec
-from apercut.serialize import FORMAT_VERSION, read_json, read_model_set
+from apercut.serialize import (
+    FORMAT_VERSION,
+    read_json,
+    read_model_set,
+    write_json,
+)
 
 GEN_1D = [
     "generate", "--kind", "euclidean", "--m", "1", "--d", "2",
@@ -127,6 +132,27 @@ def test_analyze_pipeline(tmp_path, capsys):
     assert len(report["complexity"]) == 2
     assert report["input_hash"] == read_json(ms_path)["content_hash"]
     assert csv_path.read_text().startswith("# input_hash: sha256:")
+
+
+def test_analyze_never_builds_point_views(tmp_path, capsys, monkeypatch):
+    # every analysis reads the rows through ms.lattice
+    read = cli.read_model_set
+    samples = []
+
+    def keep(path):
+        ms, payload = read(path)
+        samples.append(ms)
+        return ms, payload
+    monkeypatch.setattr(cli, "read_model_set", keep)
+    ms_path = gen_file(tmp_path, capsys)
+    code, _, err = run(capsys, [
+        "analyze", "--in", str(ms_path), "--K", "1,2", "--period-bound", "2",
+        "--grid-step", "1/2", "--out", str(tmp_path / "report.json"),
+    ])
+    assert code == 0, err
+    built = vars(samples[0])
+    assert "lattice" in built
+    assert "points" not in built and "internal_points" not in built
 
 
 def test_analyze_missing_input(tmp_path, capsys):
@@ -250,6 +276,87 @@ def test_analyze_covering_grid_over_budget_exits_6(tmp_path, capsys,
     assert code == 6
     assert "covering grid of 233 points" in err
     assert not rep_path.exists()
+
+
+GEN_H1 = [
+    "generate", "--kind", "heisenberg", "--n", "1", "--d", "2",
+    "--window=-9/10,9/10;-9/10,9/10;-9/10,9/10",
+    "--region=-4,4;-4,4;-16,16",
+]
+
+
+@pytest.mark.parametrize("argv", [GEN_1D, GEN_H1], ids=["1d", "h1"])
+def test_generate_budget_boundary_is_the_sample(tmp_path, capsys,
+                                                monkeypatch, argv):
+    # generate counts the points of the sample, the product of its axes
+    out = tmp_path / "budget.json"
+    code, stdout, err = run(capsys, argv + ["--out", str(out)])
+    assert code == 0, err
+    size = len(read_model_set(out)[0])
+    monkeypatch.setenv("APERCUT_BUDGET", str(size))
+    code, stdout, err = run(capsys, argv + ["--out", str(out)])
+    assert code == 0, err
+    assert f"points: {size}" in stdout
+    out.unlink()
+    monkeypatch.setenv("APERCUT_BUDGET", str(size - 1))
+    code, stdout, err = run(capsys, argv + ["--out", str(out)])
+    assert code == 6
+    assert (f"model set of {size} points would exceed element budget "
+            f"{size - 1}") in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def _last_coordinate(value: int):
+    """Set the last coordinate of the last point to the integer value."""
+    def edit(points):
+        points[-1][-1] = [str(value), "1", "0", "1"]
+    return edit
+
+
+def _swap(points):
+    points[3], points[4] = points[4], points[3]
+
+
+def _duplicate(points):
+    points.insert(4, points[4])
+
+
+# (argv, upper end of the region on the last coordinate)
+SAMPLES = [(GEN_1D, 60), (GEN_H1, 16)]
+
+
+@pytest.mark.parametrize("argv,hi", SAMPLES, ids=["1d", "h1"])
+@pytest.mark.parametrize("edit,message", [
+    (_swap, "points not in canonical sorted order"),
+    (_duplicate, "duplicate point"),
+    # one past the region; the last point is below its end
+    ("region", "physical point outside region"),
+    # the region's end: an integer, its own conjugate, outside the window
+    ("window", "internal point outside window"),
+], ids=["swap", "duplicate", "region", "window"])
+def test_analyze_rejects_corrupt_sample(tmp_path, capsys, argv, hi, edit,
+                                        message):
+    path = tmp_path / "ms.json"
+    code, _, err = run(capsys, argv + ["--out", str(path)])
+    assert code == 0, err
+    if edit == "region":
+        edit = _last_coordinate(hi + 1)
+    elif edit == "window":
+        edit = _last_coordinate(hi)
+    payload = read_json(path)
+    del payload["content_hash"]
+    edit(payload["points"])
+    write_json(path, payload)  # a valid hash over the corrupt points
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, [
+        "analyze", "--in", str(path), "--K", "1", "--period-bound", "1",
+        "--out", str(report),
+    ])
+    assert code == 2
+    assert f"error: {message}" in err
+    assert out == ""
+    assert not report.exists()
 
 
 def test_growth_unknown_group(capsys):

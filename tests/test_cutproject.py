@@ -137,10 +137,9 @@ def test_model_set_validate_catches_corruption():
         return GroupPoint(E1, (QuadNum(a, b, 2),))
 
     def check(points, internal_points, message):
-        bad = ModelSet(ms.scheme, ms.window, ms.region, points,
-                       internal_points)
         with pytest.raises(ValueError, match=message):
-            bad.validate()
+            ModelSet.from_points(ms.scheme, ms.window, ms.region, points,
+                                 internal_points).validate()
 
     ms.validate()
     check(pts, internal[:-1], "points and internal_points differ in length")

@@ -22,7 +22,13 @@ from apercut.heisenberg import (
     sym_dist_sq,
 )
 from apercut.lattice import LIMIT, CellCodes, Lattice, Quad
-from apercut.quadratic import QuadNum, RingSpec, RingVariant, floor_div
+from apercut.quadratic import (
+    QuadNum,
+    RingSpec,
+    RingVariant,
+    floor_div,
+    numerator_rows,
+)
 
 FULL = RingVariant.FULL_INTEGERS
 RINGS = (RingSpec(2), RingSpec(3), RingSpec(5, FULL), RingSpec(13, FULL))
@@ -91,7 +97,7 @@ def test_sign_matches_quadnum(u, w, d, cap):
 @given(samples())
 def test_differences_match_group_product(sample):
     kind, d, points = sample
-    lat = Lattice(kind, d, points)
+    lat = Lattice(kind, d, *numerator_rows(points))
     i, j = all_pairs(len(points))
     left = lat.to_coords(lat.left_diff(i, j).rows().tolist())
     right = lat.to_coords(lat.right_diff(i, j).rows().tolist())
@@ -106,7 +112,7 @@ def test_differences_match_group_product(sample):
 def test_gauge_tests_match_oracle(data):
     kind, d, points = data.draw(samples())
     r = data.draw(radii(points))
-    lat = Lattice(kind, d, points)
+    lat = Lattice(kind, d, *numerator_rows(points))
     i, j = all_pairs(len(points))
     g = lat.left_diff(i, j)
     directed = lat.gauge_leq(g, r).tolist()
@@ -121,7 +127,7 @@ def test_gauge_tests_match_oracle(data):
 @given(samples())
 def test_squared_gauges_match_oracle_and_order(sample):
     kind, d, points = sample
-    lat = Lattice(kind, d, points)
+    lat = Lattice(kind, d, *numerator_rows(points))
     i, j = all_pairs(len(points))
     sq = lat.sq_gauge(lat.left_diff(i, j))
     den = lat.e * lat.e
@@ -141,7 +147,7 @@ def test_squared_gauges_match_oracle_and_order(sample):
 @given(samples(), st.data())
 def test_membership_of_translates(sample, data):
     kind, d, points = sample
-    lat = Lattice(kind, d, points)
+    lat = Lattice(kind, d, *numerator_rows(points))
     members = set(points)
     i, j = all_pairs(len(points))
     g = lat.left_diff(i, j)
@@ -162,7 +168,7 @@ def test_membership_of_translates(sample, data):
                                    Fraction(2 ** 30 + 1, 3)]))
 def test_cell_keys_match_floor_div(sample, size):
     kind, d, points = sample
-    lat = Lattice(kind, d, points)
+    lat = Lattice(kind, d, *numerator_rows(points))
     for k in range(kind.coord_count):
         got = lat.floor_div(k, size).tolist()
         assert got == [floor_div(p[k], size) for p in points]

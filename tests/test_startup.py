@@ -80,6 +80,18 @@ def test_numpy_commands_run(argv, expected, sample):
     assert loads_numpy(imported_modules(proc.stderr))
 
 
+def test_analyze_grid_step_does_not_load_growth(sample):
+    # the covering grid's element budget lives in errors, not growth
+    proc = run_python(["-X", "importtime", "-m", "apercut.cli", "analyze",
+                       "--in", "sample.json", "--K", "1", "--period-bound",
+                       "2", "--grid-step", "1/2", "--out", "grid.json"],
+                      sample)
+    assert "covering radius (grid estimate):" in proc.stdout
+    modules = imported_modules(proc.stderr)
+    assert "apercut.analysis" in modules
+    assert "apercut.growth" not in modules
+
+
 def test_star_import_binds_all(tmp_path):
     script = ("import apercut\n"
               "names = {}\n"
