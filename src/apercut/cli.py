@@ -7,6 +7,16 @@ are deliberately left out of the embedded config so they can never change the
 output bytes; the current implementation runs single-threaded regardless of
 --threads, which satisfies the determinism contract trivially.
 
+Start-up: each command imports only the modules it runs. `import apercut.cli`
+loads `errors`, `quadratic`, `heisenberg` and `serialize`. On top of those,
+`generate` and `check-window` load `cutproject`, `bounds` loads `bounds`
+and `cutproject`, `analyze` loads `analysis`, `lattice`, `cutproject` and
+numpy, and `growth` and `cover` load `growth` and numpy but no model-set
+module. `main` sets OPENBLAS_NUM_THREADS=1, unless the environment sets it,
+before any numpy import, so no command starts BLAS threads: the only BLAS
+call is the `np.polyfit` of `growth.fit_growth_exponent`, one point per
+radius, and numpy imports in about half the time without the thread pool.
+
 Exit codes: 0 ok, 2 usage or invalid input, 3 window-regularity rejection,
 4 erosion/core failures, 5 provenance mismatch, 6 element budget exceeded.
 """
@@ -14,13 +24,12 @@ Exit codes: 0 ok, 2 usage or invalid input, 3 window-regularity rejection,
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import bounds as bounds_mod
-from .cutproject import Box, Scheme, check_window_regular, generate_model_set
 from .errors import (
     ApercutError,
     BudgetExceededError,
@@ -33,7 +42,6 @@ from .errors import (
     element_budget,
 )
 from .heisenberg import GroupKind
-from .quadratic import RingSpec, RingVariant
 from .serialize import (
     analysis_report_payload,
     ball_table_csv_text,
@@ -52,30 +60,48 @@ if TYPE_CHECKING:
         period_search,
         repetitivity_radii,
     )
+    from .cutproject import (
+        Box,
+        Scheme,
+        check_window_regular,
+        generate_model_set,
+    )
 
-# The analysis entry points cmd_analyze calls. They load numpy, so they are
-# bound as module attributes on first use (by cmd_analyze or by a lookup from
-# outside, see __getattr__); a name already bound, say to a wrapper, is kept.
-_ANALYSIS_NAMES = (
-    "complexity_table",
-    "delone_report",
-    "period_search",
-    "repetitivity_radii",
-)
+# Names the commands call from modules that not every command needs. They
+# are bound as module attributes on first use, by the command (`_bind`) or
+# by a lookup from outside (`__getattr__`); a name already bound, say to a
+# wrapper, is kept.
+_LAZY = {
+    "analysis": (
+        "complexity_table",
+        "delone_report",
+        "period_search",
+        "repetitivity_radii",
+    ),
+    "cutproject": (
+        "Box",
+        "Scheme",
+        "check_window_regular",
+        "generate_model_set",
+    ),
+}
+_LAZY_MODULE = {name: mod for mod, names in _LAZY.items() for name in names}
 
 
-def _import_analysis() -> None:
-    from . import analysis
-
-    for name in _ANALYSIS_NAMES:
-        globals().setdefault(name, getattr(analysis, name))
+def _bind(module: str) -> None:
+    # what `from .module import ...` runs; unlike importlib.import_module
+    # it shows in `python -X importtime`
+    mod = __import__(module, globals(), None, _LAZY[module], 1)
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(mod, name))
 
 
 def __getattr__(name: str):
-    if name in _ANALYSIS_NAMES:
-        _import_analysis()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
 
 
 EXIT_OK = 0
@@ -119,6 +145,8 @@ def _parse_radii(text: str) -> list[Fraction]:
 
 
 def _scheme_from_args(args) -> Scheme:
+    from .quadratic import RingSpec, RingVariant
+
     if args.kind == "euclidean":
         if args.m is None:
             raise ValueError("--kind euclidean requires --m")
@@ -147,6 +175,7 @@ def _print_regularity(report) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
+    _bind("cutproject")
     scheme = _scheme_from_args(args)
     window = _parse_box(args.window)
     region = _parse_box(args.region)
@@ -172,7 +201,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _import_analysis()
+    _bind("analysis")
     ms, payload = read_model_set(args.input)
     radii = _parse_radii(args.K)
     period_bound = Fraction(args.period_bound)
@@ -273,6 +302,8 @@ def cmd_cover(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds as bounds_mod
+
     tube = bounds_mod.tube_dim_bound(args.dg, args.dimx)
     from_tube = bounds_mod.nuclear_dim_from_tube(args.dimx, tube)
     nuclear = bounds_mod.nuclear_dim_bound(args.dg, args.dimx)
@@ -292,6 +323,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_check_window(args) -> int:
+    _bind("cutproject")
     scheme = _scheme_from_args(args)
     window = _parse_box(args.window)
     report = check_window_regular(scheme, window)
@@ -398,6 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # no kernel gains from BLAS threads (see the module docstring), so
+    # numpy, imported later by the commands that need it, starts none
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

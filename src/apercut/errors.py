@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the element budget that
-`BudgetExceededError` enforces.
+"""Exception types shared across the package, the element budget that
+`BudgetExceededError` enforces, and the int64 bound `LIMIT` of the integer
+kernels.
 
 The CLI maps these onto process exit codes, so library code should raise
 the most specific type that applies.
@@ -11,6 +12,10 @@ import os
 
 DEFAULT_ELEMENT_BUDGET = 50_000_000
 BUDGET_ENV_VAR = "APERCUT_BUDGET"
+
+# Integer arrays stay int64 while every value is known to stay below LIMIT
+# and move to Python ints beyond it (`lattice` and `growth`).
+LIMIT = 1 << 62
 
 
 class ApercutError(Exception):

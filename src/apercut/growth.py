@@ -7,7 +7,7 @@ every generator at once: the coordinates add, and for H_n the t coordinate
 also gains <x, g_y>. Each row packs into one integer code (`_Codes`), mixed
 radix over per-coordinate bounds derived from the generators before the
 search, so sorting codes sorts rows lexicographically; codes are int64 while
-they stay below `lattice.LIMIT` and Python ints beyond it. Generating sets
+they stay below `errors.LIMIT` and Python ints beyond it. Generating sets
 are symmetric, so the Cayley graph is undirected and every neighbour of an
 element of length k has length k-1, k or k+1: layer k+1 is the set of
 products in neither layer k-1 nor layer k, found by one stable sort of
@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BudgetExceededError, element_budget
+from .errors import LIMIT, BudgetExceededError, element_budget
 from .heisenberg import Family, GroupKind, GroupPoint, inv_coords
 # perfbench/worker.py looks this up on this module to count its calls
 from .heisenberg import mul_coords  # noqa: F401
@@ -146,7 +146,6 @@ class _Codes:
     otherwise."""
 
     def __init__(self, bounds: Sequence[int]) -> None:
-        from .lattice import LIMIT  # here, so importing growth stays cheap
         strides, stride = [], 1
         for b in reversed(bounds):
             strides.append(stride)

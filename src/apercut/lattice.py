@@ -24,10 +24,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .errors import LIMIT
 from .heisenberg import Coords, Family, GroupKind
 from .quadratic import QuadNum
-
-LIMIT = 1 << 62
 
 
 def _absmax(*arrays) -> int:

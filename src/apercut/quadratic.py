@@ -12,6 +12,7 @@ is plain integer arithmetic; Fractions only appear at the API boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -47,6 +48,14 @@ def floor_sqrt(q: Fraction) -> int:
         raise ValueError("floor_sqrt of a negative number")
     # sqrt(p/q) = sqrt(p*q)/q and floor(x/q) = floor(floor(x)/q) for integer q
     return math.isqrt(q.numerator * q.denominator) // q.denominator
+
+
+def _floor_root(n: int, k: int, q: int, d: int) -> int:
+    """floor((n + k*sqrt(d)) / q) for integers n, k and q > 0, exactly: for
+    square-free d >= 2, k*sqrt(d) is irrational whenever k != 0, and
+    floor(x / q) = floor(floor(x) / q)."""
+    r = math.isqrt(k * k * d)
+    return (n + (r if k >= 0 else -r - 1)) // q
 
 
 def sign_pq(p: int, q: int, d: int) -> int:
@@ -328,13 +337,8 @@ class QuadNum:
         return (self._p + self._q * math.sqrt(self._d)) / self._den
 
     def __floor__(self) -> int:
-        """Exact floor via isqrt; q*sqrt(d) is irrational whenever q != 0."""
-        p, q, den = self._p, self._q, self._den
-        if q == 0:
-            return p // den
-        r = math.isqrt(q * q * self._d)
-        f = r if q > 0 else -r - 1
-        return (p + f) // den
+        """Exact floor via isqrt."""
+        return _floor_root(self._p, self._q, self._den, self._d)
 
     def __ceil__(self) -> int:
         return -math.floor(-self)
@@ -408,47 +412,55 @@ def _as_fraction_interval(iv: Interval, what: str) -> Tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def _ascending(pairs: list, d: int) -> list:
+    """Pairs (p, v) ordered by p + v*sqrt(d), exactly. A float key orders
+    them and every neighbouring pair is then compared exactly; only where
+    floats cannot tell two values apart does an exact comparison sort run."""
+    root = math.sqrt(d)
+    try:
+        pairs.sort(key=lambda pv: pv[0] + pv[1] * root)
+    except OverflowError:
+        pass
+    if all(sign_pq(p - p0, v - v0, d) > 0
+           for (p0, v0), (p, v) in zip(pairs, pairs[1:])):
+        return pairs
+    return sorted(pairs, key=functools.cmp_to_key(
+        lambda x, y: sign_pq(x[0] - y[0], x[1] - y[1], d)))
+
+
 def enumerate_ring_in_rectangle(
     ring: RingSpec, phys: Interval, internal: Interval
 ) -> list[QuadNum]:
     """All ring elements x with x in phys and conjugate(x) in internal,
     sorted ascending.
 
-    Writing x = a + b*sqrt(d): a = (x + conj x)/2 and b*sqrt(d) = (x - conj x)/2,
-    so both lie in intervals computable from the two inputs. Integer (or
-    half-integer) candidates in those ranges are enumerated and filtered
-    exactly; the candidate ranges make the result provably complete.
+    Write x = (p + v*sqrt(d))/s, with s = 1 on Z[sqrt(d)] and s = 2 and
+    p = v (mod 2) on the full ring. Then v*sqrt(d) = s*(x - conj x)/2 lies
+    in s*[p1 - i2, p2 - i1]/2, which bounds v, and for each v the two
+    intervals bound p on both sides. Every bound is an exact integer floor
+    (`math.isqrt`), so the ranges hold exactly the elements.
     """
     p1, p2 = _as_fraction_interval(phys, "physical")
     i1, i2 = _as_fraction_interval(internal, "internal")
     d = ring.d
-
-    a_lo = (p1 + i1) / 2
-    a_hi = (p2 + i2) / 2
-    c_lo = (p1 - i2) / 2  # range of b*sqrt(d)
-    c_hi = (p2 - i1) / 2
-    bd_sq = max(c_lo * c_lo, c_hi * c_hi)  # (b*sqrt(d))^2 <= bd_sq
-
-    out: list[QuadNum] = []
-    if ring.variant is RingVariant.Z_SQRT_D:
-        b_abs = floor_sqrt(bd_sq / d)
-        for a in range(math.ceil(a_lo), math.floor(a_hi) + 1):
-            for b in range(-b_abs, b_abs + 1):
-                x = QuadNum(a, b, d)
-                if p1 <= x <= p2 and i1 <= x.conjugate() <= i2:
-                    out.append(x)
-    else:
-        # x = (p + q*sqrt(d))/2 with p = q (mod 2)
-        q_abs = floor_sqrt(4 * bd_sq / d)
-        for p in range(math.ceil(2 * a_lo), math.floor(2 * a_hi) + 1):
-            for q in range(-q_abs, q_abs + 1):
-                if (p - q) % 2 != 0:
-                    continue
-                x = QuadNum._mk(p, q, 2, d)
-                if p1 <= x <= p2 and i1 <= x.conjugate() <= i2:
-                    out.append(x)
-    out.sort()
-    return out
+    s = 1 if ring.variant is RingVariant.Z_SQRT_D else 2
+    lo, hi = s * (p1 - i2) / 2, s * (p2 - i1) / 2
+    # ceil(lo/sqrt(d)) <= v <= floor(hi/sqrt(d)), lo/sqrt(d) = lo*sqrt(d)/d
+    v_min = -_floor_root(0, -lo.numerator, lo.denominator * d, d)
+    v_max = _floor_root(0, hi.numerator, hi.denominator * d, d)
+    (a, qa), (b, qb), (c, qc), (e, qe) = (
+        (s * x.numerator, x.denominator) for x in (p1, p2, i1, i2))
+    pairs = []
+    for v in range(v_min, v_max + 1):
+        # s*p1 - v*sqrt(d) <= p <= s*p2 - v*sqrt(d), and
+        # s*i1 + v*sqrt(d) <= p <= s*i2 + v*sqrt(d)
+        p_min = -min(_floor_root(-a, v * qa, qa, d),
+                     _floor_root(-c, -v * qc, qc, d))
+        p_max = min(_floor_root(b, -v * qb, qb, d),
+                    _floor_root(e, v * qe, qe, d))
+        p_min += (p_min - v) % s
+        pairs.extend((p, v) for p in range(p_min, p_max + 1, s))
+    return [QuadNum._mk(p, v, s, d) for p, v in _ascending(pairs, d)]
 
 
 def serialize_quadnum(x: QuadNum) -> list[str]:

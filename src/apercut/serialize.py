@@ -3,7 +3,7 @@
 All JSON output is canonicalized (sorted keys, compact separators, trailing
 newline) so that identical inputs yield byte-identical files. Every payload
 embeds a sha256 over its own canonical form minus the hash field; readers
-recompute and refuse files that do not match, which catches both corruption
+check it and refuse files that do not match, which catches both corruption
 and hand editing. Exact scalars travel as decimal strings, never floats.
 """
 
@@ -17,7 +17,6 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .cutproject import Box, ModelSet, Scheme
 from .errors import ProvenanceError
 from .heisenberg import Family, GroupKind
 from .quadratic import (
@@ -37,6 +36,7 @@ if TYPE_CHECKING:
         PeriodReport,
         RepetitivityReport,
     )
+    from .cutproject import Box, ModelSet, Scheme
     from .growth import BallTable, CoverReport
 
 # Readers accept format 1 too: its model-set files differ only by a derivable
@@ -49,18 +49,24 @@ HASH_FIELD = "content_hash"
 # canonical JSON and hashing
 # ---------------------------------------------------------------------------
 
-def canonical_json_bytes(obj) -> bytes:
-    text = json.dumps(
+def _dumps(obj) -> str:
+    return json.dumps(
         obj, sort_keys=True, separators=(",", ":"), allow_nan=False
     )
-    return (text + "\n").encode("utf-8")
+
+
+def canonical_json_bytes(obj) -> bytes:
+    return (_dumps(obj) + "\n").encode("utf-8")
+
+
+def _digest(body: bytes) -> str:
+    return "sha256:" + hashlib.sha256(body).hexdigest()
 
 
 def content_hash(payload: dict) -> str:
     """sha256 over the canonical form, excluding the hash field itself."""
     body = {k: v for k, v in payload.items() if k != HASH_FIELD}
-    digest = hashlib.sha256(canonical_json_bytes(body)).hexdigest()
-    return "sha256:" + digest
+    return _digest(canonical_json_bytes(body))
 
 
 def seal(payload: dict) -> dict:
@@ -72,19 +78,60 @@ def seal(payload: dict) -> dict:
     return out
 
 
+def _member(key: str, value) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"payload keys must be strings, got {key!r}")
+    return _dumps(key) + ":" + _dumps(value)
+
+
+def _object_bytes(members: dict) -> bytes:
+    """The canonical JSON object of these `"key":value` texts: what
+    `canonical_json_bytes` gives for the payload they encode."""
+    return ("{" + ",".join(members[k] for k in sorted(members)) + "}\n"
+            ).encode("utf-8")
+
+
 def write_json(path, payload: dict) -> str:
-    sealed = seal(payload)
+    """Write the payload sealed with its content hash, in canonical form.
+    Each member is encoded once; the hashed body and the file are joined
+    from the same texts."""
+    if HASH_FIELD in payload:
+        raise ValueError("payload already sealed")
+    members = {key: _member(key, value) for key, value in payload.items()}
+    digest = _digest(_object_bytes(members))
+    members[HASH_FIELD] = _member(HASH_FIELD, digest)
     with open(path, "wb") as fh:
-        fh.write(canonical_json_bytes(sealed))
-    return sealed[HASH_FIELD]
+        fh.write(_object_bytes(members))
+    return digest
+
+
+def _without_hash_member(raw: bytes, digest) -> bytes:
+    """The file's bytes minus its hash member and one comma next to it: for
+    a file as `write_json` writes it, exactly the body it hashed."""
+    member = _member(HASH_FIELD, digest).encode("utf-8")
+    start = raw.find(member)
+    if start < 0:
+        return raw
+    end = start + len(member)
+    if raw[end:end + 1] == b",":
+        end += 1
+    elif raw[start - 1:start] == b",":
+        start -= 1
+    return raw[:start] + raw[end:]
 
 
 def read_json(path, expect_type: str | None = None) -> dict:
+    """Read a sealed payload and check its content hash. The hash is first
+    checked against the file's own bytes; only a file not in canonical form
+    (say, re-indented by hand) is re-encoded canonically to check it."""
     with open(path, "rb") as fh:
-        payload = json.loads(fh.read())
+        raw = fh.read()
+    payload = json.loads(raw)
     if not isinstance(payload, dict) or HASH_FIELD not in payload:
         raise ProvenanceError(f"{path}: no content hash")
-    if payload[HASH_FIELD] != content_hash(payload):
+    digest = payload[HASH_FIELD]
+    if (_digest(_without_hash_member(raw, digest)) != digest
+            and content_hash(payload) != digest):
         raise ProvenanceError(f"{path}: content hash mismatch")
     if expect_type is not None and payload.get("payload_type") != expect_type:
         raise ValueError(
@@ -111,6 +158,8 @@ def _box_payload(box: Box) -> list:
 
 
 def _box_from(rows: Sequence) -> Box:
+    from .cutproject import Box
+
     return Box(tuple((_parse_frac(lo), _parse_frac(hi)) for lo, hi in rows))
 
 
@@ -150,6 +199,8 @@ def _scheme_payload(scheme: Scheme) -> dict:
 
 
 def _scheme_from(obj: dict) -> Scheme:
+    from .cutproject import Scheme
+
     family = obj["kind"]
     if family == "euclidean":
         kind = GroupKind.euclidean(int(obj["m"]))
@@ -215,6 +266,8 @@ def model_set_payload(ms: ModelSet, config: dict | None = None) -> dict:
 
 
 def model_set_from_payload(payload: dict) -> ModelSet:
+    from .cutproject import ModelSet
+
     scheme = _scheme_from(payload["scheme"])
     rows, e = _rows_from(payload["points"], scheme)
     ms = ModelSet(

@@ -177,6 +177,33 @@ def test_analyze_corrupted_hash_exits_5(tmp_path, capsys):
     assert "hash" in err
 
 
+def test_analyze_reads_reindented_sample(tmp_path, capsys):
+    ms_path = gen_file(tmp_path, capsys)
+    code, out, err = run(capsys, [
+        "analyze", "--in", str(ms_path), "--out", str(tmp_path / "r.json"),
+    ])
+    assert code == 0, err
+    # same payload, not canonical: the hash is checked on a re-encoding
+    ms_path.write_text(json.dumps(json.loads(ms_path.read_bytes()), indent=2))
+    code, again, err = run(capsys, [
+        "analyze", "--in", str(ms_path), "--out", str(tmp_path / "r2.json"),
+    ])
+    assert code == 0, err
+    assert again.replace("r2.json", "r.json") == out
+    assert (tmp_path / "r2.json").read_bytes() == (
+        tmp_path / "r.json").read_bytes()
+    # one byte of the body changed
+    raw = ms_path.read_bytes()
+    assert b'"generate"' in raw
+    ms_path.write_bytes(raw.replace(b'"generate"', b'"generatf"', 1))
+    code, _, err = run(capsys, [
+        "analyze", "--in", str(ms_path), "--out", str(tmp_path / "r3.json"),
+    ])
+    assert code == 5
+    assert "hash" in err
+    assert not (tmp_path / "r3.json").exists()
+
+
 def test_analyze_erosion_error_exits_4(tmp_path, capsys):
     ms_path = gen_file(tmp_path, capsys)
     code, _, err = run(capsys, [

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apercut.errors import EmptyIntervalError, FieldMismatchError
@@ -330,6 +330,93 @@ def test_enumerate_full_ring_contains_zsqrt():
     assert set(z) <= set(full)
     golden = QuadNum(Fraction(1, 2), Fraction(1, 2), 5)
     assert golden in set(full) and golden not in set(z)
+
+
+def reference_enumerate(ring, phys, internal):
+    """The earlier candidate filter, kept as the reference: every a (or p)
+    and b (or q) in the ranges the two intervals allow, filtered by four
+    exact QuadNum comparisons, then sorted as QuadNums."""
+    p1, p2 = Fraction(phys[0]), Fraction(phys[1])
+    i1, i2 = Fraction(internal[0]), Fraction(internal[1])
+    d = ring.d
+    a_lo, a_hi = (p1 + i1) / 2, (p2 + i2) / 2
+    c_lo, c_hi = (p1 - i2) / 2, (p2 - i1) / 2
+    bd_sq = max(c_lo * c_lo, c_hi * c_hi)
+    out = []
+    if ring.variant is RingVariant.Z_SQRT_D:
+        b_abs = floor_sqrt(bd_sq / d)
+        for a in range(math.ceil(a_lo), math.floor(a_hi) + 1):
+            for b in range(-b_abs, b_abs + 1):
+                x = QuadNum(a, b, d)
+                if p1 <= x <= p2 and i1 <= x.conjugate() <= i2:
+                    out.append(x)
+    else:
+        q_abs = floor_sqrt(4 * bd_sq / d)
+        for p in range(math.ceil(2 * a_lo), math.floor(2 * a_hi) + 1):
+            for q in range(-q_abs, q_abs + 1):
+                if (p - q) % 2 == 0:
+                    x = QuadNum(Fraction(p, 2), Fraction(q, 2), d)
+                    if p1 <= x <= p2 and i1 <= x.conjugate() <= i2:
+                        out.append(x)
+    out.sort()
+    return out
+
+
+ENUM_RINGS = [RingSpec(d) for d in (2, 3, 5, 13)] + [
+    RingSpec(d, RingVariant.FULL_INTEGERS) for d in (5, 13)]
+
+
+@st.composite
+def endpoints(draw, d):
+    """Two ordered rational endpoints, each on a ring element (an integer),
+    next to one (a rational approximation of a + b*sqrt(d), or an integer,
+    moved by at most 10^-3), or far from any (a fraction of small
+    denominator)."""
+    ends = []
+    for _ in range(2):
+        where = draw(st.sampled_from(["on", "next", "far"]))
+        a = draw(st.integers(-12, 12))
+        if where == "on":
+            ends.append(Fraction(a))
+        elif where == "next":
+            b = draw(st.integers(-6, 6))
+            x = Fraction(a + b * math.sqrt(d)).limit_denominator(10 ** 9)
+            nudge = Fraction(draw(st.integers(-1, 1)),
+                             10 ** draw(st.integers(3, 12)))
+            ends.append(x + nudge)
+        else:
+            ends.append(Fraction(draw(st.integers(-480, 480)),
+                                 draw(st.integers(12, 37))))
+    return tuple(sorted(ends))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ENUM_RINGS).flatmap(
+    lambda ring: st.tuples(st.just(ring), endpoints(ring.d),
+                           endpoints(ring.d))))
+def test_enumerate_matches_reference(case):
+    ring, phys, internal = case
+    got = enumerate_ring_in_rectangle(ring, phys, internal)
+    want = reference_enumerate(ring, phys, internal)
+    assert got == want
+    assert [(x._p, x._q, x._den) for x in got] == [
+        (x._p, x._q, x._den) for x in want]
+
+
+@pytest.mark.parametrize("shift", [10 ** 17, 10 ** 400],
+                         ids=["collide", "overflow"])
+@pytest.mark.parametrize("ring", [RingSpec(2),
+                                  RingSpec(5, RingVariant.FULL_INTEGERS)],
+                         ids=["zsqrt2", "full5"])
+def test_enumerate_orders_values_floats_cannot_separate(ring, shift):
+    # adding an integer u moves both x and its conjugate by u, so the
+    # shifted rectangle holds the same elements plus u, in the same order;
+    # out there floats collide (10^17) or overflow (10^400)
+    near = enumerate_ring_in_rectangle(ring, (0, 10), (-10, 10))
+    far = enumerate_ring_in_rectangle(ring, (shift, shift + 10),
+                                      (shift - 10, shift + 10))
+    assert len(near) > 50
+    assert far == [x + shift for x in near]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from apercut import serialize
 from apercut.analysis import (
     complexity_table,
     delone_report,
@@ -88,6 +89,47 @@ def test_read_json_detects_tampering(tmp_path):
     write_json(path, {"payload_type": "model-set", "v": 1})
     raw = path.read_bytes().replace(b'"v":1', b'"v":2')
     path.write_bytes(raw)
+    with pytest.raises(ProvenanceError):
+        read_json(path)
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    {"a": 1},
+    {"z": 1},
+    {"payload_type": "x", "\u00e9": ["\u00fc", 1.5, None],
+     "z": {"b": 1, "a": [True, {"content_hash": "sha256:0"}]},
+     "a": "\u2603\n\"q\""},
+], ids=["empty", "hash-last", "hash-first", "nested"])
+def test_write_json_is_canonical_sealed_form(payload, tmp_path, monkeypatch):
+    path = tmp_path / "x.json"
+    digest = write_json(path, payload)
+    sealed = seal(payload)
+    assert digest == sealed["content_hash"]
+    assert path.read_bytes() == canonical_json_bytes(sealed)
+
+    # a file as written is checked on its own bytes, never re-encoded
+    def no_reencoding(payload):
+        raise AssertionError("canonical file re-encoded")
+    monkeypatch.setattr(serialize, "content_hash", no_reencoding)
+    assert read_json(path) == sealed
+
+
+def test_write_json_refuses_sealed_payload_and_non_string_keys(tmp_path):
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "x.json", seal({"v": 1}))
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "x.json", {1: "v"})
+
+
+def test_read_json_accepts_reformatted_file(tmp_path):
+    path = tmp_path / "x.json"
+    h = write_json(path, {"payload_type": "model-set", "v": [1, 2, 3],
+                          "w": {"b": "c"}})
+    payload = json.loads(path.read_bytes())
+    path.write_text(json.dumps(dict(reversed(payload.items())), indent=2))
+    assert read_json(path)["content_hash"] == h
+    path.write_text(path.read_text().replace('"c"', '"d"'))
     with pytest.raises(ProvenanceError):
         read_json(path)
 

@@ -1,8 +1,10 @@
-"""Start-up cost: which commands load numpy, checked in fresh interpreters.
+"""Start-up cost: which modules each command loads and which threads it
+starts, checked in fresh interpreters.
 
 `generate`, `check-window` and `bounds` never call numpy, so neither
 `import apercut`, `import apercut.cli` nor those commands may import it;
-`analyze`, `growth` and `cover` load it when they start.
+`analyze`, `growth` and `cover` load it when they start. `growth` and
+`cover` load no model-set module either, and no command starts BLAS threads.
 """
 
 import os
@@ -17,8 +19,10 @@ SCHEME = ["--kind", "euclidean", "--m", "1", "--d", "2"]
 WINDOW = "--window=-9/10,11/10"
 
 
-def run_python(args, cwd):
+def run_python(args, cwd, env_extra=None):
     env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(env_extra or {})
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
@@ -52,6 +56,49 @@ def test_import_does_not_load_numpy(statement, tmp_path):
         ["-c", f"{statement}; import sys; print('numpy' in sys.modules)"],
         tmp_path)
     assert proc.stdout == "False\n"
+
+
+MODEL_SET_MODULES = {"apercut.cutproject", "apercut.bounds"}
+
+
+def test_import_cli_loads_no_model_set_module(tmp_path):
+    proc = run_python(["-X", "importtime", "-c", "import apercut.cli"],
+                      tmp_path)
+    modules = imported_modules(proc.stderr)
+    assert "apercut.cli" in modules
+    assert not modules & MODEL_SET_MODULES
+
+
+@pytest.mark.parametrize("argv", [
+    ["growth", "--group", "h1z", "--kmax", "10"],
+    ["cover", "--group", "h1z", "--a", "2", "--n", "1"],
+], ids=["growth", "cover"])
+def test_word_commands_load_no_model_set_module(argv, tmp_path):
+    proc = run_python(["-X", "importtime", "-m", "apercut.cli", *argv],
+                      tmp_path)
+    modules = imported_modules(proc.stderr)
+    assert "apercut.growth" in modules
+    assert not modules & (MODEL_SET_MODULES | {"apercut.lattice"})
+
+
+THREADS_AFTER_GROWTH = """
+import os
+import apercut.cli as cli
+assert cli.main(["growth", "--group", "h1z", "--kmax", "10"]) == 0
+print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="counts threads through Linux /proc")
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "preset-2"])
+def test_growth_starts_no_blas_threads(preset, tmp_path):
+    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    proc = run_python(["-c", THREADS_AFTER_GROWTH], tmp_path, env)
+    threads, setting = proc.stdout.split()[-2:]
+    assert setting == (preset or "1")
+    if preset is None:
+        assert threads == "1"
 
 
 @pytest.mark.parametrize("argv", [
@@ -106,35 +153,55 @@ def test_star_import_binds_all(tmp_path):
     assert proc.stdout == "apercut.analysis apercut.growth\n"
 
 
-# A wrapper bound to `apercut.cli.period_search` must be what `cmd_analyze`
-# calls, whether it is set before the analysis module is loaded or, as a
+# A wrapper bound to a name on `apercut.cli` must be what the command calls,
+# whether it is set before the module defining the name is loaded or, as a
 # tracer does, read and wrapped after the lookup has loaded it.
 PATCH_BEFORE_LOAD = """
 def wrapper(*args, **kwargs):
-    from apercut.analysis import period_search
-    calls.append(len(args[0]))
-    return period_search(*args, **kwargs)
-cli.period_search = wrapper
+    from apercut.{module} import {name} as real
+    calls.append({name!r})
+    return real(*args, **kwargs)
+cli.{name} = wrapper
 """
 WRAP_AFTER_LOOKUP = """
-inner = cli.period_search
+inner = cli.{name}
 def wrapper(*args, **kwargs):
-    calls.append(len(args[0]))
+    calls.append({name!r})
     return inner(*args, **kwargs)
-cli.period_search = wrapper
+cli.{name} = wrapper
 """
+PATCHES = [PATCH_BEFORE_LOAD, WRAP_AFTER_LOOKUP]
+PATCH_IDS = ["before-load", "after-lookup"]
 
 
-@pytest.mark.parametrize("patch", [PATCH_BEFORE_LOAD, WRAP_AFTER_LOOKUP],
-                         ids=["before-load", "after-lookup"])
-def test_cmd_analyze_calls_patched_period_search(patch, sample):
+def run_wrapped(name, module, patch, argv, cwd):
     script = ("import sys\n"
               "import apercut.cli as cli\n"
               "assert 'numpy' not in sys.modules\n"
               "calls = []\n"
-              + patch +
-              "code = cli.main(['analyze', '--in', 'sample.json', '--K', '1',"
-              " '--period-bound', '2', '--out', 'patched.json'])\n"
-              "assert code == 0 and len(calls) == 1, (code, calls)\n"
-              "assert cli.period_search is wrapper\n")
-    run_python(["-c", script], sample)
+              + patch.format(name=name, module=module) +
+              f"code = cli.main({argv!r})\n"
+              f"assert code == 0 and calls == [{name!r}], (code, calls)\n"
+              f"assert cli.{name} is wrapper\n")
+    run_python(["-c", script], cwd)
+
+
+@pytest.mark.parametrize("patch", PATCHES, ids=PATCH_IDS)
+def test_cmd_analyze_calls_patched_period_search(patch, sample):
+    run_wrapped("period_search", "analysis", patch,
+                ["analyze", "--in", "sample.json", "--K", "1",
+                 "--period-bound", "2", "--out", "patched.json"], sample)
+
+
+@pytest.mark.parametrize("patch", PATCHES, ids=PATCH_IDS)
+@pytest.mark.parametrize("name,module,argv", [
+    ("generate_model_set", "cutproject",
+     ["generate", *SCHEME, WINDOW, "--region=-30,30", "--out", "w.json"]),
+    ("write_json", "serialize",
+     ["cover", "--group", "z2", "--a", "2", "--n", "2", "--out", "c.json"]),
+    ("ball_table_csv_text", "serialize",
+     ["growth", "--group", "h1z", "--kmax", "8"]),
+], ids=["generate_model_set", "write_json", "ball_table_csv_text"])
+def test_command_calls_wrapper_set_before_main(name, module, argv, patch,
+                                               tmp_path):
+    run_wrapped(name, module, patch, argv, tmp_path)
