@@ -12,10 +12,12 @@ loads `errors`, `quadratic`, `heisenberg` and `serialize`. On top of those,
 `generate` and `check-window` load `cutproject`, `bounds` loads `bounds`
 and `cutproject`, `analyze` loads `analysis`, `lattice`, `cutproject` and
 numpy, and `growth` and `cover` load `growth` and numpy but no model-set
-module. `main` sets OPENBLAS_NUM_THREADS=1, unless the environment sets it,
-before any numpy import, so no command starts BLAS threads: the only BLAS
-call is the `np.polyfit` of `growth.fit_growth_exponent`, one point per
-radius, and numpy imports in about half the time without the thread pool.
+module. While a command runs, `main` sets OPENBLAS_NUM_THREADS=1 unless the
+environment sets it or numpy is already loaded, so no command starts BLAS
+threads: the only BLAS call is the `np.polyfit` of
+`growth.fit_growth_exponent`, one point per radius, and numpy imports in
+about half the time without the thread pool. `main` removes the variable
+again when it returns.
 
 Exit codes: 0 ok, 2 usage or invalid input, 3 window-regularity rejection,
 4 erosion/core failures, 5 provenance mismatch, 6 element budget exceeded.
@@ -430,9 +432,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # no kernel gains from BLAS threads (see the module docstring), so
-    # numpy, imported later by the commands that need it, starts none
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # no kernel gains from BLAS threads (see the module docstring); OpenBLAS
+    # reads this once, when numpy loads, so it is set only for a numpy still
+    # to be loaded and taken back on return
+    pin = ("OPENBLAS_NUM_THREADS" not in os.environ
+           and "numpy" not in sys.modules)
+    if pin:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        return _run(argv)
+    finally:
+        if pin:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -412,22 +412,6 @@ def _as_fraction_interval(iv: Interval, what: str) -> Tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _ascending(pairs: list, d: int) -> list:
-    """Pairs (p, v) ordered by p + v*sqrt(d), exactly. A float key orders
-    them and every neighbouring pair is then compared exactly; only where
-    floats cannot tell two values apart does an exact comparison sort run."""
-    root = math.sqrt(d)
-    try:
-        pairs.sort(key=lambda pv: pv[0] + pv[1] * root)
-    except OverflowError:
-        pass
-    if all(sign_pq(p - p0, v - v0, d) > 0
-           for (p0, v0), (p, v) in zip(pairs, pairs[1:])):
-        return pairs
-    return sorted(pairs, key=functools.cmp_to_key(
-        lambda x, y: sign_pq(x[0] - y[0], x[1] - y[1], d)))
-
-
 def enumerate_ring_in_rectangle(
     ring: RingSpec, phys: Interval, internal: Interval
 ) -> list[QuadNum]:
@@ -438,7 +422,8 @@ def enumerate_ring_in_rectangle(
     p = v (mod 2) on the full ring. Then v*sqrt(d) = s*(x - conj x)/2 lies
     in s*[p1 - i2, p2 - i1]/2, which bounds v, and for each v the two
     intervals bound p on both sides. Every bound is an exact integer floor
-    (`math.isqrt`), so the ranges hold exactly the elements.
+    (`math.isqrt`), so the ranges hold exactly the elements; `sign_pq`
+    orders them.
     """
     p1, p2 = _as_fraction_interval(phys, "physical")
     i1, i2 = _as_fraction_interval(internal, "internal")
@@ -460,7 +445,9 @@ def enumerate_ring_in_rectangle(
                     _floor_root(e, v * qe, qe, d))
         p_min += (p_min - v) % s
         pairs.extend((p, v) for p in range(p_min, p_max + 1, s))
-    return [QuadNum._mk(p, v, s, d) for p, v in _ascending(pairs, d)]
+    pairs.sort(key=functools.cmp_to_key(
+        lambda x, y: sign_pq(x[0] - y[0], x[1] - y[1], d)))
+    return [QuadNum._mk(p, v, s, d) for p, v in pairs]
 
 
 def serialize_quadnum(x: QuadNum) -> list[str]:

@@ -130,8 +130,10 @@ def read_json(path, expect_type: str | None = None) -> dict:
     if not isinstance(payload, dict) or HASH_FIELD not in payload:
         raise ProvenanceError(f"{path}: no content hash")
     digest = payload[HASH_FIELD]
-    if (_digest(_without_hash_member(raw, digest)) != digest
-            and content_hash(payload) != digest):
+    # a hash member that is not a string (even NaN) is compared, never encoded
+    on_raw = (isinstance(digest, str)
+              and _digest(_without_hash_member(raw, digest)) == digest)
+    if not on_raw and content_hash(payload) != digest:
         raise ProvenanceError(f"{path}: content hash mismatch")
     if expect_type is not None and payload.get("payload_type") != expect_type:
         raise ValueError(

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -87,10 +88,15 @@ def test_write_read_json_round_trip(tmp_path):
 def test_read_json_detects_tampering(tmp_path):
     path = tmp_path / "x.json"
     write_json(path, {"payload_type": "model-set", "v": 1})
-    raw = path.read_bytes().replace(b'"v":1', b'"v":2')
-    path.write_bytes(raw)
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b'"v":1', b'"v":2'))
     with pytest.raises(ProvenanceError):
         read_json(path)
+    # json.loads accepts a NaN hash member; it is a mismatch, not bad input
+    for digest in (b"NaN", b"-Infinity", b"7", b"null"):
+        path.write_bytes(re.sub(rb'"sha256:[0-9a-f]+"', digest, raw))
+        with pytest.raises(ProvenanceError):
+            read_json(path)
 
 
 @pytest.mark.parametrize("payload", [

@@ -20,9 +20,13 @@ WINDOW = "--window=-9/10,11/10"
 
 
 def run_python(args, cwd, env_extra=None):
+    """Run a fresh interpreter; a None value in env_extra unsets that name."""
     env = dict(os.environ)
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    env.update(env_extra or {})
+    for key, value in (env_extra or {}).items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
@@ -81,23 +85,39 @@ def test_word_commands_load_no_model_set_module(argv, tmp_path):
     assert not modules & (MODEL_SET_MODULES | {"apercut.lattice"})
 
 
+# The setting a command sees (read by a wrapper on `ball_table_csv_text`),
+# the threads left after it and the setting after `main` returns.
 THREADS_AFTER_GROWTH = """
 import os
+{preload}
 import apercut.cli as cli
+seen = []
+inner = cli.ball_table_csv_text
+def wrapper(*args, **kwargs):
+    seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+    return inner(*args, **kwargs)
+cli.ball_table_csv_text = wrapper
 assert cli.main(["growth", "--group", "h1z", "--kmax", "10"]) == 0
-print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+print(seen[0], len(os.listdir("/proc/self/task")),
+      os.environ.get("OPENBLAS_NUM_THREADS"))
 """
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
                     reason="counts threads through Linux /proc")
-@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "preset-2"])
-def test_growth_starts_no_blas_threads(preset, tmp_path):
-    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
-    proc = run_python(["-c", THREADS_AFTER_GROWTH], tmp_path, env)
-    threads, setting = proc.stdout.split()[-2:]
-    assert setting == (preset or "1")
-    if preset is None:
+@pytest.mark.parametrize("preset,preload,during,after", [
+    (None, "", "1", "None"),
+    ("2", "", "2", "2"),
+    (None, "import numpy", "None", "None"),
+], ids=["unset", "preset-2", "numpy-loaded"])
+def test_growth_starts_no_blas_threads(preset, preload, during, after,
+                                       tmp_path):
+    proc = run_python(
+        ["-c", THREADS_AFTER_GROWTH.format(preload=preload)], tmp_path,
+        {"OPENBLAS_NUM_THREADS": preset})
+    seen, threads, left = proc.stdout.split()[-3:]
+    assert (seen, left) == (during, after)
+    if preset is None and not preload:
         assert threads == "1"
 
 
