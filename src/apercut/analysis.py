@@ -19,10 +19,19 @@ takes its candidates from one core point instead), and the kernel tests
 whole chunks with exact integer arithmetic. Separation is exact
 (squared symmetric gauges stay inside the field), with a rational bisection
 bracket reported alongside the float value.
+
+The index (`NeighborIndex`) follows the left-invariant metric: for H_n it
+keys t on the sheared coordinate t - <X, y>, X the centre of the point's
+x-cell, in cells of side (1 + 3n/2) r^2 at radius r. A query c looks up each
+neighbouring x-column j at its own key t_c - <X_j, y_c>, and every p with
+gauge(c^-1 p) <= r is found, because |tau(c^-1 p)| <= r^2 and
+|c_x - X_j| <= 3r/2 bound the sheared difference by r^2 + (3/2) n r^2 on
+any region. Its candidates therefore do not grow with the region's x-span.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,7 +40,12 @@ from typing import Iterable, Iterator, Sequence, Tuple
 import numpy as np
 
 from .cutproject import ModelSet
-from .errors import BudgetExceededError, ErosionError, element_budget
+from .errors import (
+    LIMIT,
+    BudgetExceededError,
+    ErosionError,
+    element_budget,
+)
 from .heisenberg import Family, GroupKind
 # perfbench/worker.py looks these up on this module to count their calls
 from .heisenberg import (  # noqa: F401
@@ -40,8 +54,8 @@ from .heisenberg import (  # noqa: F401
     sym_dist_leq,
     sym_dist_sq,
 )
-from .lattice import Quad
-from .quadratic import QuadNum, floor_div
+from .lattice import CellCodes, Quad, cell_floor, sheared_cell_floor
+from .quadratic import QuadNum, numerator_rows
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +133,27 @@ PAIR_CHUNK = 1 << 16
 class NeighborIndex:
     """Cell index over exact coordinates for radius-bounded candidate lookup.
 
-    x/y cells have side `radius`; the t cells use radius^2 + radius * X where
-    X bounds sum|x_i| over the region, which covers the Heisenberg t-drift of
-    both directed translates at that radius. Cell keys are exact floors; each
-    key is packed into one integer code and the points are sorted by code,
-    so a cell is a searchsorted range.
+    The head axes (all of Z^m; x and y of H_n) have cells of side r =
+    `radius`. For H_n the metric is left-invariant: the t part of c^-1 p is
+    tau = dt - <c_x, dy>, so the t axis is keyed on the sheared coordinate
+    s = t - <X, y>, where X is the centre of the point's x-cell (its
+    column: X_i = (k_i + 1/2) r for the x keys k_i), in cells of side
+    (1 + 3n/2) r^2. A query c in the x-cells k looks up the columns j with
+    each j_i in k_i-1..k_i+1, each at its own key, the floor of
+    (t_c - <X_j, y_c>) / ((1 + 3n/2) r^2). If gauge(c^-1 p) <= r, then p lies
+    in one of those columns, j say, and since |c_x,i - X_j,i| <= 3r/2 and
+    |dy_i| <= r,
+
+        |s_p - (t_c - <X_j, y_c>)| = |tau + <c_x - X_j, dy>|
+                                   <= r^2 + (3/2) n r^2,
+
+    which is the t cell side, so the keys of p and of the query differ by at
+    most one on every axis: the 3^dim cells around the query hold every
+    such p. The bound does not depend on the region. Every key is an exact
+    floor in Q(sqrt(d)). The keys are packed into one integer code with the
+    last axis (t for H_n) in the lowest place, and the points are sorted by
+    code, so the three cells around a key on that axis are one
+    searchsorted range.
     """
 
     def __init__(self, ms: ModelSet, radius: Fraction) -> None:
@@ -133,28 +163,51 @@ class NeighborIndex:
         self.ms = ms
         self.radius = radius
         kind = ms.scheme.kind
+        lat = ms.lattice
+        self._head = lat.head_len
         if kind.family is Family.EUCLIDEAN:
-            self.cell_sizes = (radius,) * kind.rank
+            self._t_size = None
         else:
-            self.cell_sizes = (radius,) * (2 * kind.rank) + (
-                _t_margin(radius, _region_xspan(ms)),)
-        self._cells = ms.lattice.cell_codes(self.cell_sizes)
+            n = kind.rank
+            self._t_size = (1 + Fraction(3 * n, 2)) * radius * radius
+            # the x-cell offsets of the columns a query looks up
+            self._columns = np.array(
+                list(itertools.product((-1, 0, 1), repeat=n)))
+        keys = self._keys(lat.numerators(), lat.e, own=True)
+        self._cells = CellCodes(keys)
         codes = self._cells.codes
         self._order = np.argsort(codes, kind="stable")
         self._sorted = codes[self._order]
 
-    def _key(self, coords) -> tuple:
-        return tuple(
-            floor_div(c, size) for c, size in zip(coords, self.cell_sizes)
-        )
+    def _keys(self, coords: Quad, den: int, own: bool) -> list:
+        """Cell keys of the points with numerators coords over den: one
+        array per head axis, then for H_n the sheared t keys in the
+        points' own columns (own) or, one column per x-cell offset in
+        `itertools.product` order, in the columns a query looks up."""
+        head = [cell_floor(coords[:, k], den, self.radius)
+                for k in range(self._head)]
+        if self._t_size is None:
+            return head
+        n = self._head // 2
+        offsets = np.zeros((1, n), dtype=np.int64) if own else self._columns
+        cols = (np.stack(head[:n], axis=1)[:, None, :] + offsets)
+        at = np.repeat(np.arange(len(cols)), len(offsets))
+        t = sheared_cell_floor(coords[at, n:2 * n], coords[at, 2 * n], den,
+                               cols.reshape(-1, n), self.radius, self._t_size)
+        t = t.reshape(len(cols), len(offsets))
+        return head + [t[:, 0] if own else t]
 
     def candidates(self, coords) -> Iterable[int]:
-        """Indices in the 3^dim cell neighborhood; superset of all points
-        within symmetric distance `radius`."""
-        for code in self._cells.neighbor_codes(self._key(coords)):
-            lo = np.searchsorted(self._sorted, code, side="left")
-            hi = np.searchsorted(self._sorted, code, side="right")
-            yield from self._order[lo:hi].tolist()
+        """Indices in the 3^dim cell neighborhood of the point with exact
+        coordinates coords; a superset of the points p with
+        gauge(coords^-1 p) <= `radius`."""
+        rows, den = numerator_rows([coords])
+        c = len(coords)
+        u = np.array([rows[0][:c]], dtype=object)
+        w = np.array([rows[0][c:]], dtype=object)
+        for _, j in self.pairs_near(np.zeros(1, dtype=np.intp),
+                                    Quad(u, w, self.ms.lattice.d), den):
+            yield from j.tolist()
 
     def pairs(self, centers: Sequence[int] | None = None) -> Iterator[tuple]:
         """Index arrays (i, j): i over centers (default: every point), j
@@ -165,24 +218,24 @@ class NeighborIndex:
             queries = np.arange(len(self._sorted))
         else:
             queries = np.asarray(centers, dtype=np.intp)
-        return self.pairs_near(queries,
-                               [k[queries] for k in self._cells.keys])
+        lat = self.ms.lattice
+        return self.pairs_near(queries, lat.numerators(queries), lat.e)
 
-    def pairs_near(self, queries: np.ndarray,
-                   keys: Sequence[np.ndarray]) -> Iterator[tuple]:
+    def pairs_near(self, queries: np.ndarray, coords: Quad,
+                   den: int) -> Iterator[tuple]:
         """Index arrays (i, j): i over queries, j over the points in the
-        3^dim cells around the cell key of i (keys[k][n] on axis k for
-        queries[n]; a key may lie outside the points' range). Chunked as
-        `pairs`."""
+        3^dim cells around the query point with numerators coords[n] over
+        den, for queries[n] (a query may lie anywhere, inside the points'
+        key range or not). Chunked as `pairs`."""
+        keys = self._keys(coords, den, own=False)
         chunk = PAIR_CHUNK
         block = max(1, chunk // 3 ** len(keys))
         for start in range(0, len(queries), block):
             q = queries[start:start + block]
-            targets = self._cells.neighbors(
+            first, last = self._cells.neighbors(
                 [k[start:start + block] for k in keys])
-            lo = np.searchsorted(self._sorted, targets, side="left")
-            counts = np.searchsorted(self._sorted, targets,
-                                     side="right") - lo
+            lo = np.searchsorted(self._sorted, first, side="left")
+            counts = np.searchsorted(self._sorted, last, side="right") - lo
             ends = np.cumsum(counts.sum(axis=1))
             a = 0
             while a < len(q):
@@ -312,11 +365,15 @@ def covering_radius_estimate(
     region. A grid point whose float minimum over its candidates is <= r is
     settled: the nearest point p* of the full scan has float gauge <= r, so
     its exact gauge is <= r + delta, so p* is a candidate and both minima
-    are the same float. The others go to the next round. Once r + delta
-    reaches the region span, every cell is wider than the region on every
-    axis, so every point is a candidate and that round settles everything
-    left. The float gauge takes the same operations as the full scan, so
-    the estimate equals it bit for bit.
+    are the same float. The others go to the next round; a grid point
+    whose p* has float gauge D is settled by the first round with r >= D at
+    the latest. The candidates come from the query keys of the grid point
+    itself: exact floors of its coordinates, held as integer numerators
+    over one common denominator; for H_n the t key depends on the grid
+    point's y and on the column looked up, and the sheared cells of
+    `NeighborIndex` keep every point within r + delta among the candidates
+    wherever the region lies. The float gauge takes the same operations as
+    the full scan, so the estimate equals it bit for bit.
 
     Raises BudgetExceededError before any work when the grid has more
     points than `errors.element_budget()`.
@@ -350,10 +407,12 @@ def covering_radius_estimate(
     axes = [[a + k * grid_step for k in range(count)]
             for a, count in zip(starts, shape)]
     grid_axes = [np.array([float(v) for v in axis]) for axis in axes]
+    # exact grid coordinates: integer numerators over one denominator
+    rows, den = numerator_rows(axes)
+    num_axes = [_int_array(row[:len(axis)]) for row, axis in zip(rows, axes)]
     pts = ms.lattice.float_coords()
     delta = _float_gauge_error(kind, _float_magnitude(ms))
-    span = _region_span(ms)
-    rounds = []  # per doubling radius: its index, and the axis cell keys
+    indexes = []  # per doubling radius
     worst = 0.0
     block = max(1, PAIR_CHUNK // 3 ** len(shape))
     for start in range(0, total, block):
@@ -361,29 +420,33 @@ def covering_radius_estimate(
         r = grid_step
         k = 0
         while todo.size:
-            if k == len(rounds):
-                index = NeighborIndex(ms, r + delta)
-                rounds.append((index, [
-                    np.array([floor_div(v, size) for v in axis])
-                    for axis, size in zip(axes, index.cell_sizes)]))
-            index, axis_keys = rounds[k]
+            if k == len(indexes):
+                indexes.append(NeighborIndex(ms, r + delta))
             at = np.unravel_index(todo, shape)
             grid = np.stack([g[a] for g, a in zip(grid_axes, at)], axis=1)
-            keys = [c[a] for c, a in zip(axis_keys, at)]
+            u = np.stack([g[a] for g, a in zip(num_axes, at)], axis=1)
+            exact = Quad(u, np.zeros_like(u), ms.lattice.d)
             nearest = np.full(len(todo), np.inf)
-            for i, j in index.pairs_near(np.arange(len(todo)), keys):
-                np.minimum.at(nearest, i,
-                              _float_sym_gauge(kind, grid[i], pts[j]))
-            if r + delta >= span:
-                settled = np.ones(len(todo), dtype=bool)
-            else:
-                settled = nearest <= _float_at_most(r)
+            for i, j in indexes[k].pairs_near(np.arange(len(todo)), exact,
+                                              den):
+                # take gathers rows several times faster than grid[i]
+                gauge = _float_sym_gauge(kind, grid.take(i, axis=0),
+                                         pts.take(j, axis=0))
+                np.minimum.at(nearest, i, gauge)
+            settled = nearest <= _float_at_most(r)
             if settled.any():
                 worst = max(worst, float(nearest[settled].max()))
             todo = todo[~settled]
             r *= 2
             k += 1
     return worst
+
+
+def _int_array(values: Sequence[int]) -> np.ndarray:
+    """Python ints as an int64 array, or an object array when one of them
+    reaches LIMIT."""
+    big = max(map(abs, values), default=0) >= LIMIT
+    return np.array(values, dtype=object if big else np.int64)
 
 
 def _float_at_most(r: Fraction) -> float:

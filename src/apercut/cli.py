@@ -8,16 +8,17 @@ output bytes; the current implementation runs single-threaded regardless of
 --threads, which satisfies the determinism contract trivially.
 
 Start-up: each command imports only the modules it runs. `import apercut.cli`
-loads `errors`, `quadratic`, `heisenberg` and `serialize`. On top of those,
-`generate` and `check-window` load `cutproject`, `bounds` loads `bounds`
-and `cutproject`, `analyze` loads `analysis`, `lattice`, `cutproject` and
-numpy, and `growth` and `cover` load `growth` and numpy but no model-set
-module. While a command runs, `main` sets OPENBLAS_NUM_THREADS=1 unless the
-environment sets it or numpy is already loaded, so no command starts BLAS
-threads: the only BLAS call is the `np.polyfit` of
-`growth.fit_growth_exponent`, one point per radius, and numpy imports in
-about half the time without the thread pool. `main` removes the variable
-again when it returns.
+loads `errors`, `heisenberg` and `serialize`. On top of those, `generate`
+and `check-window` load `cutproject` and `quadratic`, `bounds` loads
+`bounds`, `cutproject` and `quadratic`, `analyze` loads `analysis`,
+`lattice`, `cutproject`, `quadratic` and numpy, and `growth` and `cover`
+load `growth` and numpy but no model-set module and no `quadratic`: word
+balls are integer tuples. While a command runs, `main` sets
+OPENBLAS_NUM_THREADS=1 unless the environment sets it or numpy is already
+loaded, so no command starts BLAS threads: the only BLAS call is the
+`np.polyfit` of `growth.fit_growth_exponent`, one point per radius, and
+numpy imports in about half the time without the thread pool. `main`
+removes the variable again when it returns.
 
 Exit codes: 0 ok, 2 usage or invalid input, 3 window-regularity rejection,
 4 erosion/core failures, 5 provenance mismatch, 6 element budget exceeded.

@@ -18,13 +18,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Sequence, Tuple, Union
 
 from .errors import KindMismatchError
-from .quadratic import QuadNum
 
-Scalar = Union[int, Fraction, QuadNum, float]
-Coords = Tuple[Scalar, ...]
+if TYPE_CHECKING:
+    from .quadratic import QuadNum
+
+    Scalar = Union[int, Fraction, QuadNum, float]
+    Coords = Tuple[Scalar, ...]
 
 
 class Family(Enum):
@@ -243,6 +245,9 @@ def sym_dist_sq(p: GroupPoint, q: GroupPoint) -> Scalar:
 
 
 def _sign(v: Scalar) -> int:
+    # imported here, so that word growth, on integers, never loads it
+    from .quadratic import QuadNum
+
     if isinstance(v, QuadNum):
         return v.sign()
     return (v > 0) - (v < 0)

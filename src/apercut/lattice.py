@@ -20,13 +20,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import LIMIT
-from .heisenberg import Coords, Family, GroupKind
+from .heisenberg import Family, GroupKind
 from .quadratic import QuadNum
+
+if TYPE_CHECKING:
+    from .heisenberg import Coords
 
 
 def _absmax(*arrays) -> int:
@@ -78,8 +81,15 @@ class Quad:
         return Quad(a.u * b.u + a.w * b.w * self.d,
                     a.u * b.w + a.w * b.u, self.d, bound)
 
-    def scale(self, k: int) -> "Quad":
-        bound = max(self.bound, 1) * abs(k)
+    def scale(self, k) -> "Quad":
+        """self * k for an integer k, or an integer array that broadcasts
+        against self."""
+        if isinstance(k, np.ndarray):
+            bound = max(self.bound, 1) * _absmax(k)
+            if bound >= LIMIT:
+                k = _as_object(k)
+        else:
+            bound = max(self.bound, 1) * abs(k)
         a = self._wide(bound)
         return Quad(a.u * k, a.w * k, self.d, bound)
 
@@ -166,7 +176,7 @@ class Elems:
 
 def _floor_sqrt_d(w: np.ndarray, bound: int, d: int) -> np.ndarray:
     """floor(w * sqrt(d)) for an integer array w with |w| <= bound."""
-    if bound * bound * d >= LIMIT:
+    if bound * bound * d >= LIMIT and _absmax(w) ** 2 * d >= LIMIT:
         w = _as_object(w)
     sq = w * w * d
     if sq.dtype == object:
@@ -323,31 +333,47 @@ class Lattice:
             for row in rows
         ]
 
+    def numerators(self, idx=slice(None)) -> Quad:
+        """Numerators (over e) of every coordinate of the points idx, shape
+        (P, coord_count)."""
+        c = self.kind.coord_count
+        return Quad(self.rows[idx, :c], self.rows[idx, c:], self.d,
+                    self.bound)
+
     def float_coords(self) -> np.ndarray:
         """Float coordinates, shape (N, coord_count), each equal to float()
         of its exact value: float(QuadNum) computes (p + q*sqrt(d))/den,
         and when e is the least common denominator of ring elements, e/den
         is 1 or 2, so scaling p, q and den by it changes no rounding."""
-        c = self.kind.coord_count
-        return Quad(self.rows[:, :c], self.rows[:, c:], self.d,
-                    self.bound).to_float() / self.e
+        return self.numerators().to_float() / self.e
 
-    def floor_div(self, k: int, size: Fraction) -> np.ndarray:
-        """floor(coordinate k / size) for every point, exactly."""
-        sn, sd = size.numerator, size.denominator
-        num = self.coord(k).scale(sd)
-        divisor = self.e * sn
-        # floor((u + w*sqrt(d)) / m) = floor((u + floor(w*sqrt(d))) / m)
-        floor_w = _floor_sqrt_d(num.w, num.bound, self.d)
-        total = num.u + floor_w
-        if divisor >= LIMIT:
-            total = _as_object(total)
-        return total // divisor
 
-    def cell_codes(self, sizes: Sequence[Fraction]) -> "CellCodes":
-        """The cells of side sizes[k] along coordinate k holding each point."""
-        return CellCodes([self.floor_div(k, size)
-                          for k, size in enumerate(sizes)])
+def cell_floor(num: Quad, den: int, size: Fraction) -> np.ndarray:
+    """floor(num / (den * size)), exactly, for numerators num over an
+    integer den > 0 and a rational size > 0."""
+    num = num.scale(size.denominator)
+    divisor = den * size.numerator
+    # floor((u + w*sqrt(d)) / m) = floor((u + floor(w*sqrt(d))) / m)
+    floor_w = _floor_sqrt_d(num.w, num.bound, num.d)
+    total = num.u + floor_w
+    if divisor >= LIMIT:
+        total = _as_object(total)
+    return total // divisor
+
+
+def sheared_cell_floor(y: Quad, t: Quad, den: int, cols: np.ndarray,
+                       width: Fraction, size: Fraction) -> np.ndarray:
+    """floor((t - sum_i (cols_i + 1/2) * width * y_i) / size), exactly: the
+    sheared t cell keys, in cells of side size, of H_n points with y
+    numerators y (shape (P, n)) and t numerators t (shape (P,)) over den,
+    placed in the x-columns with integer keys cols (shape (P, n)) of side
+    width, whose centres are (cols_i + 1/2) * width."""
+    a, b = width.numerator, width.denominator
+    if (2 * _absmax(cols) + 1) * a >= LIMIT:
+        cols = _as_object(cols)
+    # numerators over 2*b*den; the reduced size keeps them short
+    s = t.scale(2 * b) - y.scale((2 * cols + 1) * a).sum(axis=1)
+    return cell_floor(s, 1, 2 * b * den * size)
 
 
 class CellCodes:
@@ -375,31 +401,40 @@ class CellCodes:
             codes += (k - lo).astype(dtype) * st
         self.codes = codes
 
-    def neighbors(self, keys: Sequence[np.ndarray]) -> np.ndarray:
-        """Codes of the 3^dim cells around each cell key (keys[k][i] on axis
-        k), shape (Q, 3^dim) with the offsets in `itertools.product` order of
-        (-1, 0, 1); -1 for the cells outside the key range of the points
-        (they are empty), which are skipped rather than packed."""
+    def neighbors(self, keys: Sequence[np.ndarray]) -> tuple:
+        """The 3^dim cells around each of Q queries, as code runs: arrays
+        first and last of shape (Q, 3^(dim-1)), one run per combination of
+        offsets (-1, 0, 1) on the axes but the last, in `itertools.product`
+        order. The last axis has stride 1, so the three cells around a key
+        on it have consecutive codes; the run first..last holds those of
+        them inside the key range of the points, and first > last when none
+        is (cells outside the range are empty, and are skipped rather than
+        packed).
+
+        keys[k] holds the queries' keys on axis k: shape (Q,), or (Q, 3^j)
+        for some j < dim when the key on axis k depends on the offsets on
+        axes 0..j-1 (one column per combination of them, in the same
+        order)."""
         n, dtype = len(keys[0]), self.codes.dtype
         codes = np.zeros((n, 1), dtype=dtype)
         inside = np.ones((n, 1), dtype=bool)
         steps = np.array([-1, 0, 1], dtype=dtype)
-        for k, lo, radix, st in zip(keys, self._lo, self._radices,
-                                    self._strides):
+        for axis, (k, lo, radix, st) in enumerate(zip(
+                keys, self._lo, self._radices, self._strides)):
             # keys beyond the range by more than one have no cell inside
             near = np.minimum(np.maximum(np.asarray(k) - lo, -1), radix)
-            shifted = near.astype(dtype)[:, None] + steps
+            near = near.astype(dtype).reshape(n, -1, 1)
+            # (query, leading offsets, other earlier offsets)
+            split = (n, near.shape[1], -1)
+            codes, inside = codes.reshape(split), inside.reshape(split)
+            if axis == len(keys) - 1:
+                break
+            shifted = near[..., None] + steps
             ok = (shifted >= 1) & (shifted <= radix - 2)
-            width = 3 * codes.shape[1]
-            codes = (codes[:, :, None] + (shifted * ok * st)[:, None, :]
-                     ).reshape(n, width)
-            inside = (inside[:, :, None] & ok[:, None, :]).reshape(n, width)
-        codes[~inside] = -1
-        return codes
-
-    def neighbor_codes(self, key: Sequence[int]) -> Iterator[int]:
-        """Codes of the 3^dim cells around the cell key, skipping those
-        outside the key range of the points (they are empty)."""
-        row = self.neighbors([np.array([k]) for k in key])
-        return (int(c) for c in row[0].tolist() if c >= 0)
-
+            codes = (codes[..., None] + shifted * ok * st).reshape(n, -1)
+            inside = (inside[..., None] & ok).reshape(n, -1)
+        first = codes + np.maximum(near - 1, 1)
+        last = codes + np.minimum(near + 1, radix - 2)
+        inside &= first <= last
+        return (np.where(inside, first, 0).reshape(n, -1),
+                np.where(inside, last, -1).reshape(n, -1))

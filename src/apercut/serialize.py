@@ -19,15 +19,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import ProvenanceError
 from .heisenberg import Family, GroupKind
-from .quadratic import (
-    QuadNum,
-    RingSpec,
-    RingVariant,
-    common_denominator,
-    deserialize_quadnum,
-    numerators,
-    serialize_quadnum,
-)
 
 if TYPE_CHECKING:
     from .analysis import (
@@ -168,6 +159,8 @@ def _box_from(rows: Sequence) -> Box:
 def _exact_payload(x):
     """Exact scalar to JSON: QuadNum as 4-tuple plus d, rationals as one
     string. Floats are rejected; they go in separate, clearly float fields."""
+    from .quadratic import QuadNum, serialize_quadnum
+
     if isinstance(x, QuadNum):
         return {"parts": serialize_quadnum(x), "d": x.d}
     if isinstance(x, (int, Fraction)):
@@ -182,6 +175,8 @@ def _float_or_none(x) -> float | None:
 
 
 def _coords_payload(coords) -> list:
+    from .quadratic import serialize_quadnum
+
     return [serialize_quadnum(c) for c in coords]
 
 
@@ -202,6 +197,7 @@ def _scheme_payload(scheme: Scheme) -> dict:
 
 def _scheme_from(obj: dict) -> Scheme:
     from .cutproject import Scheme
+    from .quadratic import RingSpec, RingVariant
 
     family = obj["kind"]
     if family == "euclidean":
@@ -236,6 +232,12 @@ def _points_payload(ms: ModelSet) -> list:
 def _rows_from(points: list, scheme: Scheme) -> tuple[tuple, int]:
     """Numerator rows over their common denominator e, and e, from the
     payload's points; each distinct coordinate is parsed once."""
+    from .quadratic import (
+        common_denominator,
+        deserialize_quadnum,
+        numerators,
+    )
+
     kind, d = scheme.kind, scheme.d
     c = kind.coord_count
     for row in points:

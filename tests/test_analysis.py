@@ -41,7 +41,7 @@ from apercut.heisenberg import (
     sym_dist_leq,
     sym_dist_sq,
 )
-from apercut.quadratic import QuadNum, RingSpec, RingVariant
+from apercut.quadratic import QuadNum, RingSpec, RingVariant, floor_div
 
 E1 = GroupKind.euclidean(1)
 E2 = GroupKind.euclidean(2)
@@ -183,15 +183,73 @@ def test_interior_euclidean_simple():
 # neighbor index
 # ---------------------------------------------------------------------------
 
-def test_index_candidates_complete():
-    ms = h1_sample(3)
-    radius = Fraction(3, 2)
+def off_origin_h1():
+    # x and y in [20, 32]: the x-column offsets c_x - X_j reach 3r/2 here
+    # as anywhere, but an index sized by the region's x-span would need t
+    # cells of r^2 + 32r
+    return generate_model_set(SCHEME_H1, Box.cube(H1, Fraction(9, 10)),
+                              Box(((20, 32), (20, 32), (-24, 24))))
+
+
+def h1_on_cell_edges():
+    """Integer x and y, t in halves: many points lie exactly on a sheared
+    t cell boundary, and many pairs exactly at gauge 1 or 5/2."""
+    triples = itertools.product(range(-2, 3), range(-2, 3),
+                                [Fraction(k, 2) for k in range(-12, 13)])
+    points = tuple(GroupPoint(H1, tuple(QuadNum(v, 0, 2) for v in p))
+                   for p in triples)
+    region = Box(((-2, 2), (-2, 2), (-6, 6)))
+    return ModelSet.from_points(SCHEME_H1, region, region, points, points)
+
+
+def on_sheared_edge(ms, radius):
+    """How many points have t - (k + 1/2) * radius * y, for their x-cell
+    key k, an exact multiple of the t cell side (1 + 3/2) * radius^2."""
+    size = Fraction(5, 2) * radius * radius
+    count = 0
+    for x, y, t in (p.coords for p in ms.points):
+        k = floor_div(x, radius)
+        s = t - y * ((k + Fraction(1, 2)) * radius)
+        count += floor_div(s, size) * size == s
+    return count
+
+
+def left_neighbours(ms, radius):
+    """Every (i, j) with gauge(p_i^-1 p_j) <= radius, by the exact kernel
+    over all pairs."""
+    lat = ms.lattice
+    n = len(lat)
+    found = set()
+    for a in range(0, n, 128):
+        i, j = np.divmod(np.arange(a * n, min(a + 128, n) * n), n)
+        near = lat.gauge_leq(lat.left_diff(i, j), radius)
+        found.update(zip(i[near].tolist(), j[near].tolist()))
+    return found
+
+
+INDEX_SAMPLES = {
+    "h1": lambda: h1_sample(3),
+    "h1-off-origin": off_origin_h1,
+    "h2": lambda: generate_model_set(Scheme(H2, RingSpec(2)),
+                                     Box.cube(H2, Fraction(9, 10)),
+                                     Box.gauge_box(H2, 3)),
+    "h1-edges": h1_on_cell_edges,
+}
+
+
+@pytest.mark.parametrize("radius", [Fraction(1, 8), Fraction(1),
+                                    Fraction(5, 2)], ids=["1/8", "1", "5/2"])
+@pytest.mark.parametrize("name", list(INDEX_SAMPLES))
+def test_index_candidates_complete(name, radius):
+    ms = INDEX_SAMPLES[name]()
+    if name == "h1-edges":
+        assert on_sheared_edge(ms, radius) > 0
     index = NeighborIndex(ms, radius)
-    for i, p in enumerate(ms.points):
-        cands = set(index.candidates(p.coords))
-        for j, q in enumerate(ms.points):
-            if sym_dist_leq(p, q, radius):
-                assert j in cands, (i, j)
+    got = {(i, j) for i, p in enumerate(ms.points)
+           for j in index.candidates(p.coords)}
+    expected = left_neighbours(ms, radius)
+    assert len(expected) > len(ms) or radius < 1
+    assert expected <= got
 
 
 def test_index_pairs_match_candidates_in_any_chunking(monkeypatch):
@@ -372,18 +430,46 @@ def covering_samples():
                             Box(((-4, 4), (-4, 4), (-10, 10)))),
          Fraction(1, 2), Fraction(1)),
         (sparse_e2(), Fraction(1), Fraction(0)),
+        (off_origin_h1(), Fraction(1, 2), Fraction(1, 2)),
     ]
 
 
 @pytest.mark.parametrize(
     "ms,step,erosion", covering_samples(),
-    ids=["e1", "e2", "h1", "h2", "h1-full5", "e2-sparse"])
+    ids=["e1", "e2", "h1", "h2", "h1-full5", "e2-sparse", "h1-off-origin"])
 def test_covering_radius_equals_dense_scan(ms, step, erosion, monkeypatch):
     expected = _dense_covering(ms, step, erosion)
     assert covering_radius_estimate(ms, step, erosion) == expected
     # small chunks split the grid blocks and the pairs of one round
     monkeypatch.setattr(analysis, "PAIR_CHUNK", 200)
     assert covering_radius_estimate(ms, step, erosion) == expected
+
+
+def test_index_work_stays_below_region_sized_cells(monkeypatch):
+    # the benchmark's H1 sample; with t cells sized r^2 + r*X by the
+    # region's x-span X = 5, the index yielded 49,857 pairs to
+    # `separation`, 33,605 to `complexity_table([1, 2])` and 510,212 to
+    # `covering_radius_estimate(1/2, 1)`
+    ms = generate_model_set(SCHEME_H1, Box.cube(H1, Fraction(9, 10)),
+                            Box(((-5, 5), (-5, 5), (-14, 14))))
+    assert len(ms) == 833
+    pairs_near = NeighborIndex.pairs_near
+    yielded = [0]
+
+    def counted(self, *args):
+        for i, j in pairs_near(self, *args):
+            yielded[0] += len(i)
+            yield i, j
+
+    monkeypatch.setattr(NeighborIndex, "pairs_near", counted)
+    for run, region_sized in [
+        (lambda: separation(ms), 49_857),
+        (lambda: complexity_table(ms, [1, 2]), 33_605),
+        (lambda: covering_radius_estimate(ms, Fraction(1, 2), 1), 510_212),
+    ]:
+        yielded[0] = 0
+        run()
+        assert 0 < yielded[0] <= 0.65 * region_sized
 
 
 def test_covering_sparse_grid_leaves_point_key_range():

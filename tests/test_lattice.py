@@ -21,7 +21,14 @@ from apercut.heisenberg import (
     sym_dist_leq,
     sym_dist_sq,
 )
-from apercut.lattice import LIMIT, CellCodes, Lattice, Quad
+from apercut.lattice import (
+    LIMIT,
+    CellCodes,
+    Lattice,
+    Quad,
+    cell_floor,
+    sheared_cell_floor,
+)
 from apercut.quadratic import (
     QuadNum,
     RingSpec,
@@ -170,8 +177,32 @@ def test_cell_keys_match_floor_div(sample, size):
     kind, d, points = sample
     lat = Lattice(kind, d, *numerator_rows(points))
     for k in range(kind.coord_count):
-        got = lat.floor_div(k, size).tolist()
+        got = cell_floor(lat.coord(k), lat.e, size).tolist()
         assert got == [floor_div(p[k], size) for p in points]
+
+
+@SETTINGS
+@given(samples().filter(lambda s: s[0].family.value == "heisenberg"),
+       st.sampled_from([Fraction(1, 8), Fraction(1), Fraction(5, 2),
+                        Fraction(2 ** 30 + 1, 3)]),
+       st.sampled_from([Fraction(1, 3), Fraction(5, 2), Fraction(2 ** 40)]),
+       st.integers(-1, 1))
+def test_sheared_keys_match_quadnum(sample, width, size, offset):
+    kind, d, points = sample
+    n = kind.rank
+    lat = Lattice(kind, d, *numerator_rows(points))
+    coords = lat.numerators()
+    cols = np.stack([cell_floor(coords[:, k], lat.e, width) + offset
+                     for k in range(n)], axis=1)
+    got = sheared_cell_floor(coords[:, n:2 * n], coords[:, 2 * n], lat.e,
+                             cols, width, size).tolist()
+    expected = []
+    for p, col in zip(points, cols.tolist()):
+        s = p[2 * n]
+        for i in range(n):
+            s = s - p[n + i] * ((col[i] + Fraction(1, 2)) * width)
+        expected.append(floor_div(s, size))
+    assert got == expected
 
 
 @SETTINGS
@@ -188,19 +219,71 @@ def test_cell_codes_pack_keys_and_neighbors(near, far, outside):
     assert len(set(code_of.values())) == len(code_of)
     lo = [min(axis) for axis in zip(*cell_keys)]
     hi = [max(axis) for axis in zip(*cell_keys)]
-    offsets = list(itertools.product((-1, 0, 1), repeat=3))
     # the points' own keys, and keys at and beyond the edge of their range
     asked = list(code_of) + outside + [(far + 2, 0, -far - 5)]
-    rows = cells.neighbors([np.array(axis) for axis in zip(*asked)])
-    packed = {}
-    for key, row in zip(asked, rows.tolist()):
-        for offset, code in zip(offsets, row):
-            cell = tuple(k + o for k, o in zip(key, offset))
-            if all(a <= c <= b for a, c, b in zip(lo, cell, hi)):
-                assert packed.setdefault(cell, code) == code
-                if cell in code_of:
-                    assert code_of[cell] == code
-            else:
-                assert code == -1  # skipped, never packed onto another cell
-        assert list(cells.neighbor_codes(key)) == [c for c in row if c >= 0]
+    first, last = cells.neighbors([np.array(axis) for axis in zip(*asked)])
+    found = cells_in_runs(first, last, [key[:2] for key in asked],
+                          lambda q, offsets: asked[q][2], lo, hi)
+    check_codes(found, code_of)
+    for n, key in enumerate(asked):
+        # one query alone gets the runs it gets among the others
+        alone = cells.neighbors([np.array([k]) for k in key])
+        assert [a.tolist() for a in alone] == [[first[n].tolist()],
+                                               [last[n].tolist()]]
+
+
+@SETTINGS
+@given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1,
+                max_size=30),
+       st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5),
+                          st.tuples(*[st.integers(-5, 5)] * 3)),
+                min_size=1, max_size=10))
+def test_cell_codes_keys_per_leading_offset(points, asked):
+    # the key on the last axis depends on the offset on the first one, as
+    # the sheared t key of a Heisenberg query depends on its x column
+    cells = CellCodes([np.array(axis) for axis in zip(*points)])
+    code_of = dict(zip(points, cells.codes.tolist()))
+    lo = [min(axis) for axis in zip(*points)]
+    hi = [max(axis) for axis in zip(*points)]
+    first, last = cells.neighbors([np.array([a for a, _, _ in asked]),
+                                   np.array([b for _, b, _ in asked]),
+                                   np.array([list(t) for _, _, t in asked])])
+    found = cells_in_runs(first, last, [(a, b) for a, b, _ in asked],
+                          lambda q, offsets: asked[q][2][offsets[0] + 1],
+                          lo, hi)
+    check_codes(found, code_of)
+
+
+def cells_in_runs(first, last, lead, last_key, lo, hi):
+    """The cells, with their codes, that the runs of `CellCodes.neighbors`
+    hold: one dict per query. lead[q] is the key of query q on the axes but
+    the last, and last_key(q, offsets) its key on the last axis in the
+    cells at those offsets. Checks that each run holds exactly the three
+    cells around that key that lie in the points' key range [lo, hi]."""
+    found = []
+    for q, (row_first, row_last) in enumerate(zip(first.tolist(),
+                                                  last.tolist())):
+        cells = {}
+        offsets = itertools.product((-1, 0, 1), repeat=len(lead[q]))
+        for offs, a, b in zip(offsets, row_first, row_last):
+            head = tuple(k + o for k, o in zip(lead[q], offs))
+            t = last_key(q, offs)
+            inside = [head + (t + o,) for o in (-1, 0, 1)
+                      if all(x <= c <= y
+                             for x, c, y in zip(lo, head + (t + o,), hi))]
+            codes = list(range(a, b + 1))
+            # cells outside the range are skipped, never packed
+            assert len(codes) == len(inside)
+            cells.update(zip(inside, codes))
+        found.append(cells)
+    return found
+
+
+def check_codes(found, code_of):
+    """Every cell gets one code, the code of its points if it has any, and
+    distinct cells get distinct codes."""
+    packed = dict(code_of)
+    for cells in found:
+        for cell, code in cells.items():
+            assert packed.setdefault(cell, code) == code
     assert len(set(packed.values())) == len(packed)

@@ -3,8 +3,9 @@ starts, checked in fresh interpreters.
 
 `generate`, `check-window` and `bounds` never call numpy, so neither
 `import apercut`, `import apercut.cli` nor those commands may import it;
-`analyze`, `growth` and `cover` load it when they start. `growth` and
-`cover` load no model-set module either, and no command starts BLAS threads.
+`analyze`, `growth` and `cover` load it when they start. Neither
+`import apercut.cli` nor `growth` and `cover` load a model-set module or
+`quadratic`, and no command starts BLAS threads.
 """
 
 import os
@@ -62,7 +63,9 @@ def test_import_does_not_load_numpy(statement, tmp_path):
     assert proc.stdout == "False\n"
 
 
-MODEL_SET_MODULES = {"apercut.cutproject", "apercut.bounds"}
+# quadratic costs several ms of start-up and only model sets use it
+MODEL_SET_MODULES = {"apercut.cutproject", "apercut.bounds",
+                     "apercut.quadratic"}
 
 
 def test_import_cli_loads_no_model_set_module(tmp_path):
