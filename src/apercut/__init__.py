@@ -24,10 +24,7 @@ _LAZY = {
         "QuadNum",
         "RingSpec",
         "RingVariant",
-        "conjugate",
         "enumerate_ring_in_rectangle",
-        "exact_sign",
-        "in_ring",
     ),
     "heisenberg": (
         "Family",

@@ -272,15 +272,17 @@ class SeparationResult:
         return self.separation > 0
 
 
-def separation(ms: ModelSet, bisection_steps: int = 40) -> SeparationResult:
+def separation(ms: ModelSet) -> SeparationResult:
     """Minimum symmetric gauge distance over all point pairs.
 
     The search radius starts at `_initial_radius` and doubles until some
     pair lies within it; every index candidate pair is tested exactly at
-    that radius. The squared distances of the pairs within it are compared
-    exactly, and the certificate is the lexicographically smallest pair
-    (i, j), i < j, at the minimum. A rational bisection on that exact
-    square then brackets the minimum inside [0, radius], so
+    that radius. The doubling ends on any region: two distinct points have
+    a finite gauge g, and the index yields their pair once the radius
+    reaches g. The squared distances of the pairs within the radius are
+    compared exactly, and the certificate is the lexicographically smallest
+    pair (i, j), i < j, at the minimum. A 40-step rational bisection on that
+    exact square then brackets the minimum inside [0, radius], so
     bracket[1] never exceeds the first doubling radius that holds a pair.
     """
     if len(ms) < 2:
@@ -299,8 +301,6 @@ def separation(ms: ModelSet, bisection_steps: int = 40) -> SeparationResult:
         if found:
             break
         radius *= 2
-        if radius > _region_span(ms):
-            raise AssertionError("distinct points but no pair found")
 
     i = np.concatenate([f[0] for f in found])
     j = np.concatenate([f[1] for f in found])
@@ -322,7 +322,7 @@ def separation(ms: ModelSet, bisection_steps: int = 40) -> SeparationResult:
 
     # the symmetric gauge is at most mid iff its square is at most mid^2
     lo, hi = Fraction(0), radius
-    for _ in range(bisection_steps):
+    for _ in range(40):
         mid = (lo + hi) / 2
         if best_sq <= mid * mid:
             hi = mid
@@ -334,10 +334,6 @@ def separation(ms: ModelSet, bisection_steps: int = 40) -> SeparationResult:
         certificate=best_pair,
         bracket=(lo, hi),
     )
-
-
-def _region_span(ms: ModelSet) -> Fraction:
-    return max(hi - lo for lo, hi in ms.region.intervals) + 1
 
 
 def _initial_radius(ms: ModelSet) -> Fraction:

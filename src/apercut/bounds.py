@@ -65,7 +65,7 @@ def nuclear_dim_bound(d_g: int, dim_x: int) -> int:
 def hull_dim_bound(kind: GroupKind) -> int:
     """Upper bound for the dimension of the orbit-closure space: dim of the
     group itself (m in the Euclidean case, 2n+1 in the Heisenberg case)."""
-    return kind.dim
+    return kind.coord_count
 
 
 class Evidence(enum.Enum):
@@ -90,7 +90,6 @@ class ClassifiabilityChecklist:
     nuclear_dim: int
     sample_size: int
     model_set_hash: str | None
-    verdict: str
 
     @property
     def failed_hypotheses(self) -> Tuple[str, ...]:
@@ -105,6 +104,16 @@ class ClassifiabilityChecklist:
     @property
     def supported(self) -> bool:
         return not self.failed_hypotheses and self.window_regular
+
+    @property
+    def verdict(self) -> str:
+        failed = self.failed_hypotheses
+        if failed:
+            return "hypotheses refuted on this sample: " + ", ".join(failed)
+        if not self.window_regular:
+            return "hypotheses undecided: window regularity not established"
+        return ("hypotheses empirically supported at scale "
+                f"{self.sample_size} points")
 
 
 def build_checklist(
@@ -165,25 +174,6 @@ def build_checklist(
     tube = tube_dim_bound(d_g, dim_x)
     nuclear = nuclear_dim_bound(d_g, dim_x)
 
-    failed = [
-        name
-        for name, ev in (
-            ("flc", flc),
-            ("delone", delone_ev),
-            ("repetitivity", rep_ev),
-            ("aperiodicity", aper_ev),
-        )
-        if ev is Evidence.FAILED
-    ]
-    if failed:
-        verdict = "hypotheses refuted on this sample: " + ", ".join(failed)
-    elif not regularity.window_regular:
-        verdict = "hypotheses undecided: window regularity not established"
-    else:
-        verdict = (
-            f"hypotheses empirically supported at scale {sample_size} points"
-        )
-
     return ClassifiabilityChecklist(
         flc_evidence=flc,
         delone_evidence=delone_ev,
@@ -196,5 +186,4 @@ def build_checklist(
         nuclear_dim=nuclear,
         sample_size=sample_size,
         model_set_hash=model_set_hash,
-        verdict=verdict,
     )

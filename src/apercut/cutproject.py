@@ -85,9 +85,6 @@ class Box:
             lo <= c <= hi for c, (lo, hi) in zip(coords, self.intervals)
         )
 
-    def widths(self) -> Tuple[Fraction, ...]:
-        return tuple(hi - lo for lo, hi in self.intervals)
-
 
 @dataclass(frozen=True)
 class Scheme:
@@ -99,9 +96,6 @@ class Scheme:
     @property
     def d(self) -> int:
         return self.ring.d
-
-    def conjugate_coords(self, coords: Sequence[QuadNum]) -> Tuple[QuadNum, ...]:
-        return tuple(c.conjugate() for c in coords)
 
 
 def _check_box(scheme: Scheme, box: Box, name: str) -> None:
@@ -406,7 +400,7 @@ def check_irreducibility(
         for iv in sample_box.intervals
     ]
     sample = list(itertools.product(*axes))
-    internal = [scheme.conjugate_coords(coords) for coords in sample]
+    internal = [tuple(c.conjugate() for c in coords) for coords in sample]
 
     if density_box is None:
         density_box = Box.cube(kind, 1)

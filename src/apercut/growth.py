@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 import numpy as np
 
 from .errors import LIMIT, BudgetExceededError, element_budget
-from .heisenberg import Family, GroupKind, GroupPoint, inv_coords
+from .heisenberg import Family, GroupKind, inv_coords
 # perfbench/worker.py looks this up on this module to count its calls
 from .heisenberg import mul_coords  # noqa: F401
 
@@ -81,9 +81,6 @@ class GenSet:
             e[i] = 1
             basis.append(tuple(e))
         return cls.make(kind, basis)
-
-    def as_points(self) -> Tuple[GroupPoint, ...]:
-        return tuple(GroupPoint(self.kind, g) for g in self.generators)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ anisotropic dilations delta_lambda(x, y, t) = (lambda x, lambda y, lambda^2 t),
 and the box quasi-norm max(|x|_inf, |y|_inf, |t|^(1/2)). The Euclidean kind
 runs through the same code paths with the cross term absent.
 
-Scalars are either exact (int, Fraction, QuadNum) or float; a point's mode is
-uniform across its coordinates. Boolean gauge comparisons require exact mode.
+Coordinates are exact (int, Fraction, QuadNum); `qnorm` and `sym_dist` give
+float values of exact points.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Tuple, Union
 
 from .errors import KindMismatchError
 
 if TYPE_CHECKING:
     from .quadratic import QuadNum
 
-    Scalar = Union[int, Fraction, QuadNum, float]
+    Scalar = Union[int, Fraction, QuadNum]
     Coords = Tuple[Scalar, ...]
 
 
@@ -54,17 +54,8 @@ class GroupKind:
         return cls(Family.HEISENBERG, n)
 
     @property
-    def is_heisenberg(self) -> bool:
-        return self.family is Family.HEISENBERG
-
-    @property
     def coord_count(self) -> int:
         return self.rank if self.family is Family.EUCLIDEAN else 2 * self.rank + 1
-
-    @property
-    def dim(self) -> int:
-        """Topological dimension of the group."""
-        return self.coord_count
 
     @property
     def growth_degree(self) -> int:
@@ -74,10 +65,6 @@ class GroupKind:
     @property
     def label(self) -> str:
         return ("e" if self.family is Family.EUCLIDEAN else "h") + str(self.rank)
-
-
-def _is_float_coords(coords: Coords) -> bool:
-    return any(isinstance(c, float) for c in coords)
 
 
 def mul_coords(kind: GroupKind, p: Coords, q: Coords) -> Coords:
@@ -106,14 +93,13 @@ def dilate_coords(kind: GroupKind, lam: Scalar, p: Coords) -> Coords:
     return head + (lam * lam * p[2 * n],)
 
 
-def identity_coords(kind: GroupKind, exact: bool = True) -> Coords:
-    zero: Scalar = 0 if exact else 0.0
-    return (zero,) * kind.coord_count
+def identity_coords(kind: GroupKind) -> Coords:
+    return (0,) * kind.coord_count
 
 
 @dataclass(frozen=True)
 class GroupPoint:
-    """A group element with exact or float coordinates (uniform per point)."""
+    """A group element with exact coordinates."""
 
     kind: GroupKind
     coords: Coords
@@ -124,41 +110,34 @@ class GroupPoint:
                 f"{self.kind.label} needs {self.kind.coord_count} coordinates, "
                 f"got {len(self.coords)}"
             )
-        flags = {isinstance(c, float) for c in self.coords}
-        if flags == {True, False}:
-            raise KindMismatchError("mixed float and exact coordinates in one point")
+        if any(isinstance(c, float) for c in self.coords):
+            raise KindMismatchError("float coordinate in an exact point")
 
     @classmethod
-    def identity(cls, kind: GroupKind, exact: bool = True) -> "GroupPoint":
-        return cls(kind, identity_coords(kind, exact))
-
-    @property
-    def is_float(self) -> bool:
-        return _is_float_coords(self.coords)
+    def identity(cls, kind: GroupKind) -> "GroupPoint":
+        return cls(kind, identity_coords(kind))
 
     @property
     def x_part(self) -> Coords:
-        if not self.kind.is_heisenberg:
+        if self.kind.family is not Family.HEISENBERG:
             raise KindMismatchError("x_part is a Heisenberg accessor")
         return self.coords[: self.kind.rank]
 
     @property
     def y_part(self) -> Coords:
-        if not self.kind.is_heisenberg:
+        if self.kind.family is not Family.HEISENBERG:
             raise KindMismatchError("y_part is a Heisenberg accessor")
         return self.coords[self.kind.rank : 2 * self.kind.rank]
 
     @property
     def t_part(self) -> Scalar:
-        if not self.kind.is_heisenberg:
+        if self.kind.family is not Family.HEISENBERG:
             raise KindMismatchError("t_part is a Heisenberg accessor")
         return self.coords[-1]
 
     def _check_partner(self, other: "GroupPoint") -> None:
         if self.kind != other.kind:
             raise KindMismatchError(f"{self.kind.label} vs {other.kind.label}")
-        if self.is_float != other.is_float:
-            raise KindMismatchError("mixed float and exact points")
 
     def __mul__(self, other: "GroupPoint") -> "GroupPoint":
         if not isinstance(other, GroupPoint):
@@ -170,8 +149,8 @@ class GroupPoint:
         return GroupPoint(self.kind, inv_coords(self.kind, self.coords))
 
     def dilate(self, lam: Scalar) -> "GroupPoint":
-        if isinstance(lam, float) != self.is_float:
-            raise KindMismatchError("dilation factor mode must match point mode")
+        if isinstance(lam, float):
+            raise KindMismatchError("dilation factor must be exact")
         return GroupPoint(self.kind, dilate_coords(self.kind, lam, self.coords))
 
     def to_float(self) -> Tuple[float, ...]:
@@ -184,8 +163,6 @@ def _abs_leq(value: Scalar, bound: Fraction) -> bool:
 
 def qnorm_leq(p: GroupPoint, r: Union[int, Fraction]) -> bool:
     """Exact test: box quasi-norm of p at most r."""
-    if p.is_float:
-        raise KindMismatchError("exact gauge comparison needs exact coordinates")
     r = Fraction(r)
     if r < 0:
         return False
@@ -226,8 +203,6 @@ def sym_dist_sq(p: GroupPoint, q: GroupPoint) -> Scalar:
     coordinate differences and the two |t|-parts, all of which stay in the
     field, so exact comparison of distances is possible.
     """
-    if p.is_float or q.is_float:
-        raise KindMismatchError("exact distance needs exact coordinates")
     p._check_partner(q)
     if p.kind.family is Family.EUCLIDEAN:
         terms = [(a - b) * (a - b) for a, b in zip(p.coords, q.coords)]

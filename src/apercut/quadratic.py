@@ -136,21 +136,9 @@ class QuadNum:
     def d(self) -> int:
         return self._d
 
-    @classmethod
-    def from_rational(cls, q: RationalLike, d: int = 2) -> "QuadNum":
-        return cls(q, 0, d)
-
-    @classmethod
-    def sqrt_d(cls, d: int) -> "QuadNum":
-        return cls(0, 1, d)
-
     @property
     def is_rational(self) -> bool:
         return self._q == 0
-
-    @property
-    def is_zero(self) -> bool:
-        return self._p == 0 and self._q == 0
 
     def conjugate(self) -> "QuadNum":
         """Galois conjugate a - b*sqrt(d)."""
@@ -162,9 +150,6 @@ class QuadNum:
             self._p * self._p - self._q * self._q * self._d,
             self._den * self._den,
         )
-
-    def trace(self) -> Fraction:
-        return Fraction(2 * self._p, self._den)
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, decided by integer comparisons only."""
@@ -353,14 +338,6 @@ class QuadNum:
         return f"{self.a} {sign} {abs(self.b)}*sqrt({self._d})"
 
 
-def conjugate(x: QuadNum) -> QuadNum:
-    return x.conjugate()
-
-
-def exact_sign(x: QuadNum) -> int:
-    return x.sign()
-
-
 class RingVariant(Enum):
     Z_SQRT_D = "zsqrt"
     FULL_INTEGERS = "full"
@@ -399,10 +376,6 @@ class RingSpec:
         if self.variant is RingVariant.Z_SQRT_D:
             return one, QuadNum(0, 1, self.d)
         return one, QuadNum(Fraction(1, 2), Fraction(1, 2), self.d)
-
-
-def in_ring(x: QuadNum, ring: RingSpec) -> bool:
-    return ring.contains(x)
 
 
 def _as_fraction_interval(iv: Interval, what: str) -> Tuple[Fraction, Fraction]:

@@ -119,6 +119,56 @@ def test_separation_certificate_and_bracket_contract():
     assert result.bracket[1] == radius
 
 
+def test_separation_far_from_origin_on_a_narrow_region():
+    """Two points that differ in y alone, at x = 1000: their gauge is
+    sqrt(1000), far beyond every axis width of the region."""
+    points = tuple(GroupPoint(H1, tuple(QuadNum(v, 0, 2) for v in p))
+                   for p in [(1000, 0, 0), (1000, 1, 0)])
+    region = Box(((1000, 1001), (0, 1), (0, 1)))
+    ms = ModelSet.from_points(SCHEME_H1, region, region, points, points)
+    result = separation(ms)
+    assert result.separation_sq == 1000
+    assert result.certificate == (0, 1)
+
+
+def h_point_sets(kind):
+    """Up to 40 distinct points with coordinates a + b*sqrt(2), a a half
+    integer, the x coordinates moved by up to 10^3 from the origin."""
+    n = kind.rank
+    coord = st.builds(lambda k, b: QuadNum(Fraction(k, 2), b, 2),
+                      st.integers(-6, 6), st.integers(-1, 1))
+    offsets = st.lists(st.integers(-1000, 1000), min_size=n, max_size=n)
+    cells = st.lists(st.tuples(*[coord] * kind.coord_count), min_size=2,
+                     max_size=40, unique=True)
+    return st.builds(
+        lambda off, pts: sorted(
+            tuple(c + off[k] if k < n else c for k, c in enumerate(p))
+            for p in pts),
+        offsets, cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_separation_matches_all_pairs_oracle(data):
+    kind = data.draw(st.sampled_from([H1, H2]), label="kind")
+    coords = data.draw(h_point_sets(kind), label="points")
+    points = [GroupPoint(kind, p) for p in coords]
+    internal = [GroupPoint(kind, tuple(c.conjugate() for c in p))
+                for p in coords]
+    region = Box(tuple((math.floor(min(axis)), math.ceil(max(axis)))
+                       for axis in zip(*coords)))
+    ms = ModelSet.from_points(Scheme(kind, RingSpec(2)), region, region,
+                              points, internal)
+    sq = {
+        (i, j): sym_dist_sq(points[i], points[j])
+        for i, j in itertools.combinations(range(len(points)), 2)
+    }
+    least = min(sq.values())
+    result = separation(ms)
+    assert result.separation_sq == least
+    assert result.certificate == min(k for k, v in sq.items() if v == least)
+
+
 def test_separation_tiny_sets():
     ms = generate_model_set(SCHEME_1D, STURMIAN_WINDOW,
                             Box(((Fraction(0), Fraction(0)),)),
@@ -544,6 +594,50 @@ def test_repetitivity_sturmian_finite():
     for c in report.per_class:
         if c.multiplicity == 1:
             assert c.lower_bound_only
+
+
+def float_sym_gauge(kind, c, p):
+    """Float symmetric gauge of c^-1 p for one pair of float coordinate
+    tuples, term by term as the float gauge of `analysis` computes it."""
+    if kind.family is Family.EUCLIDEAN:
+        return max(abs(b - a) for a, b in zip(c, p))
+    n = kind.rank
+    dx = [p[k] - c[k] for k in range(n)]
+    dy = [p[n + k] - c[n + k] for k in range(n)]
+    dt = p[2 * n] - c[2 * n]
+    tau1 = dt - sum(c[k] * dy[k] for k in range(n))    # t part of c^-1 p
+    tau2 = sum(p[k] * dy[k] for k in range(n)) - dt    # t part of p^-1 c
+    head = max(max(map(abs, dx)), max(map(abs, dy)))
+    return max(head, math.sqrt(max(abs(tau1), abs(tau2))))
+
+
+@pytest.mark.parametrize("ms,radius", [
+    (h1_sample(3), Fraction(1)),
+    (h1_sample(3), Fraction(2)),
+    (off_origin_h1(), Fraction(1, 2)),
+    (off_origin_h1(), Fraction(1)),
+    (sturmian(100), Fraction(2)),
+], ids=["h1-1", "h1-2", "h1-off-origin-1/2", "h1-off-origin-1", "e1"])
+def test_repetitivity_radii_match_brute_force(ms, radius):
+    """Each class's return radius is the max, over interior centres, of the
+    float gauge to the nearest other centre of the class."""
+    kind = ms.scheme.kind
+    pts = [p.to_float() for p in ms.points]
+    centers = right_interior(ms, radius)
+    expected = []
+    for cls in patch_catalog(ms, radius).classes:
+        nearest = [min((float_sym_gauge(kind, pts[c], pts[m])
+                        for m in cls.centers if m != c), default=math.inf)
+                   for c in centers]
+        finite = [v for v in nearest if v < math.inf]
+        expected.append((cls.multiplicity, max(finite, default=math.inf),
+                         cls.multiplicity == 1))
+    report = repetitivity_radii(ms, radius)
+    assert [(c.multiplicity, c.return_radius, c.lower_bound_only)
+            for c in report.per_class] == expected
+    assert report.max_return_radius == max(
+        (r for _, r, _ in expected if r < math.inf), default=0.0)
+    assert report.any_lower_bound == any(lb for _, _, lb in expected)
 
 
 @pytest.mark.parametrize("ms", [sturmian(100), h1_sample(4)],

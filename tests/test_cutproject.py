@@ -217,7 +217,7 @@ def test_regularity_witness_found_beyond_small_bound():
      (QuadNum(-4179, -2955, 2), QuadNum(0, 0, 2), QuadNum(1, 0, 2))),
 ], ids=["z2", "h1"])
 def test_regularity_boundary_hit_without_small_fill(scheme, window, hit):
-    assert window.contains(scheme.conjugate_coords(hit))
+    assert window.contains(tuple(c.conjugate() for c in hit))
     report = check_window_regular(scheme, window)
     assert not report.boundary_clear
     assert not report.window_regular

@@ -93,6 +93,8 @@ def test_mixed_kind_raises():
         hp(1, 0, 0) * GroupPoint(H1, (1.0, 0.0, 0.0))
     with pytest.raises(KindMismatchError):
         GroupPoint(H1, (1.0, 0, 0))
+    with pytest.raises(KindMismatchError):
+        hp(1, 0, 0).dilate(0.5)
 
 
 def test_exact_quadnum_coordinates():
@@ -151,7 +153,7 @@ def test_qnorm_float_matches_exact_threshold():
     rng = random.Random(5)
     for _ in range(200):
         p = rand_h(rng, H1)
-        v = qnorm(GroupPoint(H1, p.to_float()))
+        v = qnorm(p)
         # exact test at a rational just above/below the float value
         above = Fraction(v).limit_denominator(10 ** 6) + Fraction(1, 1000)
         below = Fraction(v).limit_denominator(10 ** 6) - Fraction(1, 1000)
@@ -195,8 +197,7 @@ def test_sym_dist_sq_consistent_with_threshold_tests():
         for _ in range(150):
             p, q = rand_h(rng, kind, 6), rand_h(rng, kind, 6)
             d2 = sym_dist_sq(p, q)
-            d_float = sym_dist(GroupPoint(kind, p.to_float()),
-                               GroupPoint(kind, q.to_float()))
+            d_float = sym_dist(p, q)
             assert abs(float(d2) - d_float ** 2) < 1e-9
             # threshold agreement on both sides of sqrt(d2)
             hi = Fraction(d_float).limit_denominator(10 ** 8) + Fraction(1, 100)
@@ -220,8 +221,8 @@ def test_coords_helpers():
     assert p.x_part == (1, 2)
     assert p.y_part == (3, 4)
     assert p.t_part == 5
-    assert GroupKind.heisenberg(1).dim == 3
-    assert GroupKind.heisenberg(2).dim == 5
+    assert GroupKind.heisenberg(1).coord_count == 3
+    assert GroupKind.heisenberg(2).coord_count == 5
     assert GroupKind.heisenberg(1).growth_degree == 4
     assert GroupKind.euclidean(3).growth_degree == 3
     assert identity_coords(H2) == (0, 0, 0, 0, 0)

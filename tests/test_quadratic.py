@@ -13,10 +13,8 @@ from apercut.quadratic import (
     RingVariant,
     deserialize_quadnum,
     enumerate_ring_in_rectangle,
-    exact_sign,
     floor_div,
     floor_sqrt,
-    in_ring,
     is_square_free,
     serialize_quadnum,
 )
@@ -151,13 +149,13 @@ def test_conjugation_is_homomorphism_randomized():
 # ---------------------------------------------------------------------------
 
 def test_sign_basics():
-    assert exact_sign(QuadNum(0, 0, 2)) == 0
-    assert exact_sign(QuadNum(1, 1, 2)) == 1
-    assert exact_sign(QuadNum(1, -1, 2)) == -1
-    assert exact_sign(QuadNum(-1, 1, 2)) == 1
-    assert exact_sign(QuadNum(-1, -1, 2)) == -1
-    assert exact_sign(QuadNum(3, -2, 2)) == 1       # 3 > 2*sqrt(2)
-    assert exact_sign(QuadNum(-3, 2, 2)) == -1
+    assert QuadNum(0, 0, 2).sign() == 0
+    assert QuadNum(1, 1, 2).sign() == 1
+    assert QuadNum(1, -1, 2).sign() == -1
+    assert QuadNum(-1, 1, 2).sign() == 1
+    assert QuadNum(-1, -1, 2).sign() == -1
+    assert QuadNum(3, -2, 2).sign() == 1       # 3 > 2*sqrt(2)
+    assert QuadNum(-3, 2, 2).sign() == -1
 
 
 def test_sign_defeats_float_precision():
@@ -169,8 +167,8 @@ def test_sign_defeats_float_precision():
         p, q = p + 2 * q, p + q
     x = QuadNum(Fraction(p, q), -1, 2)
     assert abs(float(x)) < 1e-12  # the whole point: floats cannot see it
-    assert exact_sign(x) == (1 if p * p - 2 * q * q > 0 else -1)
-    assert exact_sign(x) == oracle_sign(Fraction(p, q), Fraction(-1), 2)
+    assert x.sign() == (1 if p * p - 2 * q * q > 0 else -1)
+    assert x.sign() == oracle_sign(Fraction(p, q), Fraction(-1), 2)
 
 
 def test_sign_matches_oracle_randomized():
@@ -179,7 +177,7 @@ def test_sign_matches_oracle_randomized():
         d = rng.choice([2, 3, 5, 7])
         a = Fraction(rng.randint(-100, 100), rng.randint(1, 20))
         b = Fraction(rng.randint(-100, 100), rng.randint(1, 20))
-        assert exact_sign(QuadNum(a, b, d)) == oracle_sign(a, b, d)
+        assert QuadNum(a, b, d).sign() == oracle_sign(a, b, d)
 
 
 def test_total_order():
@@ -203,7 +201,7 @@ rationals = st.one_of(st.integers(-10**6, 10**6),
 def test_rational_comparisons_match_coerced(x, r):
     """Comparisons with int and Fraction equal those with the QuadNum that
     _coerce makes of them, denominators of either sign included."""
-    s = exact_sign(x - x._coerce(r))
+    s = (x - x._coerce(r)).sign()
     assert (x < r, x <= r, x > r, x >= r) == (s < 0, s <= 0, s > 0, s >= 0)
     assert (r > x, r >= x, r < x, r <= x) == (s < 0, s <= 0, s > 0, s >= 0)
 
@@ -246,25 +244,25 @@ def test_ring_validation():
 
 def test_membership():
     golden = QuadNum(Fraction(1, 2), Fraction(1, 2), 5)
-    assert in_ring(golden, RingSpec(5, RingVariant.FULL_INTEGERS))
-    assert not in_ring(golden, RingSpec(5))
-    assert in_ring(QuadNum(0, 1, 5), RingSpec(5))
-    assert in_ring(QuadNum(0, 1, 5), RingSpec(5, RingVariant.FULL_INTEGERS))
-    assert not in_ring(QuadNum(Fraction(1, 2), 0, 5),
-                       RingSpec(5, RingVariant.FULL_INTEGERS))
-    assert not in_ring(QuadNum(Fraction(1, 2), Fraction(3, 2), 5), RingSpec(5))
+    assert RingSpec(5, RingVariant.FULL_INTEGERS).contains(golden)
+    assert not RingSpec(5).contains(golden)
+    assert RingSpec(5).contains(QuadNum(0, 1, 5))
+    assert RingSpec(5, RingVariant.FULL_INTEGERS).contains(QuadNum(0, 1, 5))
+    assert not RingSpec(5, RingVariant.FULL_INTEGERS).contains(
+        QuadNum(Fraction(1, 2), 0, 5))
+    assert not RingSpec(5).contains(QuadNum(Fraction(1, 2), Fraction(3, 2), 5))
     # half-integer parts of opposite parity are not in the full ring either
-    assert not in_ring(QuadNum(Fraction(1, 2), 1, 5),
-                       RingSpec(5, RingVariant.FULL_INTEGERS))
+    assert not RingSpec(5, RingVariant.FULL_INTEGERS).contains(
+        QuadNum(Fraction(1, 2), 1, 5))
     with pytest.raises(FieldMismatchError):
-        in_ring(QuadNum(1, 1, 2), RingSpec(5))
+        RingSpec(5).contains(QuadNum(1, 1, 2))
 
 
 def test_full_ring_closed_under_multiplication():
     ring = RingSpec(5, RingVariant.FULL_INTEGERS)
     one, omega = ring.fundamental_elements()
-    assert in_ring(omega * omega, ring)
-    assert in_ring((one + omega) * omega - omega, ring)
+    assert ring.contains(omega * omega)
+    assert ring.contains((one + omega) * omega - omega)
 
 
 # ---------------------------------------------------------------------------
