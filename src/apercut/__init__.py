@@ -4,8 +4,8 @@ covering experiments, and dimension-bound calculators.
 
 Every public name is bound on first use (PEP 562), so `import apercut`
 loads no submodule, and a command or script pays only for the modules whose
-names it touches: the analysis and growth names load numpy, the others do
-not."""
+names it touches: the analysis names load numpy, the others, growth
+included, do not."""
 
 __version__ = "0.1.0"
 

@@ -10,15 +10,10 @@ output bytes; the current implementation runs single-threaded regardless of
 Start-up: each command imports only the modules it runs. `import apercut.cli`
 loads `errors`, `heisenberg` and `serialize`. On top of those, `generate`
 and `check-window` load `cutproject` and `quadratic`, `bounds` loads
-`bounds`, `cutproject` and `quadratic`, `analyze` loads `analysis`,
-`lattice`, `cutproject`, `quadratic` and numpy, and `growth` and `cover`
-load `growth` and numpy but no model-set module and no `quadratic`: word
-balls are integer tuples. While a command runs, `main` sets
-OPENBLAS_NUM_THREADS=1 unless the environment sets it or numpy is already
-loaded, so no command starts BLAS threads: the only BLAS call is the
-`np.polyfit` of `growth.fit_growth_exponent`, one point per radius, and
-numpy imports in about half the time without the thread pool. `main`
-removes the variable again when it returns.
+`bounds`, `cutproject` and `quadratic`, and `analyze` loads `analysis`,
+`lattice`, `cutproject`, `quadratic` and numpy. `growth` and `cover` load
+only `growth`: word balls are bitsets on plain Python integers, so neither
+numpy, a model-set module nor `quadratic`. No command makes a BLAS call.
 
 Exit codes: 0 ok, 2 usage or invalid input, 3 window-regularity rejection,
 4 erosion/core failures, 5 provenance mismatch, 6 element budget exceeded.
@@ -27,7 +22,6 @@ Exit codes: 0 ok, 2 usage or invalid input, 3 window-regularity rejection,
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from fractions import Fraction
@@ -433,21 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # no kernel gains from BLAS threads (see the module docstring); OpenBLAS
-    # reads this once, when numpy loads, so it is set only for a numpy still
-    # to be loaded and taken back on return
-    pin = ("OPENBLAS_NUM_THREADS" not in os.environ
-           and "numpy" not in sys.modules)
-    if pin:
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        return _run(argv)
-    finally:
-        if pin:
-            os.environ.pop("OPENBLAS_NUM_THREADS", None)
-
-
-def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

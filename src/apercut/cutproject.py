@@ -295,9 +295,9 @@ def periodic_control_model_set(scheme: Scheme, region: Box) -> ModelSet:
 # window regularity
 # ---------------------------------------------------------------------------
 
-# Witness fill values come from lattice elements within this physical bound
-# (widened to the axis window's endpoints); it bounds only which witnesses are
-# printed, never whether the boundary is hit.
+# Witness fill values come first from lattice elements within this physical
+# bound (widened to the axis window's endpoints); it bounds only which
+# witnesses are printed, never whether the boundary is hit.
 WITNESS_FILL_BOUND = 10
 
 
@@ -319,11 +319,32 @@ def _integer_endpoints(iv: FractionPair) -> list[Fraction]:
     return sorted({e for e in iv if e.denominator == 1})
 
 
-def _axis_window_elements(ring: RingSpec, w: FractionPair) -> list[QuadNum]:
-    """Ring elements with conjugate in the closed axis window and physical
-    value within the witness fill bound, widened to the window endpoints."""
+def _axis_fill(ring: RingSpec, w: FractionPair) -> QuadNum | None:
+    """A ring element with conjugate in the closed axis window, or None if
+    there is none. The first with physical value within the witness fill
+    bound, widened to the window endpoints, if any. Otherwise, for a window
+    with interior, m * e, where e = p + q*sqrt(d) runs over the convergents
+    p/q of sqrt(d) until |e'| = |p - q*sqrt(d)| <= the window width (it is
+    below 1/q, so this takes O(log(1/width)) steps), then has its sign set
+    so that e' > 0, and m = ceil(lo / e'): m * e' lies in [lo, lo + e')."""
     bound = max(Fraction(WITNESS_FILL_BOUND), abs(w[0]), abs(w[1]))
-    return enumerate_ring_in_rectangle(ring, (-bound, bound), w)
+    small = enumerate_ring_in_rectangle(ring, (-bound, bound), w)
+    if small or w[0] == w[1]:
+        return small[0] if small else None
+    d = ring.d
+    root = math.isqrt(d)
+    # sqrt(d) = [a_0; a_1, ...] with a_k = (root + m_k) // den_k
+    m, den, a = 0, 1, root
+    (p0, p), (q0, q) = (1, root), (0, 1)
+    while abs((e := QuadNum(p, q, d)).conjugate()) > w[1] - w[0]:
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (root + m) // den
+        p0, p = p, a * p + p0
+        q0, q = q, a * q + q0
+    if e.conjugate() < 0:
+        e = -e
+    return math.ceil(w[0] / e.conjugate()) * e
 
 
 def check_window_regular(scheme: Scheme, window: Box) -> RegularityReport:
@@ -349,15 +370,14 @@ def check_window_regular(scheme: Scheme, window: Box) -> RegularityReport:
     )
 
     # one witness per touching endpoint, the other coordinates filled with
-    # the first in-window lattice value below the fill bound, if any
+    # an in-window lattice value (`_axis_fill`)
     witnesses: list[Tuple[QuadNum, ...]] = []
     if hit:
-        axis_elems = [_axis_window_elements(scheme.ring, iv) for iv in ivs]
+        fills = [_axis_fill(scheme.ring, iv) for iv in ivs]
         for i in dims:
-            others = [axis_elems[j] for j in dims if j != i]
-            if not all(others):
+            fill = [fills[j] for j in dims if j != i]
+            if None in fill:
                 continue
-            fill = [elems[0] for elems in others]
             for e in touching[i]:
                 x = QuadNum(int(e), 0, scheme.d)
                 witnesses.append(tuple(fill[:i] + [x] + fill[i:]))

@@ -1,6 +1,6 @@
 """Exception types shared across the package, the element budget that
-`BudgetExceededError` enforces, and the int64 bound `LIMIT` of the integer
-kernels.
+`BudgetExceededError` enforces, and the int64 bound `LIMIT` of the numpy
+integer kernels.
 
 The CLI maps these onto process exit codes, so library code should raise
 the most specific type that applies.
@@ -13,8 +13,9 @@ import os
 DEFAULT_ELEMENT_BUDGET = 50_000_000
 BUDGET_ENV_VAR = "APERCUT_BUDGET"
 
-# Integer arrays stay int64 while every value is known to stay below LIMIT
-# and move to Python ints beyond it (`lattice` and `growth`).
+# `lattice` keeps integer arrays int64 while every value is known to stay
+# below LIMIT and moves them to Python ints beyond it (as does the covering
+# grid of `analysis`); word balls use Python ints throughout.
 LIMIT = 1 << 62
 
 

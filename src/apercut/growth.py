@@ -1,39 +1,46 @@
 """Word growth and packing covers in Z^m and H_n(Z).
 
 Balls B_k are exact. A breadth-first search over the Cayley graph builds
-them one layer (the elements of word length exactly k) at a time, on integer
-rows of group coordinates. The layer step multiplies every row of layer k by
-every generator at once: the coordinates add, and for H_n the t coordinate
-also gains <x, g_y>. Each row packs into one integer code (`_Codes`), mixed
-radix over per-coordinate bounds derived from the generators before the
-search, so sorting codes sorts rows lexicographically; codes are int64 while
-they stay below `errors.LIMIT` and Python ints beyond it. Generating sets
-are symmetric, so the Cayley graph is undirected and every neighbour of an
-element of length k has length k-1, k or k+1: layer k+1 is the set of
-products in neither layer k-1 nor layer k, found by one stable sort of
-their codes, and no set of every element seen is kept.
+them one layer (the elements of word length exactly k) at a time, on plain
+Python integers. An element is keyed by its column, the y coordinates (none
+for Z^m), and the rest, (x..., t), packs into one integer code (`_Layout`).
+A left product s*q adds the same shift, code(s) + <x_s, y>, to the code of
+every q in column y, so a set of elements is a sparse bitset per column,
+y -> {word index: WORD_BITS-bit int}, after Roaring bitmaps (Chambi, Lemire,
+Kaser and Godin, Software: Practice and Experience 46(5), 2016). A
+translate is two shifts per word, a union `|`, a difference `& ~` and a
+count `int.bit_count`. The search multiplies on the left, and word length
+does not depend on the side. Generating sets are symmetric, so every
+neighbour of an element of length k has length k-1, k or k+1: layer k+1 is
+the set of products in neither layer k-1 nor layer k.
 
 On top of that sit a log-log exponent fit, and the maximal-separated-set
 experiment: a greedy 2n-separated subset S of B_(a*n) whose translates
 s*B_(2n) cover B_(a*n) while the translates s*B_n pack disjointly, forcing
 |S| * |B_n| <= |B_((a+1)n)|. One search to radius (a+1)n gives every ball
-the experiment uses, and translates are looked up in a ball by
-`searchsorted` over its sorted codes.
+the experiment uses.
 """
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, Tuple
+from operator import add, mul
+from typing import Dict, Iterable, Sequence, Tuple
 
-import numpy as np
-
-from .errors import LIMIT, BudgetExceededError, element_budget
+from .errors import BudgetExceededError, element_budget
 from .heisenberg import Family, GroupKind, inv_coords
 # perfbench/worker.py looks this up on this module to count its calls
 from .heisenberg import mul_coords  # noqa: F401
 
 IntCoords = Tuple[int, ...]
+# a set of elements: column (y coordinates) -> word index -> bits
+Columns = Dict[IntCoords, Dict[int, int]]
+
+# Bits per word of a column: code c is bit c % WORD_BITS of word c // WORD_BITS
+WORD_BITS = 1 << 12
+
 
 @dataclass(frozen=True)
 class GenSet:
@@ -99,10 +106,6 @@ class BallTable:
         return list(enumerate(self.counts))
 
 
-# Products per block in the cover checks; bounds their temporaries.
-PRODUCT_CHUNK = 1 << 16
-
-
 def _ball_bounds(gens: GenSet, k: int) -> list[int]:
     """Per-coordinate bound on |g| over B_k. Each of the k letters adds at
     most max|g_i| to coordinate i; for H_n the j-th letter also adds
@@ -129,87 +132,124 @@ def _reach(kind: GroupKind, left: Sequence[int],
     return out
 
 
-def _absmax(rows: np.ndarray) -> list[int]:
-    return [int(v) for v in np.abs(rows).max(axis=0, initial=0)]
+class _Layout:
+    """Where an element lives: its column, the y coordinates (none for Z^m),
+    and its code, the sum of c_i * stride_i over the other coordinates
+    (x..., t) with radices 2*bounds[i] + 1, t least significant. The digits
+    are balanced, |c_i| <= bounds[i], so distinct elements of a column get
+    distinct codes, and the order of the codes is the lexicographic order
+    of (x, t). Every element a caller places must lie within the bounds."""
 
-
-class _Codes:
-    """Rows with |row[i]| <= bounds[i] packed into one integer each, the
-    sum of row[i] * stride_i over mixed radices 2*bounds[i] + 1, first
-    coordinate most significant. Up to a constant this is the number whose
-    digits are row[i] + bounds[i], so distinct rows get distinct codes and
-    the order of the codes is the lexicographic order of the rows. Rows and
-    codes are int64 when every code stays below LIMIT, Python ints
-    otherwise."""
-
-    def __init__(self, bounds: Sequence[int]) -> None:
-        strides, stride = [], 1
-        for b in reversed(bounds):
-            strides.append(stride)
+    def __init__(self, kind: GroupKind, bounds: Sequence[int]) -> None:
+        n = self.n = kind.rank if kind.family is Family.HEISENBERG else 0
+        self.bounds = list(bounds[:n]) + list(bounds[2 * n:])
+        self.strides, stride = [], 1
+        for b in reversed(self.bounds):
+            self.strides.insert(0, stride)
             stride *= 2 * b + 1
-        self.dtype = np.int64 if stride < LIMIT else object
-        self._strides = np.array(strides[::-1], dtype=object).astype(
-            self.dtype)
 
-    def rows(self, rows) -> np.ndarray:
-        return np.asarray(rows).astype(self.dtype, copy=False)
-
-    def pack(self, rows: np.ndarray) -> np.ndarray:
-        """The codes of rows already of this dtype."""
-        return rows @ self._strides
+    def element(self, y: IntCoords, code: int) -> IntCoords:
+        digits: list[int] = []
+        for b in reversed(self.bounds):
+            digits.insert(0, (code + b) % (2 * b + 1) - b)
+            code = (code - digits[0]) // (2 * b + 1)
+        return (*digits[:self.n], *y, *digits[self.n:])
 
 
-def _products(kind: GroupKind, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The rows p_i * q_j for every i and j, i major."""
-    out = p[:, None, :] + q[None, :, :]
-    if kind.family is Family.HEISENBERG:
-        n = kind.rank
-        out[:, :, -1] += p[:, :n] @ q[:, n:2 * n].T
-    return out.reshape(-1, p.shape[1])
+def _translate_into(out: Columns, layout: _Layout, s: IntCoords,
+                    cols: Columns) -> None:
+    """out |= s * cols. Column y moves to y + y_s and its codes by
+    code(s) + <x_s, y>: word w goes to words w + q and w + q + 1."""
+    width = WORD_BITS
+    mask = (1 << width) - 1
+    n = layout.n
+    xs, ys = s[:n], s[n:2 * n]
+    base = sum(map(mul, (*xs, *s[2 * n:]), layout.strides))  # code(s)
+    for y, words in cols.items():
+        q, r = divmod(base + sum(map(mul, xs, y)), width)
+        col = out.setdefault(tuple(map(add, y, ys)), {})
+        get = col.get
+        for w, v in words.items():
+            v <<= r
+            w += q
+            col[w] = get(w, 0) | v & mask
+            v >>= width
+            if v:
+                col[w + 1] = get(w + 1, 0) | v
 
 
-def _bfs(gens: GenSet, kmax: int,
-         budget: int | None = None) -> tuple[np.ndarray, list[int]]:
-    """B_kmax as rows in canonical order (by word length, then
-    lexicographically), and the sizes |B_0|, ..., |B_kmax|."""
+def _union(layers: Iterable[Columns]) -> Columns:
+    out: Columns = {}
+    for cols in layers:
+        for y, words in cols.items():
+            col = out.setdefault(y, {})
+            for w, v in words.items():
+                col[w] = col.get(w, 0) | v
+    return out
+
+
+def _minus(cols: Columns, *others: Columns) -> Columns:
+    """The elements of cols in none of others, empty words dropped."""
+    out: Columns = {}
+    for y, words in cols.items():
+        drop = [o[y] for o in others if y in o]
+        col = {}
+        for w, v in words.items():
+            for o in drop:
+                v &= ~o.get(w, 0)
+            if v:
+                col[w] = v
+        if col:
+            out[y] = col
+    return out
+
+
+def _count(cols: Columns) -> int:
+    return sum(v.bit_count() for words in cols.values()
+               for v in words.values())
+
+
+def _ordered(layout: _Layout, cols: Columns) -> list[tuple[IntCoords, int]]:
+    """(y, code) of the elements of cols in canonical (lexicographic)
+    order: by the digits before the last, then y, then the code."""
+    b = layout.bounds[-1]
+    out = []
+    for y, words in cols.items():
+        for w, v in words.items():
+            bits, base = bin(v)[:1:-1], w * WORD_BITS
+            i = bits.find("1")
+            while i >= 0:
+                out.append(((base + i + b) // (2 * b + 1), y, base + i))
+                i = bits.find("1", i + 1)
+    out.sort()
+    return [(y, code) for _, y, code in out]
+
+
+def _bfs(gens: GenSet, kmax: int, layout: _Layout,
+         budget: int | None = None) -> tuple[list[Columns], list[int]]:
+    """The layers 0..kmax, and the sizes |B_0|, ..., |B_kmax|."""
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     limit = element_budget(budget)
-    kind = gens.kind
-    codes = _Codes(_ball_bounds(gens, max(kmax, 1)))  # B_1 holds the steps
-    steps = codes.rows(np.array(gens.generators, dtype=object))
-    layer = codes.rows(np.zeros((1, kind.coord_count), dtype=object))
-    layer_codes = codes.pack(layer)
-    prev_codes = layer_codes[:0]
+    prev, layer = {}, {(0,) * layout.n: {0: 1}}  # the identity, code 0
     layers, counts = [layer], [1]
     for _ in range(kmax):
-        candidates = _products(kind, layer, steps)
-        # one stable sort puts the first copy of each code first, and codes
-        # of layers k-1 and k ahead of the candidates
-        found = np.concatenate([prev_codes, layer_codes,
-                                codes.pack(candidates)])
-        order = found.argsort(kind="stable")
-        found = found[order]
-        known = len(prev_codes) + len(layer_codes)
-        new = order >= known
-        new[1:] &= found[1:] != found[:-1]
-        if counts[-1] + np.count_nonzero(new) > limit:
+        found: Columns = {}
+        for g in gens.generators:
+            _translate_into(found, layout, g, layer)
+        prev, layer = layer, _minus(found, layer, prev)
+        counts.append(counts[-1] + _count(layer))
+        if counts[-1] > limit:
             raise BudgetExceededError(
                 f"ball would exceed element budget {limit}"
             )
-        layer = candidates[order[new] - known]
-        prev_codes, layer_codes = layer_codes, found[new]
         layers.append(layer)
-        counts.append(counts[-1] + len(layer))
-    return np.concatenate(layers), counts
-
-
-def _tuples(rows: np.ndarray) -> list[IntCoords]:
-    return list(map(tuple, rows.tolist()))
+    return layers, counts
 
 
 def bfs_balls(gens: GenSet, kmax: int, budget: int | None = None) -> BallTable:
-    _, counts = _bfs(gens, kmax, budget)
+    layout = _Layout(gens.kind, _ball_bounds(gens, kmax))
+    _, counts = _bfs(gens, kmax, layout, budget)
     return BallTable(gens.kind, gens.generators, tuple(counts))
 
 
@@ -217,8 +257,10 @@ def ball_elements(
     gens: GenSet, k: int, budget: int | None = None
 ) -> tuple[list[IntCoords], set[IntCoords]]:
     """B_k in canonical order, plus the same elements as a set."""
-    rows, _ = _bfs(gens, k, budget)
-    ordered = _tuples(rows)
+    layout = _Layout(gens.kind, _ball_bounds(gens, k))
+    layers, _ = _bfs(gens, k, layout, budget)
+    ordered = [layout.element(y, code) for layer in layers
+               for y, code in _ordered(layout, layer)]
     return ordered, set(ordered)
 
 
@@ -240,14 +282,14 @@ def fit_growth_exponent(
     for k in range(1, len(counts)):
         if counts[k] <= counts[k - 1]:
             raise ValueError(f"ball counts not strictly increasing at k={k}")
-    ks = [k for k in range(max(k_min, 1), len(counts))]
+    ks = list(range(max(k_min, 1), len(counts)))
     if len(ks) < 3:
         raise ValueError("need at least 3 usable rows to fit an exponent")
-    logs_k = np.log([float(k) for k in ks])
-    logs_c = np.log([float(counts[k]) for k in ks])
-    slope, intercept = np.polyfit(logs_k, logs_c, 1)
-    fitted = slope * logs_k + intercept
-    residual = float(np.sqrt(np.mean((logs_c - fitted) ** 2)))
+    logs_k = [math.log(k) for k in ks]
+    logs_c = [math.log(counts[k]) for k in ks]
+    slope, intercept = statistics.linear_regression(logs_k, logs_c)
+    residual = math.sqrt(statistics.fmean(
+        (c - (slope * x + intercept)) ** 2 for x, c in zip(logs_k, logs_c)))
     doubling = tuple(
         (k, counts[2 * k] / counts[k])
         for k in range(1, len(counts))
@@ -258,7 +300,7 @@ def fit_growth_exponent(
         c_est = tuple(
             (k, counts[k] / float(k) ** degree_reference) for k in ks
         )
-    return FitReport(float(slope), residual, max(k_min, 1), doubling, c_est)
+    return FitReport(slope, residual, max(k_min, 1), doubling, c_est)
 
 
 @dataclass(frozen=True)
@@ -281,50 +323,21 @@ class CoverReport:
     separated_set: Tuple[IntCoords, ...]
 
 
-class _Index:
-    """Rows of a ball, found by their codes."""
-
-    def __init__(self, codes: _Codes, rows: np.ndarray) -> None:
-        packed = codes.pack(codes.rows(rows))
-        self._order = packed.argsort()
-        self._sorted = packed[self._order]
-
-    def find(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Which codes are rows of the ball, and the row positions of
-        those."""
-        pos = np.searchsorted(self._sorted, codes)
-        hit = self._sorted.take(pos, mode="clip") == codes
-        return hit, self._order[pos[hit]]
-
-
-def _translates(kind: GroupKind, codes: _Codes, left: np.ndarray,
-                ball: np.ndarray) -> Iterator[np.ndarray]:
-    """Codes of the translates s * ball for s in left, in blocks of about
-    `PRODUCT_CHUNK` products."""
-    left, ball = codes.rows(left), codes.rows(ball)
-    step = max(1, PRODUCT_CHUNK // len(ball))
-    for a in range(0, len(left), step):
-        yield codes.pack(_products(kind, left[a:a + step], ball))
-
-
-def _greedy(kind: GroupKind, ball: np.ndarray, near: np.ndarray) -> list[int]:
-    """Positions of the greedy maximal subset of ball (rows in canonical
-    order) with no element in s * near for an earlier kept s."""
-    codes = _Codes(_reach(kind, _absmax(ball), _absmax(near)))
-    ball, near = codes.rows(ball), codes.rows(near)
-    index = _Index(codes, ball)
-    blocked = np.zeros(len(ball), dtype=bool)
-    kept = []
-    pos = 0
-    while True:
-        kept.append(pos)
-        _, near_pos = index.find(codes.pack(_products(kind, ball[pos:pos + 1],
-                                                      near)))
-        blocked[near_pos] = True
-        free = np.flatnonzero(~blocked[pos:])
-        if not free.size:
-            return kept
-        pos += int(free[0])
+def _greedy(layout: _Layout, layers: Sequence[Columns],
+            near: Columns) -> tuple[list[IntCoords], Columns]:
+    """The greedy maximal subset S of the union of layers, taken in
+    canonical order, with no element in s * near for an earlier kept s;
+    and the union of the s * near."""
+    kept: list[IntCoords] = []
+    blocked: Columns = {}
+    for layer in layers:
+        # blocked changes as the walk goes, so each element is tested
+        for y, code in _ordered(layout, _minus(layer, blocked)):
+            w, bit = divmod(code, WORD_BITS)
+            if not blocked.get(y, {}).get(w, 0) >> bit & 1:
+                kept.append(layout.element(y, code))
+                _translate_into(blocked, layout, kept[-1], near)
+    return kept, blocked
 
 
 def greedy_maximal_separated(
@@ -338,9 +351,10 @@ def greedy_maximal_separated(
     """
     if a < 1 or n < 1:
         raise ValueError("need a >= 1 and n >= 1")
-    rows, counts = _bfs(gens, max(a, 2) * n, budget)
-    ball = rows[:counts[a * n]]
-    return _tuples(ball[_greedy(gens.kind, ball, rows[:counts[2 * n]])])
+    # the layout holds S * B_2n, within B_((a+2)n)
+    layout = _Layout(gens.kind, _ball_bounds(gens, (a + 2) * n))
+    layers, _ = _bfs(gens, max(a, 2) * n, layout, budget)
+    return _greedy(layout, layers[:a * n + 1], _union(layers[:2 * n + 1]))[0]
 
 
 def verify_cover(
@@ -356,62 +370,48 @@ def verify_cover(
     pairwise disjoint (asserted), hence |S|*|B_n| <= |B_((a+1)n)| (asserted).
     The multiplicity-style bound |S| <= (a+1)^d_used is reported, not asserted.
 
-    One BFS to (a+1)n gives every ball. The codes are sized for B_((a+1)n)
-    and for S*B_2n with the actual S, which a caller may place anywhere.
+    One BFS to (a+1)n gives every ball. The layout holds B_((a+1)n) and
+    S*B_2n, with S within B_(a*n) or wherever a caller places it.
     """
     if a < 1 or n < 1:
         raise ValueError("need a >= 1 and n >= 1")
     kind = gens.kind
-    rows, counts = _bfs(gens, (a + 1) * n, budget)
-    ball_an, ball_2n = rows[:counts[a * n]], rows[:counts[2 * n]]
-    if separated is None:
-        S = _tuples(ball_an[_greedy(kind, ball_an, ball_2n)])
+    S = None if separated is None else [tuple(s) for s in separated]
+    top = (_ball_bounds(gens, a * n) if S is None else
+           [max((abs(s[i]) for s in S), default=0)
+            for i in range(kind.coord_count)])
+    layout = _Layout(kind, [*map(max, _ball_bounds(gens, (a + 1) * n),
+                                 _reach(kind, top, _ball_bounds(gens, 2 * n)))])
+    layers, counts = _bfs(gens, (a + 1) * n, layout, budget)
+    ball_2n = _union(layers[:2 * n + 1])
+    if S is None:
+        S, reached = _greedy(layout, layers[:a * n + 1], ball_2n)
     else:
-        S = list(separated)
-    S_rows = np.array(S, dtype=object).reshape(len(S), kind.coord_count)
-    codes = _Codes([max(u, v) for u, v in zip(
-        _absmax(rows), _reach(kind, _absmax(S_rows), _absmax(ball_2n)))])
-
-    index_an = _Index(codes, ball_an)
-    reached = np.zeros(len(ball_an), dtype=bool)
-    for block in _translates(kind, codes, S_rows, ball_2n):
-        reached[index_an.find(block)[1]] = True
-    covered = bool(reached.all())
+        reached = {}
+        for s in S:
+            _translate_into(reached, layout, s, ball_2n)
+    covered = not any(_minus(layer, reached) for layer in layers[:a * n + 1])
     if not covered:
         raise AssertionError(
-            f"maximal separated set fails to cover B_{a * n} (a={a}, n={n})"
-        )
+            f"maximal separated set fails to cover B_{a * n} (a={a}, n={n})")
 
-    # S is not empty here: an empty S covers nothing
-    translates = np.sort(np.concatenate(list(
-        _translates(kind, codes, S_rows, rows[:counts[n]]))))
-    total = len(translates)
-    disjoint = not (translates[1:] == translates[:-1]).any()
+    packing: Columns = {}
+    ball_n = _union(layers[:n + 1])
+    for s in S:
+        _translate_into(packing, layout, s, ball_n)
+    total = len(S) * counts[n]
+    disjoint = _count(packing) == total
     if not disjoint:
-        raise AssertionError(
-            f"packing translates overlap (a={a}, n={n})"
-        )
-    inside = bool(_Index(codes, rows).find(translates)[0].all())
-    volume_ok = inside and total <= counts[-1]
+        raise AssertionError(f"packing translates overlap (a={a}, n={n})")
+    volume_ok = not _minus(packing, *layers) and total <= counts[-1]
     if not volume_ok:
         raise AssertionError(
-            f"packing volume inequality violated (a={a}, n={n})"
-        )
+            f"packing volume inequality violated (a={a}, n={n})")
 
     bound = (a + 1) ** d_used
     return CoverReport(
-        a=a,
-        n=n,
-        packing_size=len(S),
-        bound=bound,
-        bound_holds=len(S) <= bound,
-        covered=covered,
-        packing_disjoint=disjoint,
-        volume_check=volume_ok,
-        d_used=d_used,
-        ball_n=counts[n],
-        ball_2n=counts[2 * n],
-        ball_an=counts[a * n],
-        ball_a1n=counts[-1],
-        separated_set=tuple(S),
-    )
+        a=a, n=n, packing_size=len(S), bound=bound,
+        bound_holds=len(S) <= bound, covered=covered,
+        packing_disjoint=disjoint, volume_check=volume_ok, d_used=d_used,
+        ball_n=counts[n], ball_2n=counts[2 * n], ball_an=counts[a * n],
+        ball_a1n=counts[-1], separated_set=tuple(S))

@@ -8,7 +8,7 @@ from apercut.cli import main
 from apercut.cutproject import Box, Scheme, generate_model_set
 from apercut.growth import GenSet, bfs_balls
 from apercut.heisenberg import GroupKind
-from apercut.quadratic import RingSpec
+from apercut.quadratic import QuadNum, RingSpec
 from apercut.serialize import (
     FORMAT_VERSION,
     read_json,
@@ -455,6 +455,23 @@ def test_check_window_witnesses_listed_once(capsys):
         "  boundary witness: (-5 - 2*sqrt(3), 0, 13)\n"
         "window regular: false\n"
     )
+
+
+def test_check_window_witness_without_small_fill(capsys):
+    # no element below the fill bound has its conjugate in [1/1000, 2/1000];
+    # the continued fraction of sqrt(2) gives 2 * (577 + 408*sqrt(2))
+    code, out, _ = run(capsys, [
+        "check-window", "--kind", "euclidean", "--m", "2", "--d", "2",
+        "--window=1,3/2;1/1000,2/1000",
+    ])
+    assert code == 3
+    assert out == (
+        "window boundary clear: false\n"
+        "  boundary witness: (1, 1154 + 816*sqrt(2))\n"
+        "window regular: false\n"
+    )
+    conj = QuadNum(1154, 816, 2).conjugate()
+    assert Fraction(1, 1000) <= conj <= Fraction(2, 1000)
 
 
 def test_cli_usage_error_exits_2(capsys):

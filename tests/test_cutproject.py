@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apercut.cutproject import (
     Box,
     ModelSet,
     Scheme,
+    _axis_fill,
     check_irreducibility,
     check_window_regular,
     generate_model_set,
@@ -221,6 +224,28 @@ def test_regularity_boundary_hit_without_small_fill(scheme, window, hit):
     report = check_window_regular(scheme, window)
     assert not report.boundary_clear
     assert not report.window_regular
+    # the fill value comes from the continued fraction of sqrt(d); every
+    # witness is a lattice point whose internal image lies on the boundary
+    assert report.boundary_witnesses
+    for witness in report.boundary_witnesses:
+        conj = tuple(c.conjugate() for c in witness)
+        assert window.contains(conj)
+        assert any(c in iv for c, iv in zip(conj, window.intervals))
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.sampled_from([2, 3, 5, 6, 7, 13, 61]),
+       variant=st.sampled_from(list(RingVariant)),
+       lo=st.fractions(-5, 5, max_denominator=10 ** 6),
+       digits=st.integers(0, 15))
+def test_axis_fill_conjugate_in_window(d, variant, lo, digits):
+    if variant is RingVariant.FULL_INTEGERS and d % 4 != 1:
+        variant = RingVariant.Z_SQRT_D
+    ring = RingSpec(d, variant)
+    window = (lo, lo + Fraction(1, 10 ** digits))
+    x = _axis_fill(ring, window)
+    assert ring.contains(x)
+    assert window[0] <= x.conjugate() <= window[1]
 
 
 @pytest.mark.parametrize("intervals,clear", [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from apercut import growth
 from apercut.errors import BudgetExceededError
 from apercut.growth import (
     BallTable,
@@ -139,6 +140,31 @@ def test_fit_rejects_bad_tables():
         fit_growth_exponent(bfs_balls(GenSet.standard(Z1), 3), k_min=2)
 
 
+def polyfit_reference(table, k_min):
+    """Exponent and residual of the numpy.polyfit fit that
+    fit_growth_exponent replaced."""
+    import numpy as np
+    ks = np.arange(max(k_min, 1), len(table.counts), dtype=float)
+    logs_k = np.log(ks)
+    logs_c = np.log([float(table.counts[int(k)]) for k in ks])
+    slope, intercept = np.polyfit(logs_k, logs_c, 1)
+    fitted = slope * logs_k + intercept
+    return float(slope), float(np.sqrt(np.mean((logs_c - fitted) ** 2)))
+
+
+@pytest.mark.parametrize("kind,kmax,k_min", [
+    (Z1, 40, 8), (Z1, 12, 1), (Z2, 30, 8), (Z2, 30, 1), (H1, 20, 1),
+    (H1, 20, 5),
+])
+def test_fit_matches_polyfit(kind, kmax, k_min):
+    # float64 sums in another order: agreement to 1e-12, not bit for bit
+    table = bfs_balls(GenSet.standard(kind), kmax)
+    fit = fit_growth_exponent(table, k_min=k_min)
+    slope, residual = polyfit_reference(table, k_min)
+    assert fit.exponent == pytest.approx(slope, rel=1e-12, abs=0)
+    assert fit.residual == pytest.approx(residual, rel=1e-12, abs=0)
+
+
 def test_c_estimates_reference_degree():
     table = bfs_balls(GenSet.standard(Z1), 10)
     fit = fit_growth_exponent(table, k_min=2, degree_reference=1)
@@ -210,8 +236,8 @@ def test_separation_property_of_greedy():
 
 
 # ---------------------------------------------------------------------------
-# reference: the per-tuple breadth-first search, greedy walk and cover checks
-# the packed-code kernel replaced, kept as the oracle for it
+# reference: a per-tuple breadth-first search, greedy walk and cover checks,
+# the oracle for the column-bitset kernel
 # ---------------------------------------------------------------------------
 
 def ref_layers(gens, kmax):
@@ -302,9 +328,9 @@ def test_balls_match_reference_standard(kind, kmax):
     assert_balls_match(GenSet.standard(kind), kmax)
 
 
-# generators with coordinates near 2^40: the codes of Z^2 balls (about
-# 2^84), Z^3 balls and H_n balls (t grows like k^2 * 2^80) pass 2^62 and
-# run on Python ints
+# generators with coordinates near 2^40: codes of Z^2 balls reach about
+# 2^84, of Z^3 and H_n balls (t grows like k^2 * 2^80) far more, so the
+# words of a column lie far apart
 WIDE = [
     (Z1, [(BIG + 1,), (3,)], 6),
     (Z2, [(BIG, 3), (-2, BIG + 1)], 4),
@@ -354,6 +380,44 @@ def test_balls_and_cover_match_reference_drawn(gens, kmax, a):
     assert_balls_match(gens, kmax)
     assert greedy_maximal_separated(gens, a, 1) == ref_greedy(gens, a, 1)
     assert verify_cover(gens, a, 1, 1) == ref_cover(gens, a, 1, 1)
+
+
+# Words of 1 and 5 bits: every translate straddles words, with shifts of
+# both signs, exact multiples of the width among them.
+COVERS = [(Z1, 10, 3), (Z2, 3, 2), (Z3, 2, 1), (H1, 3, 1), (H1, 2, 2),
+          (H2, 2, 1)]
+
+
+@pytest.mark.parametrize("width", [1, 5])
+@pytest.mark.parametrize("kind,kmax", STANDARD,
+                         ids=["z1", "z2", "z3", "h1", "h2"])
+def test_balls_match_reference_narrow_words(kind, kmax, width, monkeypatch):
+    monkeypatch.setattr(growth, "WORD_BITS", width)
+    assert_balls_match(GenSet.standard(kind), kmax)
+
+
+@pytest.mark.parametrize("width", [1, 5])
+@pytest.mark.parametrize("kind,gens,kmax", WIDE,
+                         ids=["z1", "z2", "z3", "h1", "h2"])
+def test_wide_match_reference_narrow_words(kind, gens, kmax, width,
+                                           monkeypatch):
+    monkeypatch.setattr(growth, "WORD_BITS", width)
+    gens = GenSet.make(kind, gens)
+    assert_balls_match(gens, kmax)
+    assert greedy_maximal_separated(gens, 2, 1) == ref_greedy(gens, 2, 1)
+    assert verify_cover(gens, 2, 1, 4) == ref_cover(gens, 2, 1, 4)
+
+
+@pytest.mark.parametrize("width", [1, 5])
+@pytest.mark.parametrize("kind,a,n", COVERS,
+                         ids=["z1", "z2", "z3", "h1-3-1", "h1-2-2", "h2"])
+def test_cover_matches_reference_narrow_words(kind, a, n, width,
+                                              monkeypatch):
+    monkeypatch.setattr(growth, "WORD_BITS", width)
+    gens = GenSet.standard(kind)
+    assert greedy_maximal_separated(gens, a, n) == ref_greedy(gens, a, n)
+    assert verify_cover(gens, a, n, kind.growth_degree) == ref_cover(
+        gens, a, n, kind.growth_degree)
 
 
 def test_cover_rejects_non_covering_set():

@@ -1,11 +1,11 @@
-"""Start-up cost: which modules each command loads and which threads it
-starts, checked in fresh interpreters.
+"""Start-up cost: which modules each command loads and which threads
+`growth` starts, checked in fresh interpreters.
 
-`generate`, `check-window` and `bounds` never call numpy, so neither
-`import apercut`, `import apercut.cli` nor those commands may import it;
-`analyze`, `growth` and `cover` load it when they start. Neither
+`generate`, `check-window`, `bounds`, `growth` and `cover` never call
+numpy, so neither `import apercut`, `import apercut.cli` nor those commands
+may import it; `analyze` loads it when it starts. Neither
 `import apercut.cli` nor `growth` and `cover` load a model-set module or
-`quadratic`, and no command starts BLAS threads.
+`quadratic`.
 """
 
 import os
@@ -88,61 +88,65 @@ def test_word_commands_load_no_model_set_module(argv, tmp_path):
     assert not modules & (MODEL_SET_MODULES | {"apercut.lattice"})
 
 
-# The setting a command sees (read by a wrapper on `ball_table_csv_text`),
-# the threads left after it and the setting after `main` returns.
+# The threads before and after an in-process growth command, whether numpy
+# is loaded after it, and the setting after `main` returns.
 THREADS_AFTER_GROWTH = """
-import os
+import os, sys
 {preload}
 import apercut.cli as cli
-seen = []
-inner = cli.ball_table_csv_text
-def wrapper(*args, **kwargs):
-    seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
-    return inner(*args, **kwargs)
-cli.ball_table_csv_text = wrapper
+before = len(os.listdir("/proc/self/task"))
 assert cli.main(["growth", "--group", "h1z", "--kmax", "10"]) == 0
-print(seen[0], len(os.listdir("/proc/self/task")),
+print(before, len(os.listdir("/proc/self/task")), "numpy" in sys.modules,
       os.environ.get("OPENBLAS_NUM_THREADS"))
 """
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
                     reason="counts threads through Linux /proc")
-@pytest.mark.parametrize("preset,preload,during,after", [
-    (None, "", "1", "None"),
-    ("2", "", "2", "2"),
-    (None, "import numpy", "None", "None"),
+@pytest.mark.parametrize("preset,preload", [
+    (None, ""),
+    ("2", ""),
+    (None, "import numpy"),
 ], ids=["unset", "preset-2", "numpy-loaded"])
-def test_growth_starts_no_blas_threads(preset, preload, during, after,
-                                       tmp_path):
+def test_growth_starts_no_blas_threads(preset, preload, tmp_path):
+    # growth loads no numpy, so it starts no thread and leaves
+    # OPENBLAS_NUM_THREADS as it found it
     proc = run_python(
         ["-c", THREADS_AFTER_GROWTH.format(preload=preload)], tmp_path,
         {"OPENBLAS_NUM_THREADS": preset})
-    seen, threads, left = proc.stdout.split()[-3:]
-    assert (seen, left) == (during, after)
-    if preset is None and not preload:
-        assert threads == "1"
+    before, after, numpy_loaded, left = proc.stdout.split()[-4:]
+    assert after == before
+    assert numpy_loaded == str(bool(preload))
+    assert left == str(preset)
+    if not preload:
+        assert after == "1"
 
 
-@pytest.mark.parametrize("argv", [
-    ["generate", *SCHEME, WINDOW, "--region=-30,30", "--out", "s.json"],
-    ["check-window", *SCHEME, WINDOW],
-    ["bounds", "--dg", "4", "--dimx", "2", "--out", "b.json"],
-], ids=["generate", "check-window", "bounds"])
-def test_command_does_not_load_numpy(argv, tmp_path):
+@pytest.mark.parametrize("argv,module,expected", [
+    (["generate", *SCHEME, WINDOW, "--region=-30,30", "--out", "s.json"],
+     "apercut.cutproject", "written: s.json"),
+    (["check-window", *SCHEME, WINDOW], "apercut.cutproject",
+     "window regular: true"),
+    (["bounds", "--dg", "4", "--dimx", "2", "--out", "b.json"],
+     "apercut.bounds", "written: b.json"),
+    (["growth", "--group", "h1z", "--kmax", "10"], "apercut.growth",
+     "fitted exponent:"),
+    (["cover", "--group", "z2", "--a", "3", "--n", "2"], "apercut.growth",
+     "covered: true"),
+], ids=["generate", "check-window", "bounds", "growth", "cover"])
+def test_command_does_not_load_numpy(argv, module, expected, tmp_path):
     proc = run_python(["-X", "importtime", "-m", "apercut.cli", *argv],
                       tmp_path)
+    assert expected in proc.stdout
     modules = imported_modules(proc.stderr)
-    assert "apercut.cutproject" in modules
+    assert module in modules
     assert not loads_numpy(modules)
 
 
 @pytest.mark.parametrize("argv,expected", [
     (["analyze", "--in", "sample.json", "--K", "1,2", "--period-bound", "2",
       "--out", "report.json"], "nontrivial periods found: 0"),
-    (["growth", "--group", "h1z", "--kmax", "10"], "fitted exponent:"),
-    (["cover", "--group", "z2", "--a", "3", "--n", "2"], "covered: true"),
-], ids=["analyze", "growth", "cover"])
+], ids=["analyze"])
 def test_numpy_commands_run(argv, expected, sample):
     proc = run_python(["-X", "importtime", "-m", "apercut.cli", *argv],
                       sample)
