@@ -321,14 +321,22 @@ def _integer_endpoints(iv: FractionPair) -> list[Fraction]:
 
 def _axis_fill(ring: RingSpec, w: FractionPair) -> QuadNum | None:
     """A ring element with conjugate in the closed axis window, or None if
-    there is none. The first with physical value within the witness fill
+    there is none. The least with physical value within the witness fill
     bound, widened to the window endpoints, if any. Otherwise, for a window
     with interior, m * e, where e = p + q*sqrt(d) runs over the convergents
     p/q of sqrt(d) until |e'| = |p - q*sqrt(d)| <= the window width (it is
     below 1/q, so this takes O(log(1/width)) steps), then has its sign set
     so that e' > 0, and m = ceil(lo / e'): m * e' lies in [lo, lo + e')."""
     bound = max(Fraction(WITNESS_FILL_BOUND), abs(w[0]), abs(w[1]))
-    small = enumerate_ring_in_rectangle(ring, (-bound, bound), w)
+    # the least physical value in [-bound, bound] is the least of the first
+    # nonempty [-bound, -bound + width], width = 1, 2, 4, ..., 2*bound
+    width = 1
+    while True:
+        small = enumerate_ring_in_rectangle(
+            ring, (-bound, min(width - bound, bound)), w)
+        if small or width >= 2 * bound:
+            break
+        width *= 2
     if small or w[0] == w[1]:
         return small[0] if small else None
     d = ring.d

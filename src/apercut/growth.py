@@ -3,8 +3,9 @@
 Balls B_k are exact. A breadth-first search over the Cayley graph builds
 them one layer (the elements of word length exactly k) at a time, on plain
 Python integers. An element is keyed by its column, the y coordinates (none
-for Z^m), and the rest, (x..., t), packs into one integer code (`_Layout`).
-A left product s*q adds the same shift, code(s) + <x_s, y>, to the code of
+for Z^m), and the rest packs into one integer code (`_Layout`) whose top
+digit is the last coordinate, t for H_n, so no bound on it is needed. A left
+product s*q adds the same shift, code(s) + <x_s, y> * radix, to the code of
 every q in column y, so a set of elements is a sparse bitset per column,
 y -> {word index: WORD_BITS-bit int}, after Roaring bitmaps (Chambi, Lemire,
 Kaser and Godin, Software: Practice and Experience 46(5), 2016). A
@@ -107,66 +108,49 @@ class BallTable:
 
 
 def _ball_bounds(gens: GenSet, k: int) -> list[int]:
-    """Per-coordinate bound on |g| over B_k. Each of the k letters adds at
-    most max|g_i| to coordinate i; for H_n the j-th letter also adds
-    <x, g_y> to t, with |x_i| <= (j-1) max|g_x_i|."""
-    kind = gens.kind
-    top = [max(abs(g[i]) for g in gens.generators)
-           for i in range(kind.coord_count)]
-    bounds = [k * b for b in top]
-    if kind.family is Family.HEISENBERG:
-        n = kind.rank
-        bounds[-1] += k * (k - 1) // 2 * sum(top[i] * top[n + i]
-                                             for i in range(n))
-    return bounds
-
-
-def _reach(kind: GroupKind, left: Sequence[int],
-           right: Sequence[int]) -> list[int]:
-    """Per-coordinate bound on |p * q| for |p_i| <= left[i] and
-    |q_i| <= right[i]."""
-    out = [a + b for a, b in zip(left, right)]
-    if kind.family is Family.HEISENBERG:
-        n = kind.rank
-        out[-1] += sum(left[i] * right[n + i] for i in range(n))
-    return out
+    """Per-coordinate bound on |g| over B_k for the coordinates before the
+    last: each of the k letters adds at most max|g_i| to coordinate i."""
+    return [k * max(abs(g[i]) for g in gens.generators)
+            for i in range(gens.kind.coord_count - 1)]
 
 
 class _Layout:
     """Where an element lives: its column, the y coordinates (none for Z^m),
-    and its code, the sum of c_i * stride_i over the other coordinates
-    (x..., t) with radices 2*bounds[i] + 1, t least significant. The digits
-    are balanced, |c_i| <= bounds[i], so distinct elements of a column get
-    distinct codes, and the order of the codes is the lexicographic order
-    of (x, t). Every element a caller places must lie within the bounds."""
+    and its code. The coordinates before the column (x for H_n, all but the
+    last for Z^m) are balanced digits c_i, |c_i| <= bounds[i], of radices
+    2*bounds[i] + 1, first most significant; the last coordinate (t for H_n)
+    is the unbounded top digit, times `radix`, the product of those radices.
+    So distinct elements of a column get distinct codes, and the codes
+    order the elements by t, then x. Every element a caller places must
+    have its lower digits within the bounds."""
 
     def __init__(self, kind: GroupKind, bounds: Sequence[int]) -> None:
         n = self.n = kind.rank if kind.family is Family.HEISENBERG else 0
-        self.bounds = list(bounds[:n]) + list(bounds[2 * n:])
-        self.strides, stride = [], 1
+        self.bounds = list(bounds[:kind.coord_count - 1 - n])
+        self.strides, self.radix = [], 1
         for b in reversed(self.bounds):
-            self.strides.insert(0, stride)
-            stride *= 2 * b + 1
+            self.strides.insert(0, self.radix)
+            self.radix *= 2 * b + 1
 
     def element(self, y: IntCoords, code: int) -> IntCoords:
         digits: list[int] = []
         for b in reversed(self.bounds):
-            digits.insert(0, (code + b) % (2 * b + 1) - b)
-            code = (code - digits[0]) // (2 * b + 1)
-        return (*digits[:self.n], *y, *digits[self.n:])
+            code, d = divmod(code + b, 2 * b + 1)
+            digits.insert(0, d - b)
+        return (*digits, *y, code)
 
 
 def _translate_into(out: Columns, layout: _Layout, s: IntCoords,
                     cols: Columns) -> None:
     """out |= s * cols. Column y moves to y + y_s and its codes by
-    code(s) + <x_s, y>: word w goes to words w + q and w + q + 1."""
-    width = WORD_BITS
+    code(s) + <x_s, y> * radix: word w goes to words w + q and w + q + 1."""
+    width, radix = WORD_BITS, layout.radix
     mask = (1 << width) - 1
     n = layout.n
     xs, ys = s[:n], s[n:2 * n]
-    base = sum(map(mul, (*xs, *s[2 * n:]), layout.strides))  # code(s)
+    base = sum(map(mul, s, layout.strides)) + s[-1] * radix  # code(s)
     for y, words in cols.items():
-        q, r = divmod(base + sum(map(mul, xs, y)), width)
+        q, r = divmod(base + sum(map(mul, xs, y)) * radix, width)
         col = out.setdefault(tuple(map(add, y, ys)), {})
         get = col.get
         for w, v in words.items():
@@ -211,15 +195,16 @@ def _count(cols: Columns) -> int:
 
 def _ordered(layout: _Layout, cols: Columns) -> list[tuple[IntCoords, int]]:
     """(y, code) of the elements of cols in canonical (lexicographic)
-    order: by the digits before the last, then y, then the code."""
-    b = layout.bounds[-1]
+    order: by the lower digits, then y, then the code (the top digit)."""
+    radix = layout.radix
+    half = radix // 2
     out = []
     for y, words in cols.items():
         for w, v in words.items():
             bits, base = bin(v)[:1:-1], w * WORD_BITS
             i = bits.find("1")
             while i >= 0:
-                out.append(((base + i + b) // (2 * b + 1), y, base + i))
+                out.append(((base + i + half) % radix, y, base + i))
                 i = bits.find("1", i + 1)
     out.sort()
     return [(y, code) for _, y, code in out]
@@ -379,9 +364,9 @@ def verify_cover(
     S = None if separated is None else [tuple(s) for s in separated]
     top = (_ball_bounds(gens, a * n) if S is None else
            [max((abs(s[i]) for s in S), default=0)
-            for i in range(kind.coord_count)])
+            for i in range(kind.coord_count - 1)])
     layout = _Layout(kind, [*map(max, _ball_bounds(gens, (a + 1) * n),
-                                 _reach(kind, top, _ball_bounds(gens, 2 * n)))])
+                                 map(add, top, _ball_bounds(gens, 2 * n)))])
     layers, counts = _bfs(gens, (a + 1) * n, layout, budget)
     ball_2n = _union(layers[:2 * n + 1])
     if S is None:

@@ -270,17 +270,22 @@ def model_set_payload(ms: ModelSet, config: dict | None = None) -> dict:
 
 
 def model_set_from_payload(payload: dict) -> ModelSet:
+    """The model set of a payload; ValueError if a field is missing or
+    malformed."""
     from .cutproject import ModelSet
 
-    scheme = _scheme_from(payload["scheme"])
-    rows, e = _rows_from(payload["points"], scheme)
-    ms = ModelSet(
-        scheme,
-        _box_from(payload["window"]),
-        _box_from(payload["region"]),
-        rows,
-        e,
-    )
+    try:
+        scheme = _scheme_from(payload["scheme"])
+        rows, e = _rows_from(payload["points"], scheme)
+        window = _box_from(payload["window"])
+        region = _box_from(payload["region"])
+    except KeyError as exc:
+        raise ValueError(f"model-set file has no {exc} field") from exc
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(
+            f"malformed model-set file: {type(exc).__name__}: {exc}"
+        ) from exc
+    ms = ModelSet(scheme, window, region, rows, e)
     ms.validate()
     return ms
 

@@ -177,6 +177,36 @@ def test_analyze_corrupted_hash_exits_5(tmp_path, capsys):
     assert "hash" in err
 
 
+def _drop_region(payload):
+    del payload["region"]
+
+
+def _int_point(payload):
+    payload["points"][0] = 5
+
+
+def _zero_denominator(payload):
+    payload["points"][0][0][1] = "0"
+
+
+@pytest.mark.parametrize("spoil", [_drop_region, _int_point,
+                                   _zero_denominator],
+                         ids=["no-region", "int-point", "zero-denominator"])
+def test_analyze_malformed_sample_exits_2(spoil, tmp_path, capsys):
+    # a correctly hashed file whose fields are wrong is malformed input
+    ms_path = gen_file(tmp_path, capsys)
+    payload = read_json(ms_path)
+    del payload["content_hash"]
+    spoil(payload)
+    write_json(ms_path, payload)
+    code, _, err = run(capsys, [
+        "analyze", "--in", str(ms_path), "--out", str(tmp_path / "r.json"),
+    ])
+    assert code == 2
+    assert err.startswith("error:")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_analyze_reads_reindented_sample(tmp_path, capsys):
     ms_path = gen_file(tmp_path, capsys)
     code, out, err = run(capsys, [

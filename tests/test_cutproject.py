@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apercut import cutproject
 from apercut.cutproject import (
+    WITNESS_FILL_BOUND,
     Box,
     ModelSet,
     Scheme,
@@ -19,7 +21,12 @@ from apercut.cutproject import (
 )
 from apercut.errors import WindowError
 from apercut.heisenberg import GroupKind, GroupPoint
-from apercut.quadratic import QuadNum, RingSpec, RingVariant
+from apercut.quadratic import (
+    QuadNum,
+    RingSpec,
+    RingVariant,
+    enumerate_ring_in_rectangle,
+)
 
 E1 = GroupKind.euclidean(1)
 H1 = GroupKind.heisenberg(1)
@@ -246,6 +253,41 @@ def test_axis_fill_conjugate_in_window(d, variant, lo, digits):
     x = _axis_fill(ring, window)
     assert ring.contains(x)
     assert window[0] <= x.conjugate() <= window[1]
+
+
+def test_axis_fill_search_grows_with_the_window_not_its_square(monkeypatch):
+    # the full range [-1000, 1000] holds about 1.4 million elements with
+    # conjugate in the window
+    returned = []
+
+    def counting(*args):
+        out = enumerate_ring_in_rectangle(*args)
+        returned.append(len(out))
+        return out
+    monkeypatch.setattr(cutproject, "enumerate_ring_in_rectangle", counting)
+    x = _axis_fill(RingSpec(2), (Fraction(-1000), Fraction(1000)))
+    assert -1000 <= x.conjugate() <= 1000
+    assert sum(returned) < 1000
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.sampled_from([2, 3, 5, 7]),
+       variant=st.sampled_from(list(RingVariant)),
+       lo=st.fractions(-40, 40, max_denominator=20),
+       width=st.one_of(st.just(Fraction(0)),
+                       st.fractions(0, 50, max_denominator=20)))
+def test_axis_fill_is_least_in_full_range(d, variant, lo, width):
+    if variant is RingVariant.FULL_INTEGERS and d % 4 != 1:
+        variant = RingVariant.Z_SQRT_D
+    ring = RingSpec(d, variant)
+    window = (lo, lo + width)
+    # the whole range at once: the least element there is the fill value
+    bound = max(Fraction(WITNESS_FILL_BOUND), abs(window[0]), abs(window[1]))
+    full = enumerate_ring_in_rectangle(ring, (-bound, bound), window)
+    if full:
+        assert _axis_fill(ring, window) == full[0]
+    elif not width:
+        assert _axis_fill(ring, window) is None
 
 
 @pytest.mark.parametrize("intervals,clear", [

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import pytest
@@ -380,6 +381,41 @@ def test_balls_and_cover_match_reference_drawn(gens, kmax, a):
     assert_balls_match(gens, kmax)
     assert greedy_maximal_separated(gens, a, 1) == ref_greedy(gens, a, 1)
     assert verify_cover(gens, a, 1, 1) == ref_cover(gens, a, 1, 1)
+
+
+@st.composite
+def layout_elements(draw):
+    """A kind, per-coordinate bounds, and elements whose lower digits lie
+    within them; the last coordinate, the top digit, is unbounded."""
+    kind = draw(st.sampled_from([H1, H2, Z3]))
+    count = kind.coord_count
+    bounds = draw(st.lists(st.integers(0, 5), min_size=count - 1,
+                           max_size=count - 1))
+    coords = [st.integers(-b, b) for b in bounds]
+    if kind is not Z3:
+        # only x is a digit; y is the column
+        n = kind.rank
+        coords[n:] = [st.integers(-4, 4)] * n
+    top = st.integers(-(1 << 70), 1 << 70)
+    elements = draw(st.lists(st.tuples(*coords, top), max_size=30))
+    return kind, bounds, elements
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=layout_elements())
+def test_layout_round_trip_and_order(case):
+    kind, bounds, elements = case
+    layout = growth._Layout(kind, bounds)
+    n = layout.n
+    cols = {}
+    for s in elements:
+        code = sum(map(operator.mul, s, layout.strides)) + s[-1] * layout.radix
+        assert layout.element(s[n:2 * n], code) == s
+        # s times the identity places s at its code
+        growth._translate_into(cols, layout, s, {(0,) * n: {0: 1}})
+    ordered = [layout.element(y, code)
+               for y, code in growth._ordered(layout, cols)]
+    assert ordered == sorted(set(elements))
 
 
 # Words of 1 and 5 bits: every translate straddles words, with shifts of

@@ -21,8 +21,13 @@ WORKER = ROOT / "perfbench" / "worker.py"
 @pytest.mark.parametrize("args,keys", [
     (["trace", "out.json", "p0", "--", "bounds", "--dg", "4", "--dimx", "2"],
      {"spans", "counts", "values"}),
+    # generate runs the hook on the ring enumeration
+    (["trace", "out.json", "p0", "--", "generate", "--kind", "euclidean",
+      "--m", "1", "--d", "2", "--window=-9/10,11/10", "--region=-30,30",
+      "--out", "sample.json"],
+     {"spans", "counts", "values"}),
     (["micro", "out.json", "0"], {"metrics", "operands"}),
-], ids=["trace", "micro"])
+], ids=["trace", "trace-generate", "micro"])
 def test_worker_runs(args, keys, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
