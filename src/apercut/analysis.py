@@ -40,12 +40,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 import numpy as np
 
 from .cutproject import ModelSet
-from .errors import (
-    LIMIT,
-    BudgetExceededError,
-    ErosionError,
-    element_budget,
-)
+from .errors import ErosionError, check_budget
 from .heisenberg import Family, GroupKind
 # perfbench/worker.py looks these up on this module to count their calls
 from .heisenberg import (  # noqa: F401
@@ -54,7 +49,13 @@ from .heisenberg import (  # noqa: F401
     sym_dist_leq,
     sym_dist_sq,
 )
-from .lattice import CellCodes, Quad, cell_floor, sheared_cell_floor
+from .lattice import (
+    CellCodes,
+    Quad,
+    cell_floor,
+    int_array,
+    sheared_cell_floor,
+)
 from .quadratic import QuadNum, numerator_rows
 
 
@@ -395,17 +396,14 @@ def covering_radius_estimate(
         starts.append(a)
         shape.append(int((b - a) / grid_step) + 1)
     total = math.prod(shape)
-    limit = element_budget()
-    if total > limit:
-        raise BudgetExceededError(
-            f"covering grid of {total} points would exceed element budget "
-            f"{limit}")
+    check_budget(total, f"covering grid of {total} points")
     axes = [[a + k * grid_step for k in range(count)]
             for a, count in zip(starts, shape)]
     grid_axes = [np.array([float(v) for v in axis]) for axis in axes]
     # exact grid coordinates: integer numerators over one denominator
     rows, den = numerator_rows(axes)
-    num_axes = [_int_array(row[:len(axis)]) for row, axis in zip(rows, axes)]
+    num_axes = [int_array(row[:len(axis)])[0]
+                for row, axis in zip(rows, axes)]
     pts = ms.lattice.float_coords()
     delta = _float_gauge_error(kind, _float_magnitude(ms))
     indexes = []  # per doubling radius
@@ -436,13 +434,6 @@ def covering_radius_estimate(
             r *= 2
             k += 1
     return worst
-
-
-def _int_array(values: Sequence[int]) -> np.ndarray:
-    """Python ints as an int64 array, or an object array when one of them
-    reaches LIMIT."""
-    big = max(map(abs, values), default=0) >= LIMIT
-    return np.array(values, dtype=object if big else np.int64)
 
 
 def _float_at_most(r: Fraction) -> float:
@@ -582,11 +573,6 @@ def patch_at(ms: ModelSet, center_index: int, radius: Fraction,
         )
     if index is None:
         index = NeighborIndex(ms, radius)
-    return _patch(ms, center_index, radius, index)
-
-
-def _patch(ms: ModelSet, center_index: int, radius: Fraction,
-           index: NeighborIndex) -> Tuple[tuple, ...]:
     keys, coords = _patch_rows(ms, [center_index], radius, index)
     return coords[keys[0]]
 

@@ -13,7 +13,6 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence, Tuple
 
-from .cutproject import RegularityReport
 from .errors import ProvenanceError
 from .heisenberg import GroupKind
 
@@ -24,6 +23,7 @@ if TYPE_CHECKING:
         PeriodReport,
         RepetitivityReport,
     )
+    from .cutproject import RegularityReport
 
 
 def _check_nonneg(name: str, value: int) -> None:

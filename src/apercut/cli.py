@@ -9,11 +9,15 @@ output bytes; the current implementation runs single-threaded regardless of
 
 Start-up: each command imports only the modules it runs. `import apercut.cli`
 loads `errors`, `heisenberg` and `serialize`. On top of those, `generate`
-and `check-window` load `cutproject` and `quadratic`, `bounds` loads
-`bounds`, `cutproject` and `quadratic`, and `analyze` loads `analysis`,
-`lattice`, `cutproject`, `quadratic` and numpy. `growth` and `cover` load
-only `growth`: word balls are bitsets on plain Python integers, so neither
-numpy, a model-set module nor `quadratic`. No command makes a BLAS call.
+and `check-window` load `cutproject` and `quadratic`, `bounds` loads only
+`bounds`, and `analyze` loads `analysis`, `lattice`, `cutproject`,
+`quadratic` and numpy. `growth` and `cover` load only `growth`: word balls
+are bitsets on plain Python integers, so neither numpy, a model-set module
+nor `quadratic`. No command makes a BLAS call.
+
+`generate` counts its sample against the element budget before it
+enumerates an axis, and `analyze` refuses a sample that is not the whole
+model set of its window and region (exit 2).
 
 Exit codes: 0 ok, 2 usage or invalid input, 3 window-regularity rejection,
 4 erosion/core failures, 5 provenance mismatch, 6 element budget exceeded.
@@ -30,13 +34,8 @@ from typing import TYPE_CHECKING
 from .errors import (
     ApercutError,
     BudgetExceededError,
-    EmptyIntervalError,
     ErosionError,
-    FieldMismatchError,
-    KindMismatchError,
     ProvenanceError,
-    WindowError,
-    element_budget,
 )
 from .heisenberg import GroupKind
 from .serialize import (
@@ -252,8 +251,7 @@ def cmd_growth(args) -> int:
 
     kind = _parse_group(args.group)
     gens = growth_mod.GenSet.standard(kind)
-    budget = element_budget(args.budget)
-    table = growth_mod.bfs_balls(gens, args.kmax, budget)
+    table = growth_mod.bfs_balls(gens, args.kmax, args.budget)
     config = {"command": "growth", "kmax": args.kmax, "kmin": args.kmin}
     text = ball_table_csv_text(table, config=config)
     if args.out:
@@ -278,9 +276,9 @@ def cmd_cover(args) -> int:
 
     kind = _parse_group(args.group)
     gens = growth_mod.GenSet.standard(kind)
-    budget = element_budget(args.budget)
     report = growth_mod.verify_cover(
-        gens, a=args.a, n=args.n, d_used=kind.growth_degree, budget=budget
+        gens, a=args.a, n=args.n, d_used=kind.growth_degree,
+        budget=args.budget,
     )
     print(f"covered: {_bool_str(report.covered)}")
     print(f"packing size |S|: {report.packing_size}")
@@ -431,21 +429,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
+    except (ApercutError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ProvenanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROVENANCE
-    except ErosionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
-    except (WindowError, EmptyIntervalError, FieldMismatchError,
-            KindMismatchError, ApercutError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        for error, code in ((BudgetExceededError, EXIT_BUDGET),
+                            (ProvenanceError, EXIT_PROVENANCE),
+                            (ErosionError, EXIT_ANALYSIS)):
+            if isinstance(exc, error):
+                return code
         return EXIT_USAGE
 
 

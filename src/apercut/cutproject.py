@@ -18,12 +18,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence, Tuple
 
-from .errors import BudgetExceededError, WindowError, element_budget
+from .errors import WindowError, check_budget
 from .heisenberg import Family, GroupKind, GroupPoint
 from .quadratic import (
     QuadNum,
     RingSpec,
     common_denominator,
+    count_ring_in_rectangle,
     enumerate_ring_in_rectangle,
     floor_div,
     numerator_rows,
@@ -231,6 +232,16 @@ class ModelSet:
                 raise ValueError("points not in canonical sorted order")
 
 
+def model_set_size(scheme: Scheme, window: Box, region: Box,
+                   cap: int | None = None) -> int:
+    """The number of points of `generate_model_set(scheme, window, region)`,
+    counted per axis without building them; each axis is counted until it
+    passes cap."""
+    return math.prod(
+        count_ring_in_rectangle(scheme.ring, phys, internal, cap)
+        for phys, internal in zip(region.intervals, window.intervals))
+
+
 def generate_model_set(
     scheme: Scheme,
     window: Box,
@@ -243,23 +254,16 @@ def generate_model_set(
     is set (degenerate windows make the boundary checks meaningless but the
     enumeration itself stays well defined). The sample is the product of
     the per-axis enumerations; raises BudgetExceededError before building
-    it when it has more points than `errors.element_budget()`.
+    any axis when it has more points than `errors.element_budget()`.
     """
     _check_box(scheme, window, "window")
     _check_box(scheme, region, "region")
     if not window.has_interior and not allow_degenerate_window:
         raise WindowError("window has empty interior")
-    axes = [
-        enumerate_ring_in_rectangle(scheme.ring, region.intervals[i],
-                                    window.intervals[i])
-        for i in range(scheme.kind.coord_count)
-    ]
-    total = math.prod(map(len, axes))
-    limit = element_budget()
-    if total > limit:
-        raise BudgetExceededError(
-            f"model set of {total} points would exceed element budget "
-            f"{limit}")
+    total = model_set_size(scheme, window, region)
+    check_budget(total, f"model set of {total} points")
+    axes = [enumerate_ring_in_rectangle(scheme.ring, phys, internal)
+            for phys, internal in zip(region.intervals, window.intervals)]
     e = common_denominator(itertools.chain(*axes)) if total else 1
     pairs = [[numerators(x, e) for x in axis] for axis in axes]
     # the product of ascending axes is already in lexicographic order, and

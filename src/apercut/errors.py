@@ -1,6 +1,6 @@
 """Exception types shared across the package, the element budget that
-`BudgetExceededError` enforces, and the int64 bound `LIMIT` of the numpy
-integer kernels.
+`check_budget` enforces, and the int64 bound `LIMIT` of the numpy integer
+kernels.
 
 The CLI maps these onto process exit codes, so library code should raise
 the most specific type that applies.
@@ -14,8 +14,8 @@ DEFAULT_ELEMENT_BUDGET = 50_000_000
 BUDGET_ENV_VAR = "APERCUT_BUDGET"
 
 # `lattice` keeps integer arrays int64 while every value is known to stay
-# below LIMIT and moves them to Python ints beyond it (as does the covering
-# grid of `analysis`); word balls use Python ints throughout.
+# below LIMIT and moves them to Python ints beyond it (`lattice.int_array`);
+# word balls use Python ints throughout.
 LIMIT = 1 << 62
 
 
@@ -59,3 +59,11 @@ def element_budget(override: int | None = None) -> int:
         return override
     raw = os.environ.get(BUDGET_ENV_VAR)
     return int(raw) if raw else DEFAULT_ELEMENT_BUDGET
+
+
+def check_budget(total: int, what: str, override: int | None = None) -> None:
+    """Raise BudgetExceededError when `what`, of total elements, has more
+    than `element_budget(override)`."""
+    limit = element_budget(override)
+    if total > limit:
+        raise BudgetExceededError(f"{what} would exceed element budget {limit}")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from operator import add, mul
 from typing import Dict, Iterable, Sequence, Tuple
 
-from .errors import BudgetExceededError, element_budget
+from .errors import check_budget
 from .heisenberg import Family, GroupKind, inv_coords
 # perfbench/worker.py looks this up on this module to count its calls
 from .heisenberg import mul_coords  # noqa: F401
@@ -215,7 +215,6 @@ def _bfs(gens: GenSet, kmax: int, layout: _Layout,
     """The layers 0..kmax, and the sizes |B_0|, ..., |B_kmax|."""
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    limit = element_budget(budget)
     prev, layer = {}, {(0,) * layout.n: {0: 1}}  # the identity, code 0
     layers, counts = [layer], [1]
     for _ in range(kmax):
@@ -224,10 +223,7 @@ def _bfs(gens: GenSet, kmax: int, layout: _Layout,
             _translate_into(found, layout, g, layer)
         prev, layer = layer, _minus(found, layer, prev)
         counts.append(counts[-1] + _count(layer))
-        if counts[-1] > limit:
-            raise BudgetExceededError(
-                f"ball would exceed element budget {limit}"
-            )
+        check_budget(counts[-1], "ball", budget)
         layers.append(layer)
     return layers, counts
 

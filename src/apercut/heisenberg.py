@@ -205,27 +205,11 @@ def sym_dist_sq(p: GroupPoint, q: GroupPoint) -> Scalar:
     """
     p._check_partner(q)
     if p.kind.family is Family.EUCLIDEAN:
-        terms = [(a - b) * (a - b) for a, b in zip(p.coords, q.coords)]
-    else:
-        g1 = mul_coords(p.kind, inv_coords(p.kind, p.coords), q.coords)
-        g2 = mul_coords(p.kind, inv_coords(p.kind, q.coords), p.coords)
-        terms = [c * c for c in g1[:-1]]
-        terms.append(g1[-1] if _sign(g1[-1]) >= 0 else -g1[-1])
-        terms.append(g2[-1] if _sign(g2[-1]) >= 0 else -g2[-1])
-    best = terms[0]
-    for term in terms[1:]:
-        if _sign(term - best) > 0:
-            best = term
-    return best
-
-
-def _sign(v: Scalar) -> int:
-    # imported here, so that word growth, on integers, never loads it
-    from .quadratic import QuadNum
-
-    if isinstance(v, QuadNum):
-        return v.sign()
-    return (v > 0) - (v < 0)
+        return max((a - b) * (a - b) for a, b in zip(p.coords, q.coords))
+    g1 = mul_coords(p.kind, inv_coords(p.kind, p.coords), q.coords)
+    g2 = mul_coords(p.kind, inv_coords(p.kind, q.coords), p.coords)
+    # exact comparisons; max keeps the first of equal terms
+    return max([c * c for c in g1[:-1]] + [abs(g1[-1]), abs(g2[-1])])
 
 
 def box_volume(kind: GroupKind, s: Fraction) -> Fraction:

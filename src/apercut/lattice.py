@@ -40,6 +40,21 @@ def _as_object(a: np.ndarray) -> np.ndarray:
     return a if a.dtype == object else a.astype(object)
 
 
+def int_array(values: Sequence) -> tuple[np.ndarray, int]:
+    """Python ints, flat or in rows of one length, as an array, and the
+    bound max |v|: int64 while the bound stays below LIMIT, Python ints
+    (dtype=object) once it reaches it."""
+    try:
+        a = np.array(values, dtype=np.int64)
+        bound = max(int(a.max()), -int(a.min())) if a.size else 0
+    except OverflowError:
+        bound = LIMIT
+    if bound >= LIMIT:
+        a = np.array(values, dtype=object)
+        bound = max(map(abs, a.ravel().tolist()))
+    return a, bound
+
+
 class Quad:
     """An array of exact numerators u + w*sqrt(d) with |u|, |w| <= bound.
 
@@ -200,17 +215,8 @@ class Lattice:
         self.kind = kind
         self.d = d
         self.e = e
-        width = 2 * kind.coord_count
-        try:
-            a = np.array(rows, dtype=np.int64).reshape(len(rows), width)
-            bound = max(int(a.max()), -int(a.min())) if a.size else 0
-        except OverflowError:
-            bound = LIMIT
-        if bound >= LIMIT:
-            a = np.array(rows, dtype=object).reshape(len(rows), width)
-            bound = max((abs(v) for row in rows for v in row), default=0)
-        self.rows = a
-        self.bound = bound
+        a, self.bound = int_array(rows)
+        self.rows = a.reshape(len(rows), 2 * kind.coord_count)
         self._members: set | None = None
 
     def __len__(self) -> int:

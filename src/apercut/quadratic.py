@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 from .errors import EmptyIntervalError, FieldMismatchError
 
@@ -59,7 +59,8 @@ def _floor_root(n: int, k: int, q: int, d: int) -> int:
 
 
 def sign_pq(p: int, q: int, d: int) -> int:
-    """Exact sign of p + q*sqrt(d) by integer comparison."""
+    """Exact sign of p + q*sqrt(d) by integer comparison; p^2 = q^2*d has
+    no solution with q != 0 for the square-free d >= 2 of `_check_d`."""
     if q == 0:
         return (p > 0) - (p < 0)
     if p == 0:
@@ -67,17 +68,10 @@ def sign_pq(p: int, q: int, d: int) -> int:
     if p > 0:
         if q > 0:
             return 1
-        lhs, rhs = p * p, q * q * d
-        if lhs == rhs:
-            # would mean sqrt(d) rational; unreachable for square-free d >= 2
-            raise ArithmeticError(f"sqrt({d}) behaved rationally")
-        return 1 if lhs > rhs else -1
+        return 1 if p * p > q * q * d else -1
     if q < 0:
         return -1
-    lhs, rhs = p * p, q * q * d
-    if lhs == rhs:
-        raise ArithmeticError(f"sqrt({d}) behaved rationally")
-    return 1 if rhs > lhs else -1
+    return 1 if q * q * d > p * p else -1
 
 
 class QuadNum:
@@ -385,18 +379,17 @@ def _as_fraction_interval(iv: Interval, what: str) -> Tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def enumerate_ring_in_rectangle(
+def _p_ranges(
     ring: RingSpec, phys: Interval, internal: Interval
-) -> list[QuadNum]:
-    """All ring elements x with x in phys and conjugate(x) in internal,
-    sorted ascending.
+) -> Iterator[Tuple[int, range]]:
+    """(v, ps) for each v of the ring elements (p + v*sqrt(d))/s with x in
+    phys and conjugate(x) in internal, ps the range of their p.
 
-    Write x = (p + v*sqrt(d))/s, with s = 1 on Z[sqrt(d)] and s = 2 and
-    p = v (mod 2) on the full ring. Then v*sqrt(d) = s*(x - conj x)/2 lies
-    in s*[p1 - i2, p2 - i1]/2, which bounds v, and for each v the two
-    intervals bound p on both sides. Every bound is an exact integer floor
-    (`math.isqrt`), so the ranges hold exactly the elements; `sign_pq`
-    orders them.
+    s = 1 on Z[sqrt(d)], and s = 2 with p = v (mod 2) on the full ring.
+    Then v*sqrt(d) = s*(x - conj x)/2 lies in s*[p1 - i2, p2 - i1]/2, which
+    bounds v, and for each v the two intervals bound p on both sides. Every
+    bound is an exact integer floor (`math.isqrt`), so the ranges hold
+    exactly the elements.
     """
     p1, p2 = _as_fraction_interval(phys, "physical")
     i1, i2 = _as_fraction_interval(internal, "internal")
@@ -408,7 +401,6 @@ def enumerate_ring_in_rectangle(
     v_max = _floor_root(0, hi.numerator, hi.denominator * d, d)
     (a, qa), (b, qb), (c, qc), (e, qe) = (
         (s * x.numerator, x.denominator) for x in (p1, p2, i1, i2))
-    pairs = []
     for v in range(v_min, v_max + 1):
         # s*p1 - v*sqrt(d) <= p <= s*p2 - v*sqrt(d), and
         # s*i1 + v*sqrt(d) <= p <= s*i2 + v*sqrt(d)
@@ -417,10 +409,34 @@ def enumerate_ring_in_rectangle(
         p_max = min(_floor_root(b, -v * qb, qb, d),
                     _floor_root(e, v * qe, qe, d))
         p_min += (p_min - v) % s
-        pairs.extend((p, v) for p in range(p_min, p_max + 1, s))
+        yield v, range(p_min, p_max + 1, s)
+
+
+def enumerate_ring_in_rectangle(
+    ring: RingSpec, phys: Interval, internal: Interval
+) -> list[QuadNum]:
+    """All ring elements x with x in phys and conjugate(x) in internal,
+    sorted ascending (by `sign_pq`); see `_p_ranges`."""
+    d = ring.d
+    s = 1 if ring.variant is RingVariant.Z_SQRT_D else 2
+    pairs = [(p, v) for v, ps in _p_ranges(ring, phys, internal) for p in ps]
     pairs.sort(key=functools.cmp_to_key(
         lambda x, y: sign_pq(x[0] - y[0], x[1] - y[1], d)))
     return [QuadNum._mk(p, v, s, d) for p, v in pairs]
+
+
+def count_ring_in_rectangle(
+    ring: RingSpec, phys: Interval, internal: Interval,
+    cap: int | None = None,
+) -> int:
+    """len(enumerate_ring_in_rectangle(ring, phys, internal)), without
+    building the elements; a count above cap once it passes cap."""
+    total = 0
+    for _, ps in _p_ranges(ring, phys, internal):
+        total += len(ps)
+        if cap is not None and total > cap:
+            break
+    return total
 
 
 def serialize_quadnum(x: QuadNum) -> list[str]:

@@ -271,8 +271,11 @@ def model_set_payload(ms: ModelSet, config: dict | None = None) -> dict:
 
 def model_set_from_payload(payload: dict) -> ModelSet:
     """The model set of a payload; ValueError if a field is missing or
-    malformed."""
-    from .cutproject import ModelSet
+    malformed, or if the points are not the whole model set of the window
+    and region. Validated points are distinct members of the product of
+    the axis enumerations, so equal counts prove the sample complete; each
+    axis is counted to one past the points only."""
+    from .cutproject import ModelSet, model_set_size
 
     try:
         scheme = _scheme_from(payload["scheme"])
@@ -287,6 +290,9 @@ def model_set_from_payload(payload: dict) -> ModelSet:
         ) from exc
     ms = ModelSet(scheme, window, region, rows, e)
     ms.validate()
+    if model_set_size(scheme, window, region, cap=len(ms) + 1) != len(ms):
+        raise ValueError(f"model set incomplete: {len(ms)} points, but its "
+                         "window and region hold more")
     return ms
 
 

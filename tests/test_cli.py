@@ -1,11 +1,22 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from apercut import analysis, cli
+from apercut import analysis, cli, cutproject
 from apercut.cli import main
 from apercut.cutproject import Box, Scheme, generate_model_set
+from apercut.errors import (
+    ApercutError,
+    BudgetExceededError,
+    EmptyIntervalError,
+    ErosionError,
+    FieldMismatchError,
+    KindMismatchError,
+    ProvenanceError,
+    WindowError,
+)
 from apercut.growth import GenSet, bfs_balls
 from apercut.heisenberg import GroupKind
 from apercut.quadratic import QuadNum, RingSpec
@@ -364,6 +375,39 @@ def test_generate_budget_boundary_is_the_sample(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("hi,size,traced", [
+    # 707,108 points: no axis is built
+    (1000000, 707108, False),
+    # 70,712 points, under tracemalloc (which slows the count some 20x):
+    # building them would take about 13 MB
+    (100000, 70712, True),
+], ids=["untraced", "traced"])
+def test_generate_counts_the_sample_before_building_it(
+        tmp_path, capsys, monkeypatch, hi, size, traced):
+    def enumerate_ring_in_rectangle(*args):
+        raise AssertionError("an axis was built")
+    monkeypatch.setattr(cutproject, "enumerate_ring_in_rectangle",
+                        enumerate_ring_in_rectangle)
+    monkeypatch.setenv("APERCUT_BUDGET", "1000")
+    out = tmp_path / "over.json"
+    if traced:
+        tracemalloc.start()
+    try:
+        code, stdout, err = run(capsys, [
+            "generate", "--kind", "euclidean", "--m", "1", "--d", "2",
+            "--window=-9/10,11/10", f"--region=0,{hi}", "--out", str(out),
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 6
+    assert err == (f"error: model set of {size} points would exceed element "
+                   "budget 1000\n")
+    assert stdout == ""
+    assert not out.exists()
+    assert peak < 5 * 2 ** 20
+
+
 def _last_coordinate(value: int):
     """Set the last coordinate of the last point to the integer value."""
     def edit(points):
@@ -379,6 +423,10 @@ def _duplicate(points):
     points.insert(4, points[4])
 
 
+def _drop(points):
+    del points[len(points) // 2]
+
+
 # (argv, upper end of the region on the last coordinate)
 SAMPLES = [(GEN_1D, 60), (GEN_H1, 16)]
 
@@ -391,7 +439,9 @@ SAMPLES = [(GEN_1D, 60), (GEN_H1, 16)]
     ("region", "physical point outside region"),
     # the region's end: an integer, its own conjugate, outside the window
     ("window", "internal point outside window"),
-], ids=["swap", "duplicate", "region", "window"])
+    # sorted members of the model set, but not all of them
+    (_drop, "model set incomplete"),
+], ids=["swap", "duplicate", "region", "window", "drop"])
 def test_analyze_rejects_corrupt_sample(tmp_path, capsys, argv, hi, edit,
                                         message):
     path = tmp_path / "ms.json"
@@ -414,6 +464,34 @@ def test_analyze_rejects_corrupt_sample(tmp_path, capsys, argv, hi, edit,
     assert f"error: {message}" in err
     assert out == ""
     assert not report.exists()
+
+
+@pytest.mark.parametrize("error,code", [
+    (BudgetExceededError("over"), 6),
+    (ProvenanceError("hash"), 5),
+    (ErosionError("core"), 4),
+    (WindowError("window"), 2),
+    (EmptyIntervalError("interval"), 2),
+    (FieldMismatchError("field"), 2),
+    (KindMismatchError("kind"), 2),
+    (ApercutError("other"), 2),
+    (ValueError("value"), 2),
+    (FileNotFoundError("file"), 2),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_exit_code_of_each_error(capsys, monkeypatch, error, code):
+    def fail(args):
+        raise error
+    monkeypatch.setattr(cli, "cmd_bounds", fail)
+    assert run(capsys, ["bounds", "--dg", "1", "--dimx", "1"]) == (
+        code, "", f"error: {error}\n")
+
+
+def test_other_exceptions_propagate(monkeypatch):
+    def fail(args):
+        raise RuntimeError("a bug")
+    monkeypatch.setattr(cli, "cmd_bounds", fail)
+    with pytest.raises(RuntimeError, match="a bug"):
+        main(["bounds", "--dg", "1", "--dimx", "1"])
 
 
 def test_growth_unknown_group(capsys):

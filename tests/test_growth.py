@@ -7,14 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apercut import growth
-from apercut.errors import BudgetExceededError
+from apercut.errors import BudgetExceededError, element_budget
 from apercut.growth import (
     BallTable,
     CoverReport,
     GenSet,
     ball_elements,
     bfs_balls,
-    element_budget,
     fit_growth_exponent,
     greedy_maximal_separated,
     verify_cover,

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apercut.errors import KindMismatchError
 from apercut.heisenberg import (
@@ -202,6 +204,47 @@ def test_sym_dist_sq_consistent_with_threshold_tests():
             # threshold agreement on both sides of sqrt(d2)
             hi = Fraction(d_float).limit_denominator(10 ** 8) + Fraction(1, 100)
             assert sym_dist_leq(p, q, hi)
+
+
+def scan_sym_dist_sq(p, q):
+    """The squared symmetric distance as a scan over its terms by exact
+    signs, keeping the first of equal maxima."""
+    def sign(v):
+        return v.sign() if isinstance(v, QuadNum) else (v > 0) - (v < 0)
+
+    if p.kind.family is Family.EUCLIDEAN:
+        terms = [(a - b) * (a - b) for a, b in zip(p.coords, q.coords)]
+    else:
+        g1 = mul_coords(p.kind, inv_coords(p.kind, p.coords), q.coords)
+        g2 = mul_coords(p.kind, inv_coords(p.kind, q.coords), p.coords)
+        terms = [c * c for c in g1[:-1]]
+        terms.append(g1[-1] if sign(g1[-1]) >= 0 else -g1[-1])
+        terms.append(g2[-1] if sign(g2[-1]) >= 0 else -g2[-1])
+    best = terms[0]
+    for term in terms[1:]:
+        if sign(term - best) > 0:
+            best = term
+    return best
+
+
+# small values, so that equal terms of different types are common
+SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3])),
+    st.builds(QuadNum, st.integers(-3, 3), st.integers(-1, 1)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([H1, H2, E2]), st.data())
+def test_sym_dist_sq_equals_the_scan(kind, data):
+    p, q = (GroupPoint(kind, tuple(data.draw(SCALARS)
+                                   for _ in range(kind.coord_count)))
+            for _ in range(2))
+    got, expected = sym_dist_sq(p, q), scan_sym_dist_sq(p, q)
+    assert got == expected
+    # the same term wins a tie
+    assert type(got) is type(expected)
 
 
 def test_volume_scaling():

@@ -9,6 +9,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,7 @@ from apercut.lattice import (
     Lattice,
     Quad,
     cell_floor,
+    int_array,
     sheared_cell_floor,
 )
 from apercut.quadratic import (
@@ -84,6 +86,26 @@ def radii(points):
         Fraction(math.floor(scale)), Fraction(math.floor(scale ** 0.5)),
         Fraction(math.floor(2 * scale), 3),
     ])
+
+
+@pytest.mark.parametrize("values,dtype,bound", [
+    ([], np.int64, 0),
+    ([LIMIT - 1, 0, -(LIMIT - 1)], np.int64, LIMIT - 1),
+    ([3, LIMIT], object, LIMIT),
+    ([-LIMIT, 3], object, LIMIT),
+    ([(1, LIMIT - 1), (-(LIMIT - 1), 2)], np.int64, LIMIT - 1),
+    ([(1, 2), (LIMIT, 0)], object, LIMIT),
+    ([(1, 2), (0, -LIMIT)], object, LIMIT),
+    # beyond int64 itself
+    ([(1, 2), (0, -(1 << 70))], object, 1 << 70),
+], ids=["empty", "below", "limit", "minus-limit", "rows-below",
+        "rows-limit", "rows-minus-limit", "rows-beyond-int64"])
+def test_int_array_moves_to_python_ints_at_limit(values, dtype, bound):
+    a, b = int_array(values)
+    assert a.dtype == dtype
+    assert b == bound
+    assert a.tolist() == [list(v) if isinstance(v, tuple) else v
+                          for v in values]
 
 
 @SETTINGS

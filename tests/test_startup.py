@@ -4,8 +4,8 @@
 `generate`, `check-window`, `bounds`, `growth` and `cover` never call
 numpy, so neither `import apercut`, `import apercut.cli` nor those commands
 may import it; `analyze` loads it when it starts. Neither
-`import apercut.cli` nor `growth` and `cover` load a model-set module or
-`quadratic`.
+`import apercut.cli` nor `growth`, `cover` and `bounds` load a model-set
+module or `quadratic`.
 """
 
 import os
@@ -74,6 +74,15 @@ def test_import_cli_loads_no_model_set_module(tmp_path):
     modules = imported_modules(proc.stderr)
     assert "apercut.cli" in modules
     assert not modules & MODEL_SET_MODULES
+
+
+def test_bounds_loads_no_model_set_module(tmp_path):
+    # a regularity report is only an annotation in bounds
+    proc = run_python(["-X", "importtime", "-m", "apercut.cli", "bounds",
+                       "--dg", "4", "--dimx", "2"], tmp_path)
+    modules = imported_modules(proc.stderr)
+    assert "apercut.bounds" in modules
+    assert not modules & {"apercut.cutproject", "apercut.quadratic"}
 
 
 @pytest.mark.parametrize("argv", [
