@@ -20,6 +20,15 @@ whole chunks with exact integer arithmetic. Separation is exact
 (squared symmetric gauges stay inside the field), with a rational bisection
 bracket reported alongside the float value.
 
+The two float estimates, the covering radius (grid point to nearest sample
+point) and the return radii (centre to nearest other centre of a class),
+are max-min problems and share one kernel (`_MaxMin`). It retires a query
+as soon as some candidate lies within the running maximum W, which is
+exact: a query whose candidate minimum is <= W cannot raise the maximum.
+A query with no candidate within W or within the round's radius r has its
+nearest target beyond r, since every target within r is a candidate, so
+it goes on to the next round, until the radius reaches that target.
+
 The index (`NeighborIndex`) follows the left-invariant metric: for H_n it
 keys t on the sheared coordinate t - <X, y>, X the centre of the point's
 x-cell, in cells of side (1 + 3n/2) r^2 at radius r. A query c looks up each
@@ -40,7 +49,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 import numpy as np
 
 from .cutproject import ModelSet
-from .errors import ErosionError, check_budget
+from .errors import LIMIT, ErosionError, check_budget
 from .heisenberg import Family, GroupKind
 # perfbench/worker.py looks these up on this module to count their calls
 from .heisenberg import (  # noqa: F401
@@ -125,9 +134,12 @@ def _interior(ms: ModelSet, depth: Fraction, use_x_margin: bool) -> list[int]:
 # neighbor index
 # ---------------------------------------------------------------------------
 
-# Candidate pairs per chunk: bounds the memory of the vectorized predicates
-# (about 130 bytes a pair for the float gauge). At 2^16 the temporaries stay
-# near cache size; 2^18 was no faster on the R=8 and R=12 H1 samples.
+# Candidate pairs per chunk: bounds the memory of the vectorized predicates.
+# At 2^16 the temporaries stay near cache size; 2^18 was no faster on the
+# R=8 and R=12 H1 samples. The max-min kernel derives its sizes from it:
+# pair tiles of PAIR_CHUNK / 4 for the float gauge, a spread sample of
+# PAIR_CHUNK / 1024 queries, and query blocks of PAIR_CHUNK / 3^dim grid
+# points or 4 * PAIR_CHUNK / 3^(dim - 1) centres.
 PAIR_CHUNK = 1 << 16
 
 
@@ -157,7 +169,12 @@ class NeighborIndex:
     searchsorted range.
     """
 
-    def __init__(self, ms: ModelSet, radius: Fraction) -> None:
+    def __init__(self, ms: ModelSet, radius: Fraction, points=None,
+                 labels=None) -> None:
+        """Index the sample points `points` (default: all of them). With
+        labels, one non-negative int per indexed point, the label is the
+        leading digit of every code, so the points of one label form one
+        block of the sorted order, keyed by cell inside it."""
         radius = Fraction(radius)
         if radius <= 0:
             raise ValueError("index radius must be positive")
@@ -174,11 +191,22 @@ class NeighborIndex:
             # the x-cell offsets of the columns a query looks up
             self._columns = np.array(
                 list(itertools.product((-1, 0, 1), repeat=n)))
-        keys = self._keys(lat.numerators(), lat.e, own=True)
+        rows = slice(None) if points is None else points
+        keys = self._keys(lat.numerators(rows), lat.e, own=True)
         self._cells = CellCodes(keys)
         codes = self._cells.codes
+        if labels is not None:
+            labels = np.asarray(labels)
+            top = (int(labels.max()) + 1) * self._cells.size
+            dtype = np.int64 if top < LIMIT else object
+            codes = labels.astype(dtype) * self._cells.size + codes.astype(
+                dtype)
         self._order = np.argsort(codes, kind="stable")
         self._sorted = codes[self._order]
+        self._points = np.arange(len(lat)) if points is None else np.asarray(
+            points, dtype=np.intp)
+        if points is not None:
+            self._order = self._points[self._order]
 
     def _keys(self, coords: Quad, den: int, own: bool) -> list:
         """Cell keys of the points with numerators coords over den: one
@@ -216,7 +244,7 @@ class NeighborIndex:
         about `PAIR_CHUNK` pairs at a time, never splitting one center's
         pairs."""
         if centers is None:
-            queries = np.arange(len(self._sorted))
+            queries = self._points
         else:
             queries = np.asarray(centers, dtype=np.intp)
         lat = self.ms.lattice
@@ -233,10 +261,8 @@ class NeighborIndex:
         block = max(1, chunk // 3 ** len(keys))
         for start in range(0, len(queries), block):
             q = queries[start:start + block]
-            first, last = self._cells.neighbors(
-                [k[start:start + block] for k in keys])
-            lo = np.searchsorted(self._sorted, first, side="left")
-            counts = np.searchsorted(self._sorted, last, side="right") - lo
+            lo, counts = self.lookup(*self._cells.neighbors(
+                [k[start:start + block] for k in keys]))
             ends = np.cumsum(counts.sum(axis=1))
             a = 0
             while a < len(q):
@@ -245,6 +271,25 @@ class NeighborIndex:
                                                    side="right")))
                 yield self._expand(q[a:b], lo[a:b], counts[a:b])
                 a = b
+
+    def cell_runs(self, coords: Quad, den: int) -> tuple:
+        """The code runs (first, last) of the 3^dim cells around the query
+        points with numerators coords over den, without labels: arrays of
+        shape (Q, 3^(dim-1)) as from `CellCodes.neighbors`."""
+        return self._cells.neighbors(self._keys(coords, den, own=False))
+
+    def lookup(self, first, last, label=0) -> tuple:
+        """(lo, count): the indexed points of label (an int, or an int
+        array that broadcasts against first) whose cells lie in the runs
+        first..last of `cell_runs`, as runs lo..lo+count-1 of the sorted
+        order. The label digit is looked up at offset 0 only."""
+        label = np.asarray(label)
+        if self._sorted.dtype == object:
+            label = label.astype(object)
+        shift = label * self._cells.size
+        lo = np.searchsorted(self._sorted, first + shift, side="left")
+        hi = np.searchsorted(self._sorted, last + shift, side="right")
+        return lo, hi - lo
 
     def _expand(self, q, lo, counts) -> tuple:
         per_query = counts.sum(axis=1)
@@ -355,22 +400,23 @@ def covering_radius_estimate(
     float symmetric distance to the nearest sample point. Resolution
     grid_step; not exact.
 
-    The grid is walked in blocks, never built whole. Each grid point is
-    compared only with the points of its index neighbourhood, in rounds of
-    doubling radius r from grid_step. A round indexes at r + delta, where
-    delta (`_float_gauge_error`) bounds |float gauge - exact gauge| over the
-    region. A grid point whose float minimum over its candidates is <= r is
-    settled: the nearest point p* of the full scan has float gauge <= r, so
-    its exact gauge is <= r + delta, so p* is a candidate and both minima
-    are the same float. The others go to the next round; a grid point
-    whose p* has float gauge D is settled by the first round with r >= D at
-    the latest. The candidates come from the query keys of the grid point
-    itself: exact floors of its coordinates, held as integer numerators
-    over one common denominator; for H_n the t key depends on the grid
-    point's y and on the column looked up, and the sheared cells of
-    `NeighborIndex` keep every point within r + delta among the candidates
-    wherever the region lies. The float gauge takes the same operations as
-    the full scan, so the estimate equals it bit for bit.
+    The grid is walked in blocks, never built whole, and each block goes
+    through the max-min kernel (`_MaxMin`) with the sample points as
+    targets and a single label. The kernel compares a grid point only with
+    the points of its index neighbourhood, at doubling radii r, each
+    indexed at r + delta (delta from `_float_gauge_error` bounds
+    |float gauge - exact gauge| over the region). A grid point whose
+    candidate minimum is <= r has its nearest point among the candidates,
+    so it contributes its exact float distance. It retires as soon as some
+    candidate lies within the running maximum W: its nearest point is no
+    farther than that candidate, so it cannot raise the maximum. A grid
+    point with neither has its nearest point beyond r and goes on to the
+    next radius. Every grid point either contributes or retires, so the
+    estimate equals the full grid-by-sample scan bit for bit. The candidates come from the
+    query keys of the grid point itself: exact floors of its coordinates,
+    held as integer numerators over one common denominator, and the
+    sheared cells of `NeighborIndex` keep every point within r + delta
+    among them wherever the region lies.
 
     Raises BudgetExceededError before any work when the grid has more
     points than `errors.element_budget()`.
@@ -404,42 +450,284 @@ def covering_radius_estimate(
     rows, den = numerator_rows(axes)
     num_axes = [int_array(row[:len(axis)])[0]
                 for row, axis in zip(rows, axes)]
-    pts = ms.lattice.float_coords()
-    delta = _float_gauge_error(kind, _float_magnitude(ms))
-    indexes = []  # per doubling radius
-    worst = 0.0
+    kernel = _MaxMin(ms)
     block = max(1, PAIR_CHUNK // 3 ** len(shape))
     for start in range(0, total, block):
-        todo = np.arange(start, min(start + block, total))
-        r = grid_step
-        k = 0
-        while todo.size:
-            if k == len(indexes):
-                indexes.append(NeighborIndex(ms, r + delta))
-            at = np.unravel_index(todo, shape)
-            grid = np.stack([g[a] for g, a in zip(grid_axes, at)], axis=1)
-            u = np.stack([g[a] for g, a in zip(num_axes, at)], axis=1)
-            exact = Quad(u, np.zeros_like(u), ms.lattice.d)
-            nearest = np.full(len(todo), np.inf)
-            for i, j in indexes[k].pairs_near(np.arange(len(todo)), exact,
-                                              den):
-                # take gathers rows several times faster than grid[i]
-                gauge = _float_sym_gauge(kind, grid.take(i, axis=0),
-                                         pts.take(j, axis=0))
-                np.minimum.at(nearest, i, gauge)
-            settled = nearest <= _float_at_most(r)
+        at = np.unravel_index(np.arange(start, min(start + block, total)),
+                              shape)
+        u = np.stack([g[a] for g, a in zip(num_axes, at)], axis=1)
+        kernel.add([g[a] for g, a in zip(grid_axes, at)],
+                   Quad(u, np.zeros_like(u), ms.lattice.d), den)
+    return float(kernel.worst[0])
+
+
+class _MaxMin:
+    """The max-min kernel: per label c, the largest over query points q of
+    the float symmetric gauge from q to its nearest target of label c,
+    q itself excluded (a directed Hausdorff distance per label). Targets
+    are sample points, every label has one at least, and `worst[c]` holds
+    the running maximum W_c (-inf while no query of label c has a finite
+    distance). Queries arrive in blocks (`add`), and each block meets the
+    labels one at a time.
+
+    The queries of a label go through rounds at radii r = 2^k, from the
+    rung of the label (`_start_rungs`). Round k looks the queries up in one
+    `NeighborIndex` of all targets at r + delta, shared by every label and
+    every block: the label is the leading digit of its codes, so a query
+    looks up the 3^dim cells around it inside the block of its label
+    (offset 0 on the label digit). The neighbourhoods of a block's queries
+    are computed once per round and shared by the labels. The queries of
+    one neighbourhood share its candidate list, ordered by gauge from one
+    of them, so that its first ranks are near for each. A query takes its
+    candidates in rank tiles of doubling width and leaves as soon as one
+    of two things holds:
+
+    * retired: some candidate lies within W_c. Its nearest target is no
+      farther, so it cannot raise the maximum, whatever its exact value.
+    * settled: all its candidates are in and their minimum m is <= r. The
+      nearest target p* of the full scan has float gauge D <= m <= r, so
+      its exact gauge is <= r + delta and p* is a candidate: m = D, which
+      W_c then takes.
+
+    A query with neither has no candidate within W_c or within r, so its
+    nearest target lies beyond r (every target within r is a candidate),
+    and it goes on to the next radius. So every query with a finite
+    distance leaves by the round whose radius reaches that distance, and
+    W_c ends as the maximum of the full scan bit for bit: the float gauge
+    takes the full scan's operations (`_Gauge`). Taha and Hanbury, "An efficient algorithm for calculating
+    the exact Hausdorff distance" (IEEE TPAMI 37(11), 2015), give the early
+    break and the order: while some W_c is unset, a spread sample of the
+    block's queries is first compared with every target, which sets each
+    W_c near its final value, so the rest mostly retire on their first
+    candidate. A block whose queries times targets fit in one pair chunk
+    is compared whole the same way.
+    """
+
+    def __init__(self, ms: ModelSet, targets=None, labels=None,
+                 label_count: int = 1) -> None:
+        self.ms = ms
+        self.targets = targets
+        self.labels = labels
+        floats = ms.lattice.float_coords()
+        self.cols = [np.ascontiguousarray(floats[:, k])
+                     for k in range(floats.shape[1])]
+        self.delta = _float_gauge_error(ms.scheme.kind, _float_magnitude(ms))
+        self.worst = np.full(label_count, -math.inf)
+        points = np.arange(len(ms)) if targets is None else targets
+        label = np.zeros(len(points), dtype=np.intp) if labels is None \
+            else np.asarray(labels)
+        counts = np.bincount(label, minlength=label_count)
+        self.start = _start_rungs(ms, counts)
+        # the one target of a single-target label is no target for itself
+        self.only = np.full(label_count, -1)
+        single = counts[label] == 1
+        self.only[label[single]] = points[single]
+        # the targets by label, for blocks compared with all of them
+        by_label = np.argsort(label, kind="stable")
+        self.by_label = points[by_label]
+        self.label_starts = np.flatnonzero(
+            np.r_[True, np.diff(label[by_label]) != 0])
+        self.indexes: dict[int, NeighborIndex] = {}
+        self.gauge = _Gauge(ms.scheme.kind)
+        self.tile = max(1, PAIR_CHUNK >> 2)
+        self.sample = max(1, PAIR_CHUNK >> 10)
+
+    def add(self, qcols: list, qnum: Quad, den: int, own=None) -> None:
+        """Fold in the query points with float coordinate columns qcols
+        and exact numerators qnum (shape (B, dim)) over den; own holds
+        their sample indices when they are targets too."""
+        size = len(qcols[0])
+        if size * len(self.by_label) <= PAIR_CHUNK:
+            self._all_pairs(qcols, own, np.arange(size))
+            return
+        first = np.zeros(size, dtype=bool)
+        if (self.worst == -math.inf).any():
+            # a spread sample against every target sets each W_c
+            first[::max(1, size // self.sample)] = True
+            self._all_pairs(qcols, own, np.flatnonzero(first))
+        rest = np.flatnonzero(~first)
+        self._block = (qcols, qnum, den, own, {})
+        for label in range(len(self.worst)):
+            queries = rest
+            if own is not None and self.only[label] >= 0:
+                queries = rest[own[rest] != self.only[label]]
+            self._label(label, queries)
+        del self._block
+
+    def _all_pairs(self, qcols: list, own, rows: np.ndarray) -> None:
+        """The query points rows against every target: a round at a radius
+        beyond every distance, so each of them settles."""
+        targets = self.by_label
+        step = max(1, PAIR_CHUNK // len(targets))
+        for s in range(0, len(rows), step):
+            q = rows[s:s + step]
+            i = np.repeat(q, len(targets))
+            j = np.tile(targets, len(q))
+            dist = self._gauges(qcols, i, j)
+            if own is not None:
+                dist[j == own[i]] = math.inf
+            nearest = np.minimum.reduceat(dist.reshape(len(q), -1),
+                                          self.label_starts, axis=1)
+            nearest[np.isinf(nearest)] = -math.inf
+            np.maximum(self.worst, nearest.max(axis=0), out=self.worst)
+
+    def _label(self, label: int, queries: np.ndarray) -> None:
+        rung = int(self.start[label])
+        near = np.full(len(queries), math.inf)
+        while queries.size:
+            done = self._round(label, rung, queries, near)
+            queries, near = queries[~done], near[~done]
+            rung += 1
+
+    def _index(self, rung: int) -> NeighborIndex:
+        index = self.indexes.get(rung)
+        if index is None:
+            index = self.indexes[rung] = NeighborIndex(
+                self.ms, Fraction(2) ** rung + self.delta, self.targets,
+                self.labels)
+        return index
+
+    def _hoods(self, rung: int, index: NeighborIndex,
+               queries: np.ndarray) -> tuple:
+        """Per query, its neighbourhood: a row of the distinct code runs
+        (first, last) of `NeighborIndex.cell_runs`. With several labels
+        the rows of the whole block are computed once per round."""
+        _, qnum, den, _, cache = self._block
+        if len(self.worst) == 1:  # nothing to share: the open queries only
+            return _distinct_rows(*index.cell_runs(qnum[queries], den))
+        if rung not in cache:
+            cache[rung] = _distinct_rows(*index.cell_runs(qnum, den))
+        hood, first, last = cache[rung]
+        return hood[queries], first, last
+
+    def _round(self, label: int, rung: int, queries: np.ndarray,
+               near: np.ndarray) -> np.ndarray:
+        """One round at radius 2^rung for the queries of label, whose
+        running minima near it updates; returns which are done."""
+        r = 2.0 ** rung  # a power of two: the float is exact
+        worst = self.worst
+        done = near <= worst[label]
+        live = np.flatnonzero(~done)
+        if not live.size:
+            return done
+        index = self._index(rung)
+        hood, first, last = self._hoods(rung, index, queries)
+        need = np.zeros(len(first), dtype=bool)
+        need[hood[live]] = True
+        lo, cnt = index.lookup(first[need], last[need], label)
+        total = cnt.sum(axis=1)
+        row = (np.cumsum(need) - 1)[hood]  # per query, a row of lo and cnt
+        live = live[total[row[live]] > 0]
+        if not live.size:
+            return done
+        # each row's candidates, nearest to one of its queries first: the
+        # queries of a row share their cells, so its early ranks are near
+        # for each of them
+        qcols, _, _, own, _ = self._block
+        rep = np.empty(len(total), dtype=np.intp)
+        rep[row[live[::-1]]] = queries[live[::-1]]
+        owner = np.repeat(np.arange(len(total)), total)
+        target = index._order[_expand_runs(lo.ravel(), cnt.ravel())]
+        key = self._gauges(qcols, rep[owner], target)
+        target = target[np.lexsort((key, owner))]
+        start = np.cumsum(total) - total
+        a, b = 0, 1
+        while live.size:
+            # ranks a..b-1 of the live queries' candidates
+            rows = row[live]
+            if a == 0:  # one each
+                pair, cand = live, target[start[rows]]
+            else:
+                n = np.minimum(total[rows], b) - a
+                pair = np.repeat(live, n)
+                cand = target[np.repeat(start[rows] + a - (np.cumsum(n) - n),
+                                        n) + np.arange(int(n.sum()))]
+            q = queries[pair]
+            g = self._gauges(qcols, q, cand)
+            if own is not None:
+                g[cand == own[q]] = math.inf
+            if a == 0:
+                np.minimum(near[live], g, out=g)
+                near[live] = g
+            else:
+                _min_into(near, pair, g)
+            retired = near[live] <= worst[label]
+            spent = total[rows] <= b
+            settled = spent & ~retired & (near[live] <= r)
             if settled.any():
-                worst = max(worst, float(nearest[settled].max()))
-            todo = todo[~settled]
-            r *= 2
-            k += 1
-    return worst
+                worst[label] = max(worst[label], near[live[settled]].max())
+            done[live[retired | settled]] = True
+            live = live[~(retired | spent)]
+            a, b = b, 2 * b
+        return done
+
+    def _gauges(self, qcols: list, i: np.ndarray, j: np.ndarray
+                ) -> np.ndarray:
+        """The float gauges of the pairs (i, j), tile by tile."""
+        out = np.empty(len(i))
+        for s in range(0, len(i), self.tile):
+            out[s:s + self.tile] = self.gauge(qcols, self.cols,
+                                              i[s:s + self.tile],
+                                              j[s:s + self.tile])
+        return out
 
 
-def _float_at_most(r: Fraction) -> float:
-    """The largest float <= r."""
-    f = float(r)
-    return math.nextafter(f, -math.inf) if Fraction(f) > r else f
+def _start_rungs(ms: ModelSet, counts: np.ndarray) -> np.ndarray:
+    """Per label with counts[c] >= 1 targets, the exponent k whose radius
+    2^k lies nearest (in log scale) the typical nearest distance to them:
+    the radius whose gauge ball would hold one target if they spread
+    evenly over the region (axes narrower than 1 taken as 1). The
+    radius is only a starting guess; the rounds are exact from any."""
+    kind = ms.scheme.kind
+    if kind.family is Family.EUCLIDEAN:
+        ball, dim = kind.rank, kind.rank  # log2 of the unit ball's volume
+    else:
+        ball, dim = 2 * kind.rank + 1, 2 * kind.rank + 2
+    volume = sum(math.log2(max(hi - lo, 1)) for lo, hi in ms.region.intervals)
+    return np.rint((volume - ball - np.log2(counts)) / dim).astype(np.intp)
+
+
+def _distinct_rows(first: np.ndarray, last: np.ndarray) -> tuple:
+    """Per row of (first, last), the index of its distinct row; and the
+    distinct rows, ordered by their first code. Rows are told apart by a
+    64-bit polynomial hash, checked row by row; on a collision they are
+    sorted instead. Python-int codes are not deduplicated."""
+    if first.dtype == object:
+        return np.arange(len(first)), first, last
+    rows = np.hstack([first, last])
+    base = 0x9E3779B97F4A7C15
+    weights = np.array([pow(base, k + 1, 1 << 64)
+                        for k in range(rows.shape[1])], dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        code = (rows.astype(np.uint64) * weights).sum(axis=1)
+    _, index, inverse = np.unique(code, return_index=True,
+                                  return_inverse=True)
+    inverse = inverse.reshape(-1)
+    if not np.array_equal(rows[index][inverse], rows):
+        _, index, inverse = np.unique(rows, axis=0, return_index=True,
+                                      return_inverse=True)
+        inverse = inverse.reshape(-1)
+    # sorted needles make the label lookups' binary searches cheap
+    order = np.argsort(first[index, 0], kind="stable")
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    index = index[order]
+    return rank[inverse], first[index], last[index]
+
+
+def _expand_runs(begin: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """begin[k], begin[k] + 1, ..., begin[k] + count[k] - 1 for every k,
+    concatenated."""
+    total = int(count.sum())
+    return np.repeat(begin - (np.cumsum(count) - count), count) + np.arange(
+        total)
+
+
+def _min_into(best: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
+    """best[idx] = min(best[idx], values), for a sorted idx."""
+    first = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
+    at = idx[first]
+    best[at] = np.minimum(best[at], np.minimum.reduceat(values, first))
 
 
 def _float_magnitude(ms: ModelSet) -> int:
@@ -455,27 +743,31 @@ def _float_magnitude(ms: ModelSet) -> int:
 
 
 def _float_gauge_error(kind: GroupKind, bound: int) -> Fraction:
-    """A power of two delta >= |float gauge - exact gauge| of c^-1 p, for a
-    rational grid point c and a sample point p whose magnitudes and float
-    conversions are bounded by `bound` >= 1 as in `_float_magnitude`.
+    """A power of two delta >= |float gauge - exact gauge| of c^-1 p, for c
+    a rational grid point or a sample point and p a sample point, whose
+    magnitudes and float conversions are bounded by `bound` = B >= 1 as in
+    `_float_magnitude`.
 
     With u = 2^-53, each float operation is exact up to a factor (1 + e),
-    |e| <= u. Then float(c) is off by <= u*B, and float(p), computed as
-    (p + q*sqrt(d))/den, by <= 7u*B (about 3u on each of |p| and |q|sqrt(d),
-    3u on |v|). Differences are off by <= 11u*B, and so are the coordinate
-    terms of the gauge and their maximum. For H_n, each product x*dy is off
-    by <= 28u*B^2 (|dy| <= 2.03B); with dt off by 11u*B and the roundings of
-    the n-term sum and of the subtraction (<= 2.1(n^2 + n)u*B^2 + 2.03u*B),
-    each t part tau is off by E <= 32(n+1)^2 u*B^2, as B >= 1. sqrt is not
-    Lipschitz at 0, but |sqrt(a) - sqrt(b)| <= sqrt|a - b|, and rounding the
-    sqrt adds u*sqrt|tau| <= 2(n+1)u*B; so the sqrt term is off by at most
-    sqrt(E) + 2(n+1)u*B = (n+1)*B*(2^-24 + 2^-52), which exceeds 11u*B.
-    The bound is rounded up to a power of two, which keeps the index cell
-    sizes r + delta short fractions.
+    |e| <= u. A grid coordinate converts with error <= u*B, and a sample
+    coordinate, computed as (p + q*sqrt(d))/den, with error <= 7u*B (about
+    3u on each of |p| and |q|sqrt(d), and u on the sum). So both operands
+    are off by <= 7u*B, their difference (|.| <= 2B) by <= 14u*B before and
+    16.1u*B after its own rounding, and the coordinate terms of the gauge
+    and their maximum by <= 17u*B. For H_n, each product x*dy is off by
+    <= B*17u*B + 2.03B*7u*B + 2.03u*B^2 <= 34u*B^2 (|dy| <= 2.03B with its
+    error); with dt off by 17u*B and the roundings of the n-term sum and of
+    the subtraction (<= 2.1(n^2 + n)u*B^2 + 2.03u*B), each t part tau is
+    off by E <= (2.1n^2 + 37n + 20)u*B^2 <= 32(n+1)^2 u*B^2, as B >= 1.
+    sqrt is not Lipschitz at 0, but |sqrt(a) - sqrt(b)| <= sqrt|a - b|,
+    and rounding the sqrt adds u*sqrt|tau| <= 2(n+1)u*B; so the sqrt term
+    is off by at most sqrt(E) + 2(n+1)u*B = (n+1)*B*(2^-24 + 2^-52), which
+    exceeds 17u*B. The bound is rounded up to a power of two, which keeps
+    the index cell sizes r + delta short fractions.
     """
     u = Fraction(1, 1 << 53)
     if kind.family is Family.EUCLIDEAN:
-        err = 11 * u * bound
+        err = 17 * u * bound
     else:
         err = (kind.rank + 1) * bound * (Fraction(1, 1 << 24) + 2 * u)
     delta = Fraction(1)
@@ -486,22 +778,80 @@ def _float_gauge_error(kind: GroupKind, bound: int) -> Fraction:
     return delta
 
 
-def _float_sym_gauge(kind: GroupKind, c: np.ndarray,
-                     p: np.ndarray) -> np.ndarray:
-    """Float symmetric gauge of c^-1 p over the last axis of two arrays
-    that broadcast together: (P, dim) pairs, or (C, 1, dim) against
-    (1, N, dim) for all pairs."""
-    if kind.family is Family.EUCLIDEAN:
-        return np.abs(p - c).max(axis=-1)
-    n = kind.rank
-    dx = p[..., :n] - c[..., :n]
-    dy = p[..., n:2 * n] - c[..., n:2 * n]
-    dt = p[..., 2 * n] - c[..., 2 * n]
-    tau1 = dt - (c[..., :n] * dy).sum(axis=-1)    # t part of c^-1 p
-    tau2 = (p[..., :n] * dy).sum(axis=-1) - dt    # t part of p^-1 c
-    head = np.maximum(np.abs(dx).max(axis=-1), np.abs(dy).max(axis=-1))
-    tmax = np.maximum(np.abs(tau1), np.abs(tau2))
-    return np.maximum(head, np.sqrt(tmax))
+class _Gauge:
+    """The float symmetric gauge of c^-1 p for the pairs (c, p) = (q[i],
+    t[j]) of index arrays i, j into the float coordinate columns q and t
+    (one 1-D array per coordinate). It takes the full scan's operations in
+    its order, so it gives the same floats, computed column by column into
+    buffers allocated once and reused (they grow to the largest tile)."""
+
+    def __init__(self, kind: GroupKind) -> None:
+        self.kind = kind
+        self.size = 0
+
+    def _buffers(self, size: int) -> None:
+        if size <= self.size:
+            return
+        self.size = size
+        self.out, self.a, self.b, self.dt = (np.empty(size) for _ in range(4))
+        if self.kind.family is Family.HEISENBERG:
+            n = self.kind.rank
+            self.dy = np.empty((n, size))
+            self.c_dy = np.empty((size, n))
+            self.p_dy = np.empty((size, n))
+
+    def __call__(self, q: list, t: list, i: np.ndarray,
+                 j: np.ndarray) -> np.ndarray:
+        size = len(i)
+        self._buffers(size)
+        out, a, b = self.out[:size], self.a[:size], self.b[:size]
+        if self.kind.family is Family.EUCLIDEAN:
+            # max_k |p_k - c_k|
+            for k in range(len(q)):
+                np.take(t[k], j, out=a)
+                np.take(q[k], i, out=b)
+                np.subtract(a, b, out=a)
+                np.abs(a, out=a)
+                if k:
+                    np.maximum(out, a, out=out)
+                else:
+                    np.copyto(out, a)
+            return out
+        n = self.kind.rank
+        dy, dt = self.dy[:, :size], self.dt[:size]
+        c_dy, p_dy = self.c_dy[:size], self.p_dy[:size]
+        for k in range(n):
+            np.take(t[n + k], j, out=dy[k])
+            np.take(q[n + k], i, out=a)
+            np.subtract(dy[k], a, out=dy[k])
+        np.take(t[2 * n], j, out=dt)
+        np.take(q[2 * n], i, out=a)
+        np.subtract(dt, a, out=dt)
+        for k in range(n):
+            np.take(q[k], i, out=a)        # c_x
+            np.take(t[k], j, out=b)        # p_x
+            np.multiply(a, dy[k], out=c_dy[:, k])
+            np.multiply(b, dy[k], out=p_dy[:, k])
+            np.subtract(b, a, out=a)       # dx
+            np.abs(a, out=a)
+            np.abs(dy[k], out=b)
+            np.maximum(a, b, out=a)
+            if k:
+                np.maximum(out, a, out=out)
+            else:
+                np.copyto(out, a)
+        # the t parts of c^-1 p and of p^-1 c, summed as the (P, n) rows of
+        # the full scan
+        np.sum(c_dy, axis=1, out=a)
+        np.subtract(dt, a, out=a)
+        np.sum(p_dy, axis=1, out=b)
+        np.subtract(b, dt, out=b)
+        np.abs(a, out=a)
+        np.abs(b, out=b)
+        np.maximum(a, b, out=a)
+        np.sqrt(a, out=a)
+        np.maximum(out, a, out=out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -657,56 +1007,50 @@ def repetitivity_radii(ms: ModelSet, radius: Fraction,
                        catalog: PatchCatalog | None = None
                        ) -> RepetitivityReport:
     """Finite-sample return radii: for each patch class, the largest over
-    interior centers of the distance to the nearest other center carrying
-    that class. Classes seen only once are flagged as lower bounds (their
-    recurrence lies beyond the sampled region). `catalog`, if given, is
-    `patch_catalog(ms, radius)`, already built."""
+    interior centers of the float distance to the nearest other center
+    carrying that class. Classes seen only once are flagged as lower bounds
+    (their recurrence lies beyond the sampled region). `catalog`, if given,
+    is `patch_catalog(ms, radius)`, already built.
+
+    The centers go through the max-min kernel (`_MaxMin`) as queries and as
+    targets, labelled by class, with one index per round for all classes
+    (the class is the leading digit of its codes). A pair (center, class)
+    retires as soon as some other center of the class lies within the
+    class's running maximum: its nearest one is no farther, so it cannot
+    raise that maximum. A pair with no candidate within that maximum or
+    within the round's radius has its nearest one beyond the radius, and
+    the rounds go on until they find it. So each radius equals the full
+    scan's bit for bit."""
     radius = Fraction(radius)
     if catalog is None:
         catalog = patch_catalog(ms, radius)
     elif catalog.radius != radius:
         raise ValueError(f"catalog is at radius {catalog.radius}, "
                          f"not {radius}")
-    centers = sorted(c for cls in catalog.classes for c in cls.centers)
-    position = {c: pos for pos, c in enumerate(centers)}
-
-    kind = ms.scheme.kind
-    feats = ms.lattice.float_coords()[np.asarray(centers, dtype=np.intp)]
-    per_class = []
-    overall = 0.0
-    any_lb = False
+    centers = np.array(sorted(c for cls in catalog.classes
+                              for c in cls.centers), dtype=np.intp)
+    labels = np.empty(len(centers), dtype=np.intp)
     for ci, cls in enumerate(catalog.classes):
-        members = [position[c] for c in cls.centers]
-        nearest = _nearest_other(kind, feats, members)
-        finite = nearest[np.isfinite(nearest)]
-        lb = len(members) == 1
-        if lb:
-            any_lb = True
-        radius_c = float(finite.max()) if finite.size else math.inf
-        per_class.append(ClassReturn(ci, len(members), radius_c, lb))
-        if math.isfinite(radius_c):
-            overall = max(overall, radius_c)
-    return RepetitivityReport(radius, tuple(per_class), overall, any_lb)
-
-
-def _nearest_other(kind: GroupKind, feats: np.ndarray,
-                   members: Sequence[int]) -> np.ndarray:
-    """Per row of feats, the float symmetric gauge to the nearest row of
-    members other than itself (inf if there is none), over tiles of at most
-    `PAIR_CHUNK` pairs."""
-    members = np.asarray(members)
-    nearest = np.full(len(feats), np.inf)
-    cols = min(len(members), PAIR_CHUNK)
-    rows = max(1, PAIR_CHUNK // cols)
-    for a in range(0, len(feats), rows):
-        block = np.arange(a, min(a + rows, len(feats)))
-        for b in range(0, len(members), cols):
-            m = members[b:b + cols]
-            dists = _float_sym_gauge(kind, feats[block, None, :],
-                                     feats[None, m, :])
-            dists[block[:, None] == m[None, :]] = math.inf  # self-returns
-            nearest[block] = np.minimum(nearest[block], dists.min(axis=1))
-    return nearest
+        labels[np.searchsorted(centers, cls.centers)] = ci
+    count = len(catalog.classes)
+    kernel = _MaxMin(ms, centers, labels, count)
+    lat = ms.lattice
+    # the block's neighbourhoods are kept per round: 4 * PAIR_CHUNK rows
+    block = max(1, 4 * PAIR_CHUNK // 3 ** (lat.kind.coord_count - 1))
+    for start in range(0, len(centers), block):
+        idx = centers[start:start + block]
+        kernel.add([c[idx] for c in kernel.cols], lat.numerators(idx), lat.e,
+                   own=idx)
+    per_class = []
+    for ci, cls in enumerate(catalog.classes):
+        w = float(kernel.worst[ci])
+        per_class.append(ClassReturn(ci, cls.multiplicity,
+                                     w if w >= 0 else math.inf,
+                                     cls.multiplicity == 1))
+    finite = [c.return_radius for c in per_class
+              if math.isfinite(c.return_radius)]
+    return RepetitivityReport(radius, tuple(per_class), max(finite, default=0.0),
+                              any(c.lower_bound_only for c in per_class))
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,15 @@ EXIT_BUDGET = 6
 _GROUP_RE = re.compile(r"^(z(\d+)|h(\d+)z)$")
 
 
+def _parse_rational(text: str) -> Fraction:
+    """A rational CLI argument; ValueError for any unusable text, a zero
+    denominator included."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+
+
 def _parse_box(text: str) -> Box:
     pairs = []
     for part in text.split(";"):
@@ -118,7 +127,7 @@ def _parse_box(text: str) -> Box:
             raise ValueError(
                 f"interval {part!r} is not of the form lo,hi"
             )
-        pairs.append((Fraction(bits[0].strip()), Fraction(bits[1].strip())))
+        pairs.append((_parse_rational(bits[0]), _parse_rational(bits[1])))
     return Box(tuple(pairs))
 
 
@@ -134,7 +143,7 @@ def _parse_group(label: str) -> GroupKind:
 
 
 def _parse_radii(text: str) -> list[Fraction]:
-    radii = [Fraction(part.strip()) for part in text.split(",")]
+    radii = [_parse_rational(part) for part in text.split(",")]
     if not radii or any(r <= 0 for r in radii):
         raise ValueError(f"radii must be positive, got {text!r}")
     return radii
@@ -200,9 +209,9 @@ def cmd_analyze(args) -> int:
     _bind("analysis")
     ms, payload = read_model_set(args.input)
     radii = _parse_radii(args.K)
-    period_bound = Fraction(args.period_bound)
-    erosion = Fraction(args.erosion) if args.erosion else period_bound
-    grid_step = Fraction(args.grid_step) if args.grid_step else None
+    period_bound = _parse_rational(args.period_bound)
+    erosion = _parse_rational(args.erosion) if args.erosion else period_bound
+    grid_step = _parse_rational(args.grid_step) if args.grid_step else None
 
     delone = delone_report(ms, grid_step=grid_step,
                            erosion=None if grid_step is None else erosion)

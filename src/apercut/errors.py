@@ -53,12 +53,26 @@ class BudgetExceededError(ApercutError, RuntimeError):
 
 
 def element_budget(override: int | None = None) -> int:
-    """The element budget: the override, else $APERCUT_BUDGET, else the
-    default."""
+    """The element budget: the override (the CLI's --budget), else
+    $APERCUT_BUDGET, else the default. A budget is a non-negative integer;
+    0 admits no element. Anything else raises a ValueError that names
+    where the value came from."""
     if override is not None:
-        return override
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    return int(raw) if raw else DEFAULT_ELEMENT_BUDGET
+        where, value = "--budget", override
+    else:
+        raw = os.environ.get(BUDGET_ENV_VAR)
+        if not raw:
+            return DEFAULT_ELEMENT_BUDGET
+        where = BUDGET_ENV_VAR
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError(f"{where} must be a non-negative integer, "
+                             f"got {raw!r}") from None
+    if value < 0:
+        raise ValueError(f"{where} must be a non-negative integer, "
+                         f"got {value}")
+    return value
 
 
 def check_budget(total: int, what: str, override: int | None = None) -> None:

@@ -401,6 +401,7 @@ class CellCodes:
             strides.append(stride)
             stride *= radix
         self._strides = strides[::-1]
+        self.size = stride  # every code lies in [0, size)
         dtype = np.int64 if stride < LIMIT else object
         codes = np.zeros(len(keys[0]), dtype=dtype)
         for k, lo, st in zip(keys, self._lo, self._strides):

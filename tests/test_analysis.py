@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from apercut import analysis
 from apercut.analysis import (
     NeighborIndex,
+    PatchCatalog,
+    PatchClass,
     _initial_radius,
     complexity_table,
     covering_radius_estimate,
@@ -512,6 +515,15 @@ def test_index_work_stays_below_region_sized_cells(monkeypatch):
             yield i, j
 
     monkeypatch.setattr(NeighborIndex, "pairs_near", counted)
+    # the covering kernel takes its candidates in rank tiles, not through
+    # pairs_near: count the pairs it compares
+    gauge = analysis._Gauge.__call__
+
+    def compared(self, q, t, i, j):
+        yielded[0] += len(i)
+        return gauge(self, q, t, i, j)
+
+    monkeypatch.setattr(analysis._Gauge, "__call__", compared)
     for run, region_sized in [
         (lambda: separation(ms), 49_857),
         (lambda: complexity_table(ms, [1, 2]), 33_605),
@@ -535,18 +547,39 @@ def test_covering_radius_doubles_through_three_rounds(monkeypatch):
     radii = []
 
     class CountedIndex(NeighborIndex):
-        def __init__(self, ms, radius):
+        def __init__(self, ms, radius, *args):
             radii.append(radius)
-            super().__init__(ms, radius)
+            super().__init__(ms, radius, *args)
 
     monkeypatch.setattr(analysis, "NeighborIndex", CountedIndex)
     step = Fraction(1, 50)
     assert covering_radius_estimate(ms, step, Fraction(3)) == \
         _dense_covering(ms, step, Fraction(3))
-    delta = radii[0] - step
+    # the rounds start at the power of two nearest the typical gap,
+    # region width / (2 * points) for one dimension, and double
+    start = round(math.log2(120 / (2 * len(ms))))
+    assert start == -1
+    delta = radii[0] - Fraction(2) ** start
     assert 0 < delta < Fraction(1, 10 ** 9)
     assert len(radii) >= 3
-    assert radii == [step * 2 ** k + delta for k in range(len(radii))]
+    assert radii == [Fraction(2) ** (start + k) + delta
+                     for k in range(len(radii))]
+
+
+def test_covering_estimate_peak_memory():
+    # the benchmark's H1 sample: pair tiles of PAIR_CHUNK / 4 pairs on
+    # reused buffers keep the traced peak below 3.5 MB, where whole
+    # 2^16-pair chunks gathered as (P, 3) arrays need about 7 MB
+    ms = generate_model_set(SCHEME_H1, Box.cube(H1, Fraction(9, 10)),
+                            Box(((-5, 5), (-5, 5), (-14, 14))))
+    ms.lattice
+    tracemalloc.start()
+    try:
+        covering_radius_estimate(ms, Fraction(1, 2), Fraction(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
 
 
 @settings(max_examples=200, deadline=None)
@@ -554,20 +587,27 @@ def test_covering_radius_doubles_through_three_rounds(monkeypatch):
 def test_float_gauge_error_bounds_exact_gauge(data):
     kind = data.draw(st.sampled_from([E1, E2, H1, H2]))
     scale = data.draw(st.sampled_from([1, 2 ** 6, 2 ** 19]))
+
+    def sample_point():
+        return tuple(
+            QuadNum(data.draw(st.integers(-scale, scale)),
+                    data.draw(st.integers(-scale // 2, scale // 2)), 2)
+            for _ in range(kind.coord_count))
+
     grid = tuple(
         Fraction(data.draw(st.integers(-scale * 8, scale * 8)), 8)
         for _ in range(kind.coord_count))
-    point = tuple(
-        QuadNum(data.draw(st.integers(-scale, scale)),
-                data.draw(st.integers(-scale // 2, scale // 2)), 2)
-        for _ in range(kind.coord_count))
+    # the query is a rational grid point or another sample point
+    query = data.draw(st.sampled_from([grid, sample_point()]))
+    point = sample_point()
     # |c| <= scale and |p| + |q|*sqrt(2) < 2*scale, so coordinates and
     # their float conversions stay within 2^20
     delta = analysis._float_gauge_error(kind, 2 * scale)
-    d_f = float(analysis._float_sym_gauge(
-        kind, np.array(grid, dtype=float)[None, :],
-        np.array([float(c) for c in point])[None, :])[0])
-    c, p = GroupPoint(kind, grid), GroupPoint(kind, point)
+    one = np.zeros(1, dtype=np.intp)
+    d_f = float(analysis._Gauge(kind)(
+        [np.array([float(c)]) for c in query],
+        [np.array([float(c)]) for c in point], one, one)[0])
+    c, p = GroupPoint(kind, query), GroupPoint(kind, point)
     assert sym_dist_leq(c, p, Fraction(d_f) + delta)
     if d_f > delta:
         assert not sym_dist_leq(c, p, Fraction(d_f) - delta)
@@ -638,6 +678,125 @@ def test_repetitivity_radii_match_brute_force(ms, radius):
     assert report.max_return_radius == max(
         (r for _, r, _ in expected if r < math.inf), default=0.0)
     assert report.any_lower_bound == any(lb for _, _, lb in expected)
+
+
+def _nearest_other(kind, feats, members):
+    """Reference: per row of feats, the float gauge to the nearest row of
+    members other than itself (inf if there is none), by the full scan."""
+    members = np.asarray(members, dtype=np.intp)
+    dists = _dense_gauge(kind, feats, feats[members])
+    dists[np.arange(len(feats))[:, None] == members[None, :]] = math.inf
+    return dists.min(axis=1)
+
+
+def _reference_return_radii(ms, catalog):
+    """(multiplicity, return radius, lower bound only) per class: the max
+    over all centers of `_nearest_other` among the class's centers."""
+    centers = sorted(c for cls in catalog.classes for c in cls.centers)
+    position = {c: k for k, c in enumerate(centers)}
+    feats = np.array(ms.float_points(), dtype=float)[centers]
+    expected = []
+    for cls in catalog.classes:
+        nearest = _nearest_other(ms.scheme.kind, feats,
+                                 [position[c] for c in cls.centers])
+        finite = nearest[np.isfinite(nearest)]
+        expected.append((cls.multiplicity,
+                         float(finite.max()) if finite.size else math.inf,
+                         cls.multiplicity == 1))
+    return expected
+
+
+def _return_radii(report):
+    return [(c.multiplicity, c.return_radius, c.lower_bound_only)
+            for c in report.per_class]
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 200, analysis.PAIR_CHUNK])
+def test_max_min_kernel_equals_full_scans_at_any_chunk(chunk, monkeypatch):
+    cases = [(sturmian(20), Fraction(1, 10), Fraction(1)),
+             (h1_sample(2), Fraction(1, 2), Fraction(0))]
+    expected = [_dense_covering(*case) for case in cases]
+    rep_cases = [(sturmian(100), Fraction(2)), (h1_sample(3), Fraction(1))]
+    rep_expected = [_reference_return_radii(ms, patch_catalog(ms, radius))
+                    for ms, radius in rep_cases]
+    monkeypatch.setattr(analysis, "PAIR_CHUNK", chunk)
+    assert [covering_radius_estimate(*case) for case in cases] == expected
+    assert [_return_radii(repetitivity_radii(ms, radius))
+            for ms, radius in rep_cases] == rep_expected
+
+
+def kernel_samples():
+    """Bare `from_points` sets of up to 24 points: E1, E2, H1, H2 over
+    Z[sqrt(d)] for d in {2, 3, 5} and over the full ring of Q(sqrt(5)),
+    the first coordinate moved by up to 10^3 from the origin."""
+    def build(kind, ring, offset, cells):
+        d = ring.d
+        if ring.variant is RingVariant.FULL_INTEGERS:
+            coord = [QuadNum(Fraction(a, 2), Fraction(b, 2), d)
+                     for a, b in cells]
+        else:
+            coord = [QuadNum(a, b, d) for a, b in cells]
+        c = kind.coord_count
+        pts = sorted({tuple(coord[(k * c + i) % len(coord)]
+                            + (offset if i == 0 else 0) for i in range(c))
+                      for k in range(len(coord))})
+        points = [GroupPoint(kind, p) for p in pts]
+        internal = [GroupPoint(kind, tuple(x.conjugate() for x in p))
+                    for p in pts]
+        region = Box(tuple((math.floor(min(axis)), math.ceil(max(axis)))
+                           for axis in zip(*pts)))
+        return ModelSet.from_points(Scheme(kind, ring), region, region,
+                                    points, internal)
+
+    def cells(ring):
+        if ring.variant is RingVariant.FULL_INTEGERS:
+            # (a + b*sqrt(5))/2 with a = b (mod 2)
+            return st.tuples(st.integers(-3, 3), st.integers(-1, 1)).map(
+                lambda ab: (2 * ab[0] + ab[1] % 2, ab[1]))
+        return st.tuples(st.integers(-3, 3), st.integers(-1, 1))
+
+    rings = st.sampled_from([RingSpec(2), RingSpec(3), RingSpec(5), FULL5])
+    return st.tuples(st.sampled_from([E1, E2, H1, H2]), rings).flatmap(
+        lambda kr: st.builds(build, st.just(kr[0]), st.just(kr[1]),
+                             st.integers(-1000, 1000),
+                             st.lists(cells(kr[1]), min_size=2,
+                                      max_size=24)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_max_min_kernel_matches_full_scans_on_random_samples(data):
+    ms = data.draw(kernel_samples(), label="sample")
+    kind = ms.scheme.kind
+    step = Fraction(2 if kind.coord_count > 3 else 1)
+    # small chunks send even these samples through the index rounds
+    chunk = data.draw(st.sampled_from([5, 200, analysis.PAIR_CHUNK]),
+                      label="chunk")
+    default, analysis.PAIR_CHUNK = analysis.PAIR_CHUNK, chunk
+    try:
+        _check_kernel(data, ms, step)
+    finally:
+        analysis.PAIR_CHUNK = default
+
+
+def _check_kernel(data, ms, step):
+    assert covering_radius_estimate(ms, step, Fraction(0)) == \
+        _dense_covering(ms, step, Fraction(0))
+    # random classes over a random subset of the points as centers
+    labels = data.draw(st.lists(st.integers(-1, 3), min_size=len(ms),
+                                max_size=len(ms)), label="labels")
+    members = {}
+    for point, label in enumerate(labels):
+        if label >= 0:
+            members.setdefault(label, []).append(point)
+    if not members:
+        return
+    one = Fraction(1)
+    classes = tuple(PatchClass(one, ((k,),), tuple(m))
+                    for k, m in enumerate(members.values()))
+    catalog = PatchCatalog(one, classes, sum(map(len, members.values())))
+    assert _return_radii(repetitivity_radii(ms, one, catalog)) == \
+        _reference_return_radii(ms, catalog)
 
 
 @pytest.mark.parametrize("ms", [sturmian(100), h1_sample(4)],

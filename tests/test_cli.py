@@ -110,6 +110,37 @@ def test_generate_bad_interval_syntax(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    GEN_1D[:-2] + ["--window=-9/10,1/0", "--region=-60,60"],
+    GEN_1D[:-2] + ["--window=-9/10,11/10", "--region=-60,1/0"],
+    ["check-window", "--kind", "euclidean", "--m", "1", "--d", "2",
+     "--window=1/0,11/10"],
+], ids=["generate-window", "generate-region", "check-window-window"])
+def test_zero_denominator_in_a_box_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "x.json"
+    if argv[0] == "generate":
+        argv = argv + ["--out", str(out)]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("error: zero denominator in '1/0'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", [
+    "--K", "--period-bound", "--erosion", "--grid-step"])
+def test_zero_denominator_in_an_analyze_option_exits_2(tmp_path, capsys,
+                                                     option):
+    ms_path = gen_file(tmp_path, capsys)
+    rep_path = tmp_path / "report.json"
+    code, _, err = run(capsys, [
+        "analyze", "--in", str(ms_path), "--out", str(rep_path),
+        option, "1/0",
+    ])
+    assert code == 2
+    assert err.startswith("error: zero denominator in '1/0'")
+    assert not rep_path.exists()
+
+
 def test_generate_missing_rank_flag(tmp_path, capsys):
     code, _, err = run(capsys, [
         "generate", "--kind", "euclidean", "--d", "2",
@@ -313,6 +344,32 @@ def test_growth_budget_exceeded_exits_6(capsys):
         "growth", "--group", "z2", "--kmax", "50", "--budget", "100",
     ])
     assert code == 6
+
+
+def test_negative_budget_option_exits_2(capsys):
+    code, _, err = run(capsys, [
+        "growth", "--group", "z2", "--kmax", "5", "--budget", "-5",
+    ])
+    assert code == 2
+    assert err == "error: --budget must be a non-negative integer, got -5\n"
+
+
+@pytest.mark.parametrize("raw", ["abc", "-5"])
+def test_bad_budget_variable_exits_2(capsys, monkeypatch, raw):
+    monkeypatch.setenv("APERCUT_BUDGET", raw)
+    code, _, err = run(capsys, ["cover", "--group", "z2", "--a", "1",
+                                "--n", "1"])
+    assert code == 2
+    assert err.startswith("error: APERCUT_BUDGET must be a non-negative "
+                          "integer, got ")
+
+
+def test_zero_budget_admits_no_element(capsys):
+    code, _, err = run(capsys, [
+        "growth", "--group", "z2", "--kmax", "1", "--budget", "0",
+    ])
+    assert code == 6
+    assert "element budget 0" in err
 
 
 @pytest.mark.parametrize("argv,kind,k", [
