@@ -42,14 +42,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
 from .cutproject import ModelSet
-from .errors import LIMIT, ErosionError, check_budget
+from .errors import LIMIT, ErosionError, Record, check_budget
 from .heisenberg import Family, GroupKind
 # perfbench/worker.py looks these up on this module to count their calls
 from .heisenberg import (  # noqa: F401
@@ -304,8 +303,7 @@ class NeighborIndex:
 # separation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeparationResult:
+class SeparationResult(Record):
     """Exact minimum pairwise symmetric distance with certificate."""
 
     separation: float
@@ -854,8 +852,7 @@ class _Gauge:
         return out
 
 
-@dataclass(frozen=True)
-class DeloneReport:
+class DeloneReport(Record):
     separation: SeparationResult
     covering_radius: float | None
     grid_step: Fraction | None
@@ -878,8 +875,7 @@ def delone_report(
 # patches
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PatchClass:
+class PatchClass(Record):
     """A patch up to translation: exact relative coordinates of the points
     within distance K of a center, the center mapped to the identity; and
     the sample indices of the centers carrying it, ascending."""
@@ -897,8 +893,7 @@ class PatchClass:
         return len(self.relative_coords)
 
 
-@dataclass(frozen=True)
-class PatchCatalog:
+class PatchCatalog(Record):
     radius: Fraction
     classes: Tuple[PatchClass, ...]
     center_count: int
@@ -965,13 +960,13 @@ def patch_catalog(ms: ModelSet, radius: Fraction) -> PatchCatalog:
     return PatchCatalog(radius, classes, len(centers))
 
 
-@dataclass(frozen=True)
-class ComplexityRow:
+class ComplexityRow(Record):
     radius: Fraction
     class_count: int
     center_count: int
     # the catalog the row counts, for reuse by `repetitivity_radii`
-    catalog: PatchCatalog = field(compare=False, repr=False)
+    catalog: PatchCatalog
+    _uncompared = ("catalog",)
 
 
 def complexity_table(ms: ModelSet, radii: Sequence[Fraction]) -> list[ComplexityRow]:
@@ -987,16 +982,14 @@ def complexity_table(ms: ModelSet, radii: Sequence[Fraction]) -> list[Complexity
 # repetitivity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassReturn:
+class ClassReturn(Record):
     class_index: int
     multiplicity: int
     return_radius: float
     lower_bound_only: bool
 
 
-@dataclass(frozen=True)
-class RepetitivityReport:
+class RepetitivityReport(Record):
     radius: Fraction
     per_class: Tuple[ClassReturn, ...]
     max_return_radius: float
@@ -1057,8 +1050,7 @@ def repetitivity_radii(ms: ModelSet, radius: Fraction,
 # periods
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(Record):
     """Left periods g with gauge(g) <= gauge_bound of a sample.
 
     candidates_tested counts the elements q * p0^-1 (q a sample point other

@@ -10,10 +10,9 @@ quantify over the infinite configuration.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence, Tuple
 
-from .errors import ProvenanceError
+from .errors import ProvenanceError, Record
 from .heisenberg import GroupKind
 
 if TYPE_CHECKING:
@@ -77,8 +76,7 @@ class Evidence(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class ClassifiabilityChecklist:
+class ClassifiabilityChecklist(Record):
     flc_evidence: Evidence
     delone_evidence: Evidence
     repetitivity_evidence: Evidence

@@ -13,7 +13,10 @@ and `check-window` load `cutproject` and `quadratic`, `bounds` loads only
 `bounds`, and `analyze` loads `analysis`, `lattice`, `cutproject`,
 `quadratic` and numpy. `growth` and `cover` load only `growth`: word balls
 are bitsets on plain Python integers, so neither numpy, a model-set module
-nor `quadratic`. No command makes a BLAS call.
+nor `quadratic`. No command makes a BLAS call. No command loads
+`dataclasses` (the value types are `errors.Record`s), and `hashlib` loads
+at the first content hash: `generate` and `analyze` load it, `cover` and
+`bounds` with `--out`, and `growth` never.
 
 `generate` counts its sample against the element budget before it
 enumerates an axis, and `analyze` refuses a sample that is not the whole
@@ -259,6 +262,7 @@ def cmd_growth(args) -> int:
     from . import growth as growth_mod
 
     kind = _parse_group(args.group)
+    fit_kmax = growth_mod.fit_kmax(args.kmin)
     gens = growth_mod.GenSet.standard(kind)
     table = growth_mod.bfs_balls(gens, args.kmax, args.budget)
     config = {"command": "growth", "kmax": args.kmax, "kmin": args.kmin}
@@ -269,14 +273,14 @@ def cmd_growth(args) -> int:
         print(f"written: {args.out}")
     else:
         print(text, end="")
-    if table.kmax >= args.kmin + 2:
+    if table.kmax >= fit_kmax:
         fit = growth_mod.fit_growth_exponent(table, k_min=args.kmin)
         print(
             f"fitted exponent: {fit.exponent:.4f} "
             f"(use --dg {kind.growth_degree} for bounds)"
         )
     else:
-        print(f"fit skipped: need kmax >= {args.kmin + 2}")
+        print(f"fit skipped: need kmax >= {fit_kmax}")
     return EXIT_OK
 
 
@@ -400,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, help="z<m> or h<n>z")
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--kmin", type=int, default=8,
-                   help="first radius used by the log-log fit")
+                   help="first radius used by the log-log fit (>= 0; the "
+                        "fit starts at 1 at least)")
     p.add_argument("--budget", type=int, default=None,
                    help="element budget override")
     p.add_argument("--out", default=None, help="CSV output path")

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence, Tuple
 
-from .errors import WindowError, check_budget
+from .errors import Record, WindowError, check_budget
 from .heisenberg import Family, GroupKind, GroupPoint
 from .quadratic import (
     QuadNum,
@@ -38,8 +37,7 @@ if TYPE_CHECKING:
 FractionPair = Tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """An axis box with closed rational intervals, one per coordinate.
 
     Used both for windows (internal space) and regions (physical space);
@@ -87,8 +85,7 @@ class Box:
         )
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(Record):
     """Group kind plus the quadratic ring defining the lattice."""
 
     kind: GroupKind
@@ -131,8 +128,7 @@ def _row_order(r: Row, s: Row, c: int, d: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class ModelSet:
+class ModelSet(Record):
     """An exact finite sample of a cut-and-project set.
 
     Each point is one integer numerator row over the common denominator e,
@@ -305,8 +301,7 @@ def periodic_control_model_set(scheme: Scheme, region: Box) -> ModelSet:
 WITNESS_FILL_BOUND = 10
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(Record):
     """Window checks: nonempty interior and lattice points on the boundary,
     with example boundary points where small ones exist."""
 
@@ -406,8 +401,7 @@ def check_window_regular(scheme: Scheme, window: Box) -> RegularityReport:
 # irreducibility evidence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IrreducibilityReport:
+class IrreducibilityReport(Record):
     sample_size: int
     density_fractions: Tuple[Tuple[int, float], ...]
     sample_bound: Fraction

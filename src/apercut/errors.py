@@ -1,6 +1,6 @@
 """Exception types shared across the package, the element budget that
-`check_budget` enforces, and the int64 bound `LIMIT` of the numpy integer
-kernels.
+`check_budget` enforces, the int64 bound `LIMIT` of the numpy integer
+kernels, and `Record`, the base of the package's immutable value types.
 
 The CLI maps these onto process exit codes, so library code should raise
 the most specific type that applies.
@@ -17,6 +17,74 @@ BUDGET_ENV_VAR = "APERCUT_BUDGET"
 # below LIMIT and moves them to Python ints beyond it (`lattice.int_array`);
 # word balls use Python ints throughout.
 LIMIT = 1 << 62
+
+
+class Record:
+    """An immutable value type, the package's stand-in for a frozen
+    dataclass that generates no code when a subclass is created.
+
+    A subclass names its fields as annotations, in order; a class attribute
+    of the same name is that field's default. An instance takes the fields
+    positionally or by keyword, then runs `__post_init__`. Two instances
+    are equal, and hash alike, when their classes are the same and their
+    fields equal, the fields named in `_uncompared` aside; those are left
+    out of the repr too. Assigning or deleting an attribute raises
+    AttributeError; `functools.cached_property` still works, since it
+    writes the instance dictionary directly.
+    """
+
+    _fields: tuple = ()
+    _uncompared: tuple = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields += tuple(vars(cls).get("__annotations__", ()))
+        cls._compared = tuple(f for f in cls._fields
+                              if f not in cls._uncompared)
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        name, fields = cls.__qualname__, cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, "
+                            f"got {len(args)}")
+        values = dict(zip(fields, args))
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values[field] = kwargs.pop(field)
+            elif hasattr(cls, field):
+                values[field] = getattr(cls, field)
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        if kwargs:
+            key = next(iter(kwargs))
+            how = "multiple values for" if key in fields else "unexpected"
+            raise TypeError(f"{name}() got {how} argument {key!r}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._compared))
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._compared)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class ApercutError(Exception):

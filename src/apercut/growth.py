@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
 from operator import add, mul
 from typing import Dict, Iterable, Sequence, Tuple
 
-from .errors import check_budget
+from .errors import Record, check_budget
 from .heisenberg import Family, GroupKind, inv_coords
 # perfbench/worker.py looks this up on this module to count its calls
 from .heisenberg import mul_coords  # noqa: F401
@@ -43,8 +42,7 @@ Columns = Dict[IntCoords, Dict[int, int]]
 WORD_BITS = 1 << 12
 
 
-@dataclass(frozen=True)
-class GenSet:
+class GenSet(Record):
     """A finite symmetric generating set, identity excluded, stored sorted."""
 
     kind: GroupKind
@@ -91,8 +89,7 @@ class GenSet:
         return cls.make(kind, basis)
 
 
-@dataclass(frozen=True)
-class BallTable:
+class BallTable(Record):
     """Cumulative ball sizes |B_0|, ..., |B_kmax| for one generating set."""
 
     kind: GroupKind
@@ -245,15 +242,27 @@ def ball_elements(
     return ordered, set(ordered)
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(Record):
     """Least-squares growth exponent with supporting diagnostics."""
 
     exponent: float
     residual: float
     k_min: int
     doubling_ratios: Tuple[Tuple[int, float], ...]
-    c_estimates: Tuple[Tuple[int, float], ...] = field(default_factory=tuple)
+    c_estimates: Tuple[Tuple[int, float], ...] = ()
+
+
+# the fewest rows a growth fit takes
+FIT_ROWS = 3
+
+
+def fit_kmax(k_min: int) -> int:
+    """The least kmax at which `fit_growth_exponent(table, k_min)` has
+    FIT_ROWS usable rows. The fit uses the radii from k_min, but from 1 at
+    least, since log 0 is undefined; a negative k_min raises ValueError."""
+    if k_min < 0:
+        raise ValueError(f"kmin must be non-negative, got {k_min}")
+    return max(k_min, 1) + FIT_ROWS - 1
 
 
 def fit_growth_exponent(
@@ -263,9 +272,10 @@ def fit_growth_exponent(
     for k in range(1, len(counts)):
         if counts[k] <= counts[k - 1]:
             raise ValueError(f"ball counts not strictly increasing at k={k}")
+    if table.kmax < fit_kmax(k_min):
+        raise ValueError(f"need at least {FIT_ROWS} usable rows to fit an "
+                         "exponent")
     ks = list(range(max(k_min, 1), len(counts)))
-    if len(ks) < 3:
-        raise ValueError("need at least 3 usable rows to fit an exponent")
     logs_k = [math.log(k) for k in ks]
     logs_c = [math.log(counts[k]) for k in ks]
     slope, intercept = statistics.linear_regression(logs_k, logs_c)
@@ -284,8 +294,7 @@ def fit_growth_exponent(
     return FitReport(slope, residual, max(k_min, 1), doubling, c_est)
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(Record):
     """Result of the packing-cover experiment at parameters (a, n)."""
 
     a: int

@@ -15,12 +15,11 @@ float values of exact points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Tuple, Union
 
-from .errors import KindMismatchError
+from .errors import KindMismatchError, Record
 
 if TYPE_CHECKING:
     from .quadratic import QuadNum
@@ -34,8 +33,7 @@ class Family(Enum):
     HEISENBERG = "heisenberg"
 
 
-@dataclass(frozen=True)
-class GroupKind:
+class GroupKind(Record):
     """Which group: R^m (rank m) or H_n (rank n, dimension 2n+1)."""
 
     family: Family
@@ -97,8 +95,7 @@ def identity_coords(kind: GroupKind) -> Coords:
     return (0,) * kind.coord_count
 
 
-@dataclass(frozen=True)
-class GroupPoint:
+class GroupPoint(Record):
     """A group element with exact coordinates."""
 
     kind: GroupKind

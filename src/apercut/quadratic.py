@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Tuple, Union
 
-from .errors import EmptyIntervalError, FieldMismatchError
+from .errors import EmptyIntervalError, FieldMismatchError, Record
 
 RationalLike = Union[int, Fraction]
 Interval = Tuple[RationalLike, RationalLike]
@@ -337,8 +336,7 @@ class RingVariant(Enum):
     FULL_INTEGERS = "full"
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(Record):
     """A real quadratic order: Z[sqrt(d)], or the full ring of integers
     when d = 1 (mod 4)."""
 

@@ -10,7 +10,6 @@ and hand editing. Exact scalars travel as decimal strings, never floats.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
@@ -51,6 +50,9 @@ def canonical_json_bytes(obj) -> bytes:
 
 
 def _digest(body: bytes) -> str:
+    # hashlib loads OpenSSL, about 4 ms and 5 MB; `growth` never hashes
+    import hashlib
+
     return "sha256:" + hashlib.sha256(body).hexdigest()
 
 

@@ -17,7 +17,7 @@ from apercut.errors import (
     ProvenanceError,
     WindowError,
 )
-from apercut.growth import GenSet, bfs_balls
+from apercut.growth import GenSet, bfs_balls, fit_kmax
 from apercut.heisenberg import GroupKind
 from apercut.quadratic import QuadNum, RingSpec
 from apercut.serialize import (
@@ -323,6 +323,43 @@ def test_growth_kmax_zero(capsys):
     assert "k,count" in out
     assert "0,1" in out
     assert "fit skipped" in out
+
+
+@pytest.mark.parametrize("kmax,kmin,need", [
+    ("2", "0", 3), ("2", "1", 3), ("4", "3", 5), ("9", "8", 10),
+])
+def test_growth_skips_a_fit_short_of_rows(tmp_path, capsys, kmax, kmin,
+                                          need):
+    # the fit starts at radius 1 at least, so --kmin 0 needs kmax >= 3
+    out_path = tmp_path / "balls.csv"
+    code, out, err = run(capsys, [
+        "growth", "--group", "h1z", "--kmax", kmax, "--kmin", kmin,
+        "--out", str(out_path),
+    ])
+    assert (code, err) == (0, "")
+    assert out == f"written: {out_path}\nfit skipped: need kmax >= {need}\n"
+    assert out_path.read_text().splitlines()[-1].startswith(f"{kmax},")
+
+
+@pytest.mark.parametrize("kmax,kmin,need", [("3", "0", 3), ("10", "8", 10)])
+def test_growth_fits_at_the_least_kmax(capsys, kmax, kmin, need):
+    code, out, _ = run(capsys, ["growth", "--group", "z1", "--kmax", kmax,
+                                "--kmin", kmin])
+    assert code == 0
+    assert "fitted exponent: " in out
+    assert fit_kmax(int(kmin)) == need
+
+
+@pytest.mark.parametrize("kmax", ["1", "10"])
+def test_growth_negative_kmin_exits_2_unwritten(tmp_path, capsys, kmax):
+    out_path = tmp_path / "balls.csv"
+    code, out, err = run(capsys, [
+        "growth", "--group", "h1z", "--kmax", kmax, "--kmin", "-1",
+        "--out", str(out_path),
+    ])
+    assert (code, out) == (2, "")
+    assert err == "error: kmin must be non-negative, got -1\n"
+    assert not out_path.exists()
 
 
 def test_growth_z1_fit(tmp_path, capsys):

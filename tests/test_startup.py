@@ -5,7 +5,9 @@
 numpy, so neither `import apercut`, `import apercut.cli` nor those commands
 may import it; `analyze` loads it when it starts. Neither
 `import apercut.cli` nor `growth`, `cover` and `bounds` load a model-set
-module or `quadratic`.
+module or `quadratic`. No command loads `dataclasses`, and neither
+`import apercut.cli` nor `growth` loads `hashlib`: only a command that
+writes a content hash does.
 """
 
 import os
@@ -161,6 +163,38 @@ def test_numpy_commands_run(argv, expected, sample):
                       sample)
     assert expected in proc.stdout
     assert loads_numpy(imported_modules(proc.stderr))
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", *SCHEME, WINDOW, "--region=-30,30", "--out", "g.json"],
+    ["analyze", "--in", "sample.json", "--K", "1", "--period-bound", "2",
+     "--grid-step", "1/2", "--out", "a.json"],
+    ["growth", "--group", "h1z", "--kmax", "10", "--out", "g.csv"],
+    ["cover", "--group", "h1z", "--a", "2", "--n", "1", "--out", "c.json"],
+    ["bounds", "--dg", "4", "--dimx", "2", "--out", "b.json"],
+    ["check-window", *SCHEME, WINDOW],
+], ids=lambda argv: argv[0])
+def test_command_loads_no_dataclasses(argv, sample):
+    # the value types are `errors.Record`s, which generate no code
+    proc = run_python(["-X", "importtime", "-m", "apercut.cli", *argv],
+                      sample)
+    modules = imported_modules(proc.stderr)
+    assert "apercut.errors" in modules
+    assert "dataclasses" not in modules
+
+
+@pytest.mark.parametrize("args,hashes", [
+    (["-c", "import apercut.cli"], False),
+    (["-m", "apercut.cli", "growth", "--group", "h1z", "--kmax", "10",
+      "--out", "g.csv"], False),
+    (["-m", "apercut.cli", "bounds", "--dg", "4", "--dimx", "2",
+      "--out", "b.json"], True),
+], ids=["import-cli", "growth", "bounds-out"])
+def test_hashlib_loads_at_the_first_digest(args, hashes, tmp_path):
+    proc = run_python(["-X", "importtime", *args], tmp_path)
+    modules = imported_modules(proc.stderr)
+    assert "apercut.serialize" in modules
+    assert ("hashlib" in modules) is hashes
 
 
 def test_analyze_grid_step_does_not_load_growth(sample):
