@@ -19,8 +19,9 @@ at the first content hash: `generate` and `analyze` load it, `cover` and
 `bounds` with `--out`, and `growth` never.
 
 `generate` counts its sample against the element budget before it
-enumerates an axis, and `analyze` refuses a sample that is not the whole
-model set of its window and region (exit 2).
+enumerates an axis, and `analyze` rebuilds the model set of the file's
+window and region and refuses a file whose points are not its points
+(exit 2).
 
 Exit codes: 0 ok, 2 usage or invalid input, 3 window-regularity rejection,
 4 erosion/core failures, 5 provenance mismatch, 6 element budget exceeded.

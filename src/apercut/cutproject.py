@@ -198,7 +198,10 @@ class ModelSet(Record):
         """Re-verify every structural invariant on the rows; raises
         ValueError naming the first violation, checking the region, the
         window, ring membership and then the order. The coordinate tests
-        are per axis, so each distinct value on an axis is decided once."""
+        are per axis, so each distinct value on an axis is decided once.
+        `generate_model_set` and the reader build their samples as axis
+        products, which hold these by construction; this is the check for
+        sets made with `from_points`."""
         kind, ring = self.scheme.kind, self.scheme.ring
         c, d, e, rows = kind.coord_count, ring.d, self.e, self.rows
         if any(len(r) != 2 * c for r in rows):
@@ -249,8 +252,9 @@ def generate_model_set(
     The window must have nonempty interior unless allow_degenerate_window
     is set (degenerate windows make the boundary checks meaningless but the
     enumeration itself stays well defined). The sample is the product of
-    the per-axis enumerations; raises BudgetExceededError before building
-    any axis when it has more points than `errors.element_budget()`.
+    the per-axis enumerations, so it holds every `ModelSet` invariant by
+    construction and is not re-checked; raises BudgetExceededError before
+    building any axis when it has more points than `errors.element_budget()`.
     """
     _check_box(scheme, window, "window")
     _check_box(scheme, region, "region")
@@ -258,18 +262,26 @@ def generate_model_set(
         raise WindowError("window has empty interior")
     total = model_set_size(scheme, window, region)
     check_budget(total, f"model set of {total} points")
+    return _product_model_set(scheme, window, region, total)
+
+
+def _product_model_set(scheme: Scheme, window: Box, region: Box,
+                       total: int) -> ModelSet:
+    """The model set of the window and region as the product of the per-axis
+    enumerations, given its size `total` (`model_set_size`); when that is 0,
+    no axis is enumerated."""
+    if not total:
+        return ModelSet(scheme, window, region, (), 1)
     axes = [enumerate_ring_in_rectangle(scheme.ring, phys, internal)
             for phys, internal in zip(region.intervals, window.intervals)]
-    e = common_denominator(itertools.chain(*axes)) if total else 1
+    e = common_denominator(itertools.chain(*axes))
     pairs = [[numerators(x, e) for x in axis] for axis in axes]
     # the product of ascending axes is already in lexicographic order, and
     # the products of the u and of the w lists run in step
     us = itertools.product(*[[u for u, _ in axis] for axis in pairs])
     ws = itertools.product(*[[w for _, w in axis] for axis in pairs])
-    ms = ModelSet(scheme, window, region,
-                  tuple(u + w for u, w in zip(us, ws)), e)
-    ms.validate()
-    return ms
+    return ModelSet(scheme, window, region,
+                    tuple(u + w for u, w in zip(us, ws)), e)
 
 
 def periodic_control_model_set(scheme: Scheme, region: Box) -> ModelSet:
@@ -286,9 +298,7 @@ def periodic_control_model_set(scheme: Scheme, region: Box) -> ModelSet:
             for lo, hi in region.intervals]
     zeros = (0,) * len(axes)
     rows = tuple(u + zeros for u in itertools.product(*axes))
-    ms = ModelSet(scheme, region, region, rows, 1)
-    ms.validate()
-    return ms
+    return ModelSet(scheme, region, region, rows, 1)
 
 
 # ---------------------------------------------------------------------------

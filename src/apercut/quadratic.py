@@ -447,14 +447,6 @@ def serialize_quadnum(x: QuadNum) -> list[str]:
     ]
 
 
-def deserialize_quadnum(parts: Sequence[str], d: int) -> QuadNum:
-    if len(parts) != 4:
-        raise ValueError(f"expected 4 components, got {len(parts)}")
-    a = Fraction(int(parts[0]), int(parts[1]))
-    b = Fraction(int(parts[2]), int(parts[3]))
-    return QuadNum(a, b, d)
-
-
 def _triple(x: QuadNum | RationalLike) -> Tuple[int, int, int]:
     """(p, q, den) with x = (p + q*sqrt(d))/den in lowest terms."""
     if isinstance(x, QuadNum):

@@ -231,34 +231,6 @@ def _points_payload(ms: ModelSet) -> list:
     return [list(coords) for coords in zip(*columns)]
 
 
-def _rows_from(points: list, scheme: Scheme) -> tuple[tuple, int]:
-    """Numerator rows over their common denominator e, and e, from the
-    payload's points; each distinct coordinate is parsed once."""
-    from .quadratic import (
-        common_denominator,
-        deserialize_quadnum,
-        numerators,
-    )
-
-    kind, d = scheme.kind, scheme.d
-    c = kind.coord_count
-    for row in points:
-        if len(row) != c:
-            raise ValueError(
-                f"{kind.label} needs {c} coordinates, got {len(row)}")
-    if not points:
-        return (), 1
-    flat = [tuple(parts) for row in points for parts in row]
-    values = {key: deserialize_quadnum(key, d) for key in set(flat)}
-    e = common_denominator(values.values())
-    pairs = {key: numerators(x, e) for key, x in values.items()}
-    us = list(map({k: u for k, (u, _) in pairs.items()}.__getitem__, flat))
-    ws = list(map({k: w for k, (_, w) in pairs.items()}.__getitem__, flat))
-    # flat holds row after row, c coordinates each
-    return tuple(zip(*(us[k::c] for k in range(c)),
-                     *(ws[k::c] for k in range(c)))), e
-
-
 def model_set_payload(ms: ModelSet, config: dict | None = None) -> dict:
     return {
         "format": FORMAT_VERSION,
@@ -274,27 +246,43 @@ def model_set_payload(ms: ModelSet, config: dict | None = None) -> dict:
 def model_set_from_payload(payload: dict) -> ModelSet:
     """The model set of a payload; ValueError if a field is missing or
     malformed, or if the points are not the whole model set of the window
-    and region. Validated points are distinct members of the product of
-    the axis enumerations, so equal counts prove the sample complete; each
-    axis is counted to one past the points only."""
-    from .cutproject import ModelSet, model_set_size
+    and region. A complete sample is a function of the scheme, window and
+    region, so the reader counts it (each axis to one past the file's
+    points only), rebuilds it as `generate_model_set` does, and requires
+    the file's points to be the rebuilt sample's, string for string."""
+    from .cutproject import _check_box, _product_model_set, model_set_size
 
     try:
         scheme = _scheme_from(payload["scheme"])
-        rows, e = _rows_from(payload["points"], scheme)
         window = _box_from(payload["window"])
         region = _box_from(payload["region"])
+        points = payload["points"]
     except KeyError as exc:
         raise ValueError(f"model-set file has no {exc} field") from exc
     except (TypeError, ZeroDivisionError) as exc:
         raise ValueError(
             f"malformed model-set file: {type(exc).__name__}: {exc}"
         ) from exc
-    ms = ModelSet(scheme, window, region, rows, e)
-    ms.validate()
-    if model_set_size(scheme, window, region, cap=len(ms) + 1) != len(ms):
-        raise ValueError(f"model set incomplete: {len(ms)} points, but its "
+    if not isinstance(points, list):
+        raise ValueError("malformed model-set file: points is not a list")
+    _check_box(scheme, window, "window")
+    _check_box(scheme, region, "region")
+    n = len(points)
+    total = model_set_size(scheme, window, region, cap=n + 1)
+    if total > n:
+        raise ValueError(f"model set incomplete: {n} points, but its "
                          "window and region hold more")
+    if total < n:
+        raise ValueError(f"model set mismatch: {n} points, but its window "
+                         f"and region hold {total}")
+    ms = _product_model_set(scheme, window, region, total)
+    expected = _points_payload(ms)
+    if points != expected:
+        i, theirs, ours = next((i, p, q) for i, (p, q)
+                               in enumerate(zip(points, expected)) if p != q)
+        raise ValueError(f"model set mismatch at point {i}: the file has "
+                         f"{_dumps(theirs)}, the model set has "
+                         f"{_dumps(ours)}")
     return ms
 
 

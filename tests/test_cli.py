@@ -502,6 +502,26 @@ def test_generate_counts_the_sample_before_building_it(
     assert peak < 5 * 2 ** 20
 
 
+def test_generate_empty_sample_builds_no_axis(tmp_path, capsys,
+                                              monkeypatch):
+    # the second axis holds no point, so the sample is empty however many
+    # the first holds; neither generate nor the reader builds an axis
+    def enumerate_ring_in_rectangle(*args):
+        raise AssertionError("an axis was built")
+    monkeypatch.setattr(cutproject, "enumerate_ring_in_rectangle",
+                        enumerate_ring_in_rectangle)
+    monkeypatch.setenv("APERCUT_BUDGET", "10")
+    out = tmp_path / "empty.json"
+    code, stdout, err = run(capsys, [
+        "generate", "--kind", "euclidean", "--m", "2", "--d", "2",
+        "--window=-9/10,11/10;1/10,2/10", "--region=0,4000;0,0",
+        "--out", str(out),
+    ])
+    assert code == 0, err
+    assert "points: 0" in stdout
+    assert len(read_model_set(out)[0]) == 0
+
+
 def _last_coordinate(value: int):
     """Set the last coordinate of the last point to the integer value."""
     def edit(points):
@@ -521,23 +541,46 @@ def _drop(points):
     del points[len(points) // 2]
 
 
+def _unreduced(points):
+    """The first coordinate of point 3, its value kept, not in lowest
+    terms."""
+    a_num, a_den, b_num, b_den = points[3][0]
+    points[3][0] = [str(2 * int(a_num)), str(2 * int(a_den)), b_num, b_den]
+
+
 # (argv, upper end of the region on the last coordinate)
 SAMPLES = [(GEN_1D, 60), (GEN_H1, 16)]
 
+MISMATCH = ("model set mismatch at point {i}: the file has {theirs}, "
+            "the model set has {ours}")
+
+
+def _reseal(path, edit):
+    """Apply the edit to the sample's payload and seal it anew."""
+    payload = read_json(path)
+    del payload["content_hash"]
+    edit(payload)
+    write_json(path, payload)  # a valid hash over the corrupt payload
+
 
 @pytest.mark.parametrize("argv,hi", SAMPLES, ids=["1d", "h1"])
-@pytest.mark.parametrize("edit,message", [
-    (_swap, "points not in canonical sorted order"),
-    (_duplicate, "duplicate point"),
+@pytest.mark.parametrize("edit,index,message", [
+    # the first point that differs, as the file has it and as the model set
+    (_swap, 3, MISMATCH),
+    (_duplicate, None,
+     "model set mismatch: {n_plus_1} points, but its window and region "
+     "hold {n}"),
     # one past the region; the last point is below its end
-    ("region", "physical point outside region"),
+    ("region", -1, MISMATCH),
     # the region's end: an integer, its own conjugate, outside the window
-    ("window", "internal point outside window"),
+    ("window", -1, MISMATCH),
     # sorted members of the model set, but not all of them
-    (_drop, "model set incomplete"),
-], ids=["swap", "duplicate", "region", "window", "drop"])
+    (_drop, None, "model set incomplete: {n_minus_1} points"),
+    # the same value, but not the string the model set formats
+    (_unreduced, 3, MISMATCH),
+], ids=["swap", "duplicate", "region", "window", "drop", "unreduced"])
 def test_analyze_rejects_corrupt_sample(tmp_path, capsys, argv, hi, edit,
-                                        message):
+                                        index, message):
     path = tmp_path / "ms.json"
     code, _, err = run(capsys, argv + ["--out", str(path)])
     assert code == 0, err
@@ -545,18 +588,43 @@ def test_analyze_rejects_corrupt_sample(tmp_path, capsys, argv, hi, edit,
         edit = _last_coordinate(hi + 1)
     elif edit == "window":
         edit = _last_coordinate(hi)
-    payload = read_json(path)
-    del payload["content_hash"]
-    edit(payload["points"])
-    write_json(path, payload)  # a valid hash over the corrupt points
+    before = read_json(path)["points"]
+    _reseal(path, lambda payload: edit(payload["points"]))
+    n = len(before)
+    fields = {"n": n, "n_plus_1": n + 1, "n_minus_1": n - 1}
+    if index is not None:
+        i = index % n
+        after = read_json(path)["points"]
+        fields.update(i=i, theirs=json.dumps(after[i], separators=(",", ":")),
+                      ours=json.dumps(before[i], separators=(",", ":")))
     report = tmp_path / "report.json"
     code, out, err = run(capsys, [
         "analyze", "--in", str(path), "--K", "1", "--period-bound", "1",
         "--out", str(report),
     ])
     assert code == 2
-    assert f"error: {message}" in err
+    assert f"error: {message.format(**fields)}" in err
     assert out == ""
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("field", ["window", "region"])
+@pytest.mark.parametrize("intervals", [2, 4], ids=["short", "long"])
+def test_analyze_rejects_wrong_interval_count(tmp_path, capsys, field,
+                                              intervals):
+    path = tmp_path / "ms.json"
+    code, _, err = run(capsys, GEN_H1 + ["--out", str(path)])
+    assert code == 0, err
+
+    def edit(payload):
+        box = payload[field]
+        payload[field] = (box + [["0", "1"]])[:intervals]
+    _reseal(path, edit)
+    report = tmp_path / "report.json"
+    assert run(capsys, [
+        "analyze", "--in", str(path), "--K", "1", "--period-bound", "1",
+        "--out", str(report),
+    ]) == (2, "", f"error: {field} has {intervals} intervals, h1 needs 3\n")
     assert not report.exists()
 
 

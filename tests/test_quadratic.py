@@ -11,7 +11,6 @@ from apercut.quadratic import (
     QuadNum,
     RingSpec,
     RingVariant,
-    deserialize_quadnum,
     enumerate_ring_in_rectangle,
     floor_div,
     floor_sqrt,
@@ -425,6 +424,3 @@ def test_serialize_round_trip():
     x = QuadNum(Fraction(-3, 7), Fraction(22, 5), 5)
     parts = serialize_quadnum(x)
     assert parts == ["-3", "7", "22", "5"]
-    assert deserialize_quadnum(parts, 5) == x
-    with pytest.raises(ValueError):
-        deserialize_quadnum(["1", "2", "3"], 5)

@@ -1,9 +1,13 @@
 import json
 import math
+import os
 import re
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from apercut import serialize
 from apercut.analysis import (
@@ -12,11 +16,16 @@ from apercut.analysis import (
     period_search,
     repetitivity_radii,
 )
-from apercut.cutproject import Box, Scheme, generate_model_set
+from apercut.cutproject import (
+    Box,
+    Scheme,
+    generate_model_set,
+    model_set_size,
+)
 from apercut.errors import ProvenanceError
 from apercut.growth import GenSet, bfs_balls, verify_cover
 from apercut.heisenberg import GroupKind
-from apercut.quadratic import QuadNum, RingSpec
+from apercut.quadratic import QuadNum, RingSpec, RingVariant
 from apercut.serialize import (
     FORMAT_VERSION,
     analysis_report_payload,
@@ -187,6 +196,45 @@ def test_model_set_format_1_still_reads(tmp_path):
     assert back == ms
 
 
+@st.composite
+def small_samples(draw):
+    """(scheme, window, region) of at most 60 points: E1, E2, H1 or H2
+    over d = 2, 3 or 5 in either ring, with rational intervals near 0 and
+    regions narrower as the coordinates grow in number. The window may be
+    a single point on one axis (degenerate), and some samples are empty."""
+    kind = draw(st.sampled_from([E1, GroupKind.euclidean(2), H1,
+                                 GroupKind.heisenberg(2)]))
+    d = draw(st.sampled_from([2, 3, 5]))
+    variants = list(RingVariant) if d % 4 == 1 else [RingVariant.Z_SQRT_D]
+    scheme = Scheme(kind, RingSpec(d, draw(st.sampled_from(variants))))
+    c = kind.coord_count
+    flat = draw(st.sampled_from([None, *range(c)]))
+
+    def interval(reach, width):
+        lo = draw(st.fractions(-reach, 0, max_denominator=2))
+        return lo, lo + draw(st.fractions(width / 4, width,
+                                          max_denominator=4))
+    window = Box(tuple((lo, lo) if k == flat else (lo, hi) for k, (lo, hi)
+                       in enumerate(interval(1, Fraction(2))
+                                    for _ in range(c))))
+    span = Fraction({1: 16, 2: 8, 3: 5, 5: 4}[c])
+    region = Box(tuple(interval(span / 2, span) for _ in range(c)))
+    assume(model_set_size(scheme, window, region, cap=60) <= 60)
+    return scheme, window, region
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample=small_samples())
+def test_generated_sample_is_valid_and_round_trips(sample):
+    # generate does not re-check what it builds: the oracle does it here
+    ms = generate_model_set(*sample, allow_degenerate_window=True)
+    ms.validate()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ms.json")
+        write_model_set(path, ms)
+        assert read_model_set(path)[0] == ms
+
+
 def test_model_set_write_is_byte_identical(tmp_path):
     ms = small_h1()
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -207,6 +255,20 @@ def test_model_set_resealed_corruption_caught(tmp_path):
     write_json(path, payload)
     with pytest.raises(ValueError):
         read_model_set(path)
+
+
+@pytest.mark.parametrize("points", [{}, ""], ids=["object", "string"])
+def test_model_set_points_must_be_a_list(points):
+    # even where the model set is empty, so that no point is compared
+    ms = generate_model_set(Scheme(E1, RingSpec(2)),
+                            Box(((Fraction(1, 10), Fraction(2, 10)),)),
+                            Box(((0, 0),)))
+    assert len(ms) == 0
+    payload = model_set_payload(ms)
+    assert serialize.model_set_from_payload(payload) == ms
+    payload["points"] = points
+    with pytest.raises(ValueError, match="points is not a list"):
+        serialize.model_set_from_payload(payload)
 
 
 def test_model_set_csv():
