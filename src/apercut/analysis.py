@@ -292,10 +292,7 @@ class NeighborIndex:
 
     def _expand(self, q, lo, counts) -> tuple:
         per_query = counts.sum(axis=1)
-        flat_lo, flat_n = lo.ravel(), counts.ravel()
-        total = int(flat_n.sum())
-        first = np.cumsum(flat_n) - flat_n
-        pos = np.repeat(flat_lo - first, flat_n) + np.arange(total)
+        pos = _expand_runs(lo.ravel(), counts.ravel())
         return np.repeat(q, per_query), self._order[pos]
 
 
@@ -445,9 +442,8 @@ def covering_radius_estimate(
             for a, count in zip(starts, shape)]
     grid_axes = [np.array([float(v) for v in axis]) for axis in axes]
     # exact grid coordinates: integer numerators over one denominator
-    rows, den = numerator_rows(axes)
-    num_axes = [int_array(row[:len(axis)])[0]
-                for row, axis in zip(rows, axes)]
+    den = math.lcm(1, *(v.denominator for axis in axes for v in axis))
+    num_axes = [int_array([int(v * den) for v in axis])[0] for axis in axes]
     kernel = _MaxMin(ms)
     block = max(1, PAIR_CHUNK // 3 ** len(shape))
     for start in range(0, total, block):
@@ -638,8 +634,7 @@ class _MaxMin:
             else:
                 n = np.minimum(total[rows], b) - a
                 pair = np.repeat(live, n)
-                cand = target[np.repeat(start[rows] + a - (np.cumsum(n) - n),
-                                        n) + np.arange(int(n.sum()))]
+                cand = target[_expand_runs(start[rows] + a, n)]
             q = queries[pair]
             g = self._gauges(qcols, q, cand)
             if own is not None:

@@ -5,8 +5,10 @@ lattice is the group over a real quadratic ring embedded coordinate-wise by
 gamma -> (gamma, conjugate(gamma)). A model set collects the lattice points
 whose internal (conjugate) coordinates fall in a box window W while the
 physical coordinates stay in a box region R. Both constraints factor per
-coordinate, so generation is a product of exact one-dimensional rectangle
-enumerations and is exhaustive within the region.
+coordinate, so generation is exhaustive within the region and is the
+product of exact one-dimensional ring axes (`quadratic.ring_axis`): integer
+pairs (p, v) for the elements (p + v*sqrt(d))/s, which become the sample's
+numerator rows with no `QuadNum` in between.
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ from .heisenberg import Family, GroupKind, GroupPoint
 from .quadratic import (
     QuadNum,
     RingSpec,
-    common_denominator,
     count_ring_in_rectangle,
     enumerate_ring_in_rectangle,
     floor_div,
     numerator_rows,
-    numerators,
+    ring_axis,
     sign_pq,
 )
 
@@ -252,7 +253,7 @@ def generate_model_set(
     The window must have nonempty interior unless allow_degenerate_window
     is set (degenerate windows make the boundary checks meaningless but the
     enumeration itself stays well defined). The sample is the product of
-    the per-axis enumerations, so it holds every `ModelSet` invariant by
+    the per-axis `ring_axis` lists, so it holds every `ModelSet` invariant by
     construction and is not re-checked; raises BudgetExceededError before
     building any axis when it has more points than `errors.element_budget()`.
     """
@@ -267,19 +268,24 @@ def generate_model_set(
 
 def _product_model_set(scheme: Scheme, window: Box, region: Box,
                        total: int) -> ModelSet:
-    """The model set of the window and region as the product of the per-axis
-    enumerations, given its size `total` (`model_set_size`); when that is 0,
-    no axis is enumerated."""
+    """The model set of the window and region as the product of the
+    per-axis `ring_axis` pairs, given its size `total` (`model_set_size`);
+    when that is 0, no axis is enumerated."""
     if not total:
         return ModelSet(scheme, window, region, (), 1)
-    axes = [enumerate_ring_in_rectangle(scheme.ring, phys, internal)
+    ring = scheme.ring
+    axes = [ring_axis(ring, phys, internal)
             for phys, internal in zip(region.intervals, window.intervals)]
-    e = common_denominator(itertools.chain(*axes))
-    pairs = [[numerators(x, e) for x in axis] for axis in axes]
+    e = ring.scale
+    # on the full ring p = v (mod 2), so a sample with only even p lies in
+    # Z[sqrt(d)] and its least common denominator is 1
+    if e == 2 and all(p % 2 == 0 for axis in axes for p, _ in axis):
+        axes = [[(p // 2, v // 2) for p, v in axis] for axis in axes]
+        e = 1
     # the product of ascending axes is already in lexicographic order, and
-    # the products of the u and of the w lists run in step
-    us = itertools.product(*[[u for u, _ in axis] for axis in pairs])
-    ws = itertools.product(*[[w for _, w in axis] for axis in pairs])
+    # the products of the p and of the v lists run in step
+    us = itertools.product(*[[p for p, _ in axis] for axis in axes])
+    ws = itertools.product(*[[v for _, v in axis] for axis in axes])
     return ModelSet(scheme, window, region,
                     tuple(u + w for u, w in zip(us, ws)), e)
 
@@ -424,43 +430,40 @@ def check_irreducibility(
     max_subdivision: int = 4,
 ) -> IrreducibilityReport:
     """Report how densely the internal projections of a finite lattice
-    sample fill a fixed box when split into 2^k cells per axis (heuristic
-    evidence for dense image). Both projections are injective by
-    construction: the sample is a product of distinct axis values, and
-    conjugation is injective."""
+    sample, the lattice points in the gauge box of sample_bound, fill a
+    fixed box when split into 2^k cells per axis (heuristic evidence for
+    dense image). Both projections are injective by construction: the
+    sample is a product of distinct axis values, and conjugation is
+    injective.
+
+    The sample is never built: a point lies in the box, and in a cell,
+    exactly when each of its coordinates lies in that axis's interval and
+    cell, so the cells hit are the product of the cells that each axis's
+    conjugates hit.
+    """
     bound = Fraction(sample_bound)
     kind = scheme.kind
-    sample_box = Box.gauge_box(kind, bound)
-    axes = [
-        enumerate_ring_in_rectangle(scheme.ring, iv, iv)
-        for iv in sample_box.intervals
-    ]
-    sample = list(itertools.product(*axes))
-    internal = [tuple(c.conjugate() for c in coords) for coords in sample]
-
+    axes = [enumerate_ring_in_rectangle(scheme.ring, iv, iv)
+            for iv in Box.gauge_box(kind, bound).intervals]
     if density_box is None:
         density_box = Box.cube(kind, 1)
     _check_box(scheme, density_box, "density box")
+    inside = [[c for c in (x.conjugate() for x in axis) if lo <= c <= hi]
+              for axis, (lo, hi) in zip(axes, density_box.intervals)]
     fractions_by_k = []
     for k in range(1, max_subdivision + 1):
-        cells_per_axis = 2 ** k
-        hit = set()
-        for coords in internal:
-            if not density_box.contains(coords):
-                continue
-            idx = []
-            for c, (lo, hi) in zip(coords, density_box.intervals):
-                width = (hi - lo) / cells_per_axis
-                j = floor_div(c - lo, width)
-                if j == cells_per_axis:  # right endpoint joins the last cell
-                    j -= 1
-                idx.append(j)
-            hit.add(tuple(idx))
-        total = cells_per_axis ** kind.coord_count
-        fractions_by_k.append((k, len(hit) / total))
+        cells = 2 ** k
+        # the cells each axis hits, the right endpoint in the last one; no
+        # point lies in the box when some axis has no conjugate in it
+        hit = math.prod(
+            len({min(floor_div(c - lo, (hi - lo) / cells), cells - 1)
+                 for c in conj})
+            for conj, (lo, hi) in zip(inside, density_box.intervals)
+        ) if all(inside) else 0
+        fractions_by_k.append((k, hit / cells ** kind.coord_count))
 
     return IrreducibilityReport(
-        sample_size=len(sample),
+        sample_size=math.prod(map(len, axes)),
         density_fractions=tuple(fractions_by_k),
         sample_bound=bound,
     )

@@ -16,7 +16,7 @@ import functools
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Tuple, Union
+from typing import Iterator, Sequence, Tuple, Union
 
 from .errors import EmptyIntervalError, FieldMismatchError, Record
 
@@ -350,6 +350,12 @@ class RingSpec(Record):
                 f"full ring of integers requires d = 1 (mod 4), got d={self.d}"
             )
 
+    @property
+    def scale(self) -> int:
+        """The s of the ring elements (p + v*sqrt(d))/s: 1 on Z[sqrt(d)],
+        and 2 on the full ring, where p = v (mod 2)."""
+        return 1 if self.variant is RingVariant.Z_SQRT_D else 2
+
     def contains(self, x: QuadNum) -> bool:
         if x.d != self.d and not x.is_rational:
             raise FieldMismatchError(f"element of Q(sqrt({x.d})) vs ring with d={self.d}")
@@ -391,8 +397,7 @@ def _p_ranges(
     """
     p1, p2 = _as_fraction_interval(phys, "physical")
     i1, i2 = _as_fraction_interval(internal, "internal")
-    d = ring.d
-    s = 1 if ring.variant is RingVariant.Z_SQRT_D else 2
+    d, s = ring.d, ring.scale
     lo, hi = s * (p1 - i2) / 2, s * (p2 - i1) / 2
     # ceil(lo/sqrt(d)) <= v <= floor(hi/sqrt(d)), lo/sqrt(d) = lo*sqrt(d)/d
     v_min = -_floor_root(0, -lo.numerator, lo.denominator * d, d)
@@ -410,17 +415,28 @@ def _p_ranges(
         yield v, range(p_min, p_max + 1, s)
 
 
-def enumerate_ring_in_rectangle(
+def ring_axis(
     ring: RingSpec, phys: Interval, internal: Interval
-) -> list[QuadNum]:
-    """All ring elements x with x in phys and conjugate(x) in internal,
-    sorted ascending (by `sign_pq`); see `_p_ranges`."""
+) -> list[Tuple[int, int]]:
+    """The ring elements x with x in phys and conjugate(x) in internal, as
+    the integer pairs (p, v) of x = (p + v*sqrt(d))/s, with s =
+    `RingSpec.scale`, sorted ascending in x (by `sign_pq`); see
+    `_p_ranges`."""
     d = ring.d
-    s = 1 if ring.variant is RingVariant.Z_SQRT_D else 2
     pairs = [(p, v) for v, ps in _p_ranges(ring, phys, internal) for p in ps]
     pairs.sort(key=functools.cmp_to_key(
         lambda x, y: sign_pq(x[0] - y[0], x[1] - y[1], d)))
-    return [QuadNum._mk(p, v, s, d) for p, v in pairs]
+    return pairs
+
+
+def enumerate_ring_in_rectangle(
+    ring: RingSpec, phys: Interval, internal: Interval
+) -> list[QuadNum]:
+    """`ring_axis` as `QuadNum`s: all ring elements x with x in phys and
+    conjugate(x) in internal, sorted ascending."""
+    d, s = ring.d, ring.scale
+    return [QuadNum._mk(p, v, s, d)
+            for p, v in ring_axis(ring, phys, internal)]
 
 
 def count_ring_in_rectangle(
@@ -447,39 +463,18 @@ def serialize_quadnum(x: QuadNum) -> list[str]:
     ]
 
 
-def _triple(x: QuadNum | RationalLike) -> Tuple[int, int, int]:
-    """(p, q, den) with x = (p + q*sqrt(d))/den in lowest terms."""
-    if isinstance(x, QuadNum):
-        return x._p, x._q, x._den
-    f = Fraction(x)
-    return f.numerator, 0, f.denominator
-
-
-def common_denominator(values: Iterable[QuadNum | RationalLike]) -> int:
-    """The least e > 0 with every value (u + w*sqrt(d))/e for integers u, w
-    (1 for no values)."""
-    return math.lcm(1, *(_triple(x)[2] for x in values))
-
-
-def numerators(x: QuadNum | RationalLike, e: int) -> Tuple[int, int]:
-    """(u, w) with x = (u + w*sqrt(d))/e, for e a multiple of x's
-    denominator (as `common_denominator` gives)."""
-    p, q, den = _triple(x)
-    return p * (e // den), q * (e // den)
-
-
 def numerator_rows(
     rows: Sequence[Sequence[QuadNum | RationalLike]],
 ) -> Tuple[list[Tuple[int, ...]], int]:
-    """Rows of exact scalars as integer numerator rows over their common
-    denominator e: the u parts of a row's values (u + w*sqrt(d))/e, then
-    the w parts. Returns the rows and e."""
-    e = common_denominator(x for row in rows for x in row)
-    out = []
-    for row in rows:
-        pairs = [numerators(x, e) for x in row]
-        out.append(tuple(u for u, _ in pairs) + tuple(w for _, w in pairs))
-    return out, e
+    """Rows of exact scalars as integer numerator rows over e, the least
+    common denominator of their values (1 for no values): the u parts of a
+    row's values (u + w*sqrt(d))/e, then the w parts. Returns the rows and
+    e."""
+    rows = [[x if isinstance(x, QuadNum) else QuadNum(x) for x in row]
+            for row in rows]
+    e = math.lcm(1, *(x._den for row in rows for x in row))
+    return [tuple(x._p * (e // x._den) for x in row)
+            + tuple(x._q * (e // x._den) for x in row) for row in rows], e
 
 
 def floor_div(value: QuadNum | Fraction | int, cell: Fraction) -> int:

@@ -478,10 +478,9 @@ def test_generate_budget_boundary_is_the_sample(tmp_path, capsys,
 ], ids=["untraced", "traced"])
 def test_generate_counts_the_sample_before_building_it(
         tmp_path, capsys, monkeypatch, hi, size, traced):
-    def enumerate_ring_in_rectangle(*args):
+    def ring_axis(*args):
         raise AssertionError("an axis was built")
-    monkeypatch.setattr(cutproject, "enumerate_ring_in_rectangle",
-                        enumerate_ring_in_rectangle)
+    monkeypatch.setattr(cutproject, "ring_axis", ring_axis)
     monkeypatch.setenv("APERCUT_BUDGET", "1000")
     out = tmp_path / "over.json"
     if traced:
@@ -506,10 +505,9 @@ def test_generate_empty_sample_builds_no_axis(tmp_path, capsys,
                                               monkeypatch):
     # the second axis holds no point, so the sample is empty however many
     # the first holds; neither generate nor the reader builds an axis
-    def enumerate_ring_in_rectangle(*args):
+    def ring_axis(*args):
         raise AssertionError("an axis was built")
-    monkeypatch.setattr(cutproject, "enumerate_ring_in_rectangle",
-                        enumerate_ring_in_rectangle)
+    monkeypatch.setattr(cutproject, "ring_axis", ring_axis)
     monkeypatch.setenv("APERCUT_BUDGET", "10")
     out = tmp_path / "empty.json"
     code, stdout, err = run(capsys, [

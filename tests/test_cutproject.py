@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,11 +26,15 @@ from apercut.quadratic import (
     QuadNum,
     RingSpec,
     RingVariant,
+    count_ring_in_rectangle,
     enumerate_ring_in_rectangle,
+    floor_div,
 )
 
 E1 = GroupKind.euclidean(1)
+E2 = GroupKind.euclidean(2)
 H1 = GroupKind.heisenberg(1)
+H2 = GroupKind.heisenberg(2)
 
 SCHEME_1D = Scheme(E1, RingSpec(2))
 SCHEME_H1 = Scheme(H1, RingSpec(2))
@@ -172,6 +177,21 @@ def test_generate_full_ring_denser():
     sparse = generate_model_set(scheme_z, window, region)
     dense = generate_model_set(scheme_full, window, region)
     assert {p.coords for p in sparse.points} < {p.coords for p in dense.points}
+
+
+def test_generate_full_ring_sample_in_z_sqrt_d_has_denominator_1():
+    # on each axis the only elements with |conjugate| <= 1/4 in [0, 9/2]
+    # are 0 and (4 + 2*sqrt(5))/2 = 2 + sqrt(5): both in Z[sqrt(5)]
+    scheme = Scheme(E2, RingSpec(5, RingVariant.FULL_INTEGERS))
+    ms = generate_model_set(scheme,
+                            interval_box((Fraction(-1, 4), Fraction(1, 4)),
+                                         (Fraction(-1, 4), Fraction(1, 4))),
+                            interval_box((0, Fraction(9, 2)),
+                                         (0, Fraction(9, 2))))
+    assert ms.e == 1
+    assert ms.rows == ((0, 0, 0, 0), (0, 2, 0, 1), (2, 0, 1, 0),
+                       (2, 2, 1, 1))
+    ms.validate()
 
 
 def test_periodic_control_set():
@@ -353,3 +373,70 @@ def test_irreducibility_h1():
     # fractions of the 2^(3k) cells of the unit cube hit at k = 1..4
     assert report.density_fractions == (
         (1, 1.0), (2, 1.0), (3, 200 / 512), (4, 275 / 4096))
+
+
+def test_irreducibility_h1_default_bound():
+    # 1,211,565 sample points, counted per axis
+    report = check_irreducibility(SCHEME_H1)
+    assert report.sample_size == 1211565
+    assert report.density_fractions == (
+        (1, 1.0), (2, 1.0), (3, 0.765625), (4, 0.31640625))
+
+
+def test_irreducibility_h2_default_bound_is_bounded():
+    # 1.66e9 sample points: the check never builds them
+    scheme = Scheme(H2, RingSpec(2))
+    start = time.perf_counter()
+    report = check_irreducibility(scheme)
+    assert time.perf_counter() - start < 2
+    assert report.sample_size == math.prod(
+        count_ring_in_rectangle(scheme.ring, iv, iv)
+        for iv in Box.gauge_box(H2, 5).intervals)
+    assert report.sample_size > 10 ** 9
+
+
+def _irreducibility_by_product(scheme, sample_bound, density_box,
+                               max_subdivision):
+    """The density fractions of the whole sample, point by point."""
+    kind = scheme.kind
+    axes = [enumerate_ring_in_rectangle(scheme.ring, iv, iv)
+            for iv in Box.gauge_box(kind, Fraction(sample_bound)).intervals]
+    internal = [tuple(c.conjugate() for c in coords)
+                for coords in itertools.product(*axes)]
+    fractions = []
+    for k in range(1, max_subdivision + 1):
+        cells = 2 ** k
+        hit = set()
+        for coords in internal:
+            if density_box.contains(coords):
+                hit.add(tuple(
+                    min(floor_div(c - lo, (hi - lo) / cells), cells - 1)
+                    for c, (lo, hi) in zip(coords, density_box.intervals)))
+        fractions.append((k, len(hit) / cells ** kind.coord_count))
+    return len(internal), tuple(fractions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       kind=st.sampled_from([E1, E2, H1]),
+       d=st.sampled_from([2, 3, 5]),
+       full=st.booleans(),
+       sample_bound=st.fractions(0, 3, max_denominator=2),
+       max_subdivision=st.integers(0, 4))
+def test_irreducibility_matches_product_of_points(data, kind, d, full,
+                                                  sample_bound,
+                                                  max_subdivision):
+    variant = (RingVariant.FULL_INTEGERS if full and d % 4 == 1
+               else RingVariant.Z_SQRT_D)
+    scheme = Scheme(kind, RingSpec(d, variant))
+    intervals = []
+    for _ in range(kind.coord_count):
+        lo = data.draw(st.fractions(-2, 1, max_denominator=4))
+        width = data.draw(st.fractions(Fraction(1, 4), 3, max_denominator=4))
+        intervals.append((lo, lo + width))
+    density_box = Box(tuple(intervals))
+    report = check_irreducibility(scheme, sample_bound, density_box,
+                                  max_subdivision)
+    assert (report.sample_size, report.density_fractions) == (
+        _irreducibility_by_product(scheme, sample_bound, density_box,
+                                   max_subdivision))

@@ -21,10 +21,11 @@ WORKER = ROOT / "perfbench" / "worker.py"
 @pytest.mark.parametrize("args,keys", [
     (["trace", "out.json", "p0", "--", "bounds", "--dg", "4", "--dimx", "2"],
      {"spans", "counts", "values"}),
-    # generate runs the hook on the ring enumeration
+    # the integer window endpoint -1 is on the boundary, so generate's
+    # regularity check runs the hook on the ring enumeration (`_axis_fill`)
     (["trace", "out.json", "p0", "--", "generate", "--kind", "euclidean",
-      "--m", "1", "--d", "2", "--window=-9/10,11/10", "--region=-30,30",
-      "--out", "sample.json"],
+      "--m", "1", "--d", "2", "--window=-1,11/10", "--allow-irregular",
+      "--region=-30,30", "--out", "sample.json"],
      {"spans", "counts", "values"}),
     (["micro", "out.json", "0"], {"metrics", "operands"}),
 ], ids=["trace", "trace-generate", "micro"])

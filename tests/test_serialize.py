@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from apercut import serialize
+from apercut import cutproject, serialize
 from apercut.analysis import (
     complexity_table,
     delone_report,
@@ -18,14 +19,20 @@ from apercut.analysis import (
 )
 from apercut.cutproject import (
     Box,
+    ModelSet,
     Scheme,
     generate_model_set,
     model_set_size,
 )
 from apercut.errors import ProvenanceError
 from apercut.growth import GenSet, bfs_balls, verify_cover
-from apercut.heisenberg import GroupKind
-from apercut.quadratic import QuadNum, RingSpec, RingVariant
+from apercut.heisenberg import GroupKind, GroupPoint
+from apercut.quadratic import (
+    QuadNum,
+    RingSpec,
+    RingVariant,
+    enumerate_ring_in_rectangle,
+)
 from apercut.serialize import (
     FORMAT_VERSION,
     analysis_report_payload,
@@ -233,6 +240,47 @@ def test_generated_sample_is_valid_and_round_trips(sample):
         path = os.path.join(tmp, "ms.json")
         write_model_set(path, ms)
         assert read_model_set(path)[0] == ms
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample=small_samples())
+def test_generated_sample_is_the_product_of_enumerated_axes(sample):
+    # the reference builds every point as exact `QuadNum`s and takes their
+    # least common denominator
+    scheme, window, region = sample
+    kind = scheme.kind
+    axes = [enumerate_ring_in_rectangle(scheme.ring, phys, internal)
+            for phys, internal in zip(region.intervals, window.intervals)]
+    coords = list(itertools.product(*axes))
+    ref = ModelSet.from_points(
+        scheme, window, region, [GroupPoint(kind, c) for c in coords],
+        [GroupPoint(kind, tuple(x.conjugate() for x in c)) for c in coords])
+    ms = generate_model_set(*sample, allow_degenerate_window=True)
+    assert (ms.rows, ms.e) == (ref.rows, ref.e)
+
+
+def test_generate_and_read_build_no_quadnum(tmp_path, monkeypatch):
+    scheme = Scheme(H1, RingSpec(5, RingVariant.FULL_INTEGERS))
+    args = (scheme, Box.cube(H1, Fraction(9, 10)), Box.gauge_box(H1, 3))
+    path = tmp_path / "ms.json"
+    write_model_set(path, generate_model_set(*args))
+    calls = []
+    mk = QuadNum._mk
+
+    def counting_mk(cls, *a):
+        calls.append("QuadNum._mk")
+        return mk(*a)
+
+    def counting_enumerate(*a):
+        calls.append("enumerate_ring_in_rectangle")
+        return enumerate_ring_in_rectangle(*a)
+    monkeypatch.setattr(QuadNum, "_mk", classmethod(counting_mk))
+    monkeypatch.setattr(cutproject, "enumerate_ring_in_rectangle",
+                        counting_enumerate)
+    ms = generate_model_set(*args)
+    assert read_model_set(path)[0] == ms
+    assert len(ms) > 100 and ms.e == 2
+    assert calls == []
 
 
 def test_model_set_write_is_byte_identical(tmp_path):
