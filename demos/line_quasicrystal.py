@@ -54,7 +54,9 @@ for k in (1, 2, 3, 4, 5):
     print(f"radius-{k} patch classes: {small.class_count} "
           f"(unchanged at double region: {small.keys() == big.keys()})")
 
-print(complexity_table(ms, [1, 2, 3, 4, 5]))
+for cat in complexity_table(ms, [1, 2, 3, 4, 5]):
+    print(f"K={cat.radius}: {cat.class_count} classes, "
+          f"{cat.center_count} centres")
 
 # aperiodicity: no translation of gauge norm up to 5 preserves the sample
 per = period_search(ms, 5, 5)

@@ -64,7 +64,7 @@ from .lattice import (
     int_array,
     sheared_cell_floor,
 )
-from .quadratic import QuadNum, numerator_rows
+from .quadratic import QuadNum, numerator_rows, row_key
 
 
 # ---------------------------------------------------------------------------
@@ -921,8 +921,8 @@ def _patch_rows(ms: ModelSet, centers: Sequence[int], radius: Fraction,
                 index: NeighborIndex) -> tuple[list, dict]:
     """Patches at the centers, each as the sorted numerator rows of the
     relative coordinates p_c^-1 * q of the points q within symmetric
-    distance radius; and, per distinct patch, those coordinates as sorted
-    exact tuples."""
+    distance radius; and, per distinct patch, those coordinates as exact
+    tuples, ordered by `row_order` before they are converted."""
     lat = ms.lattice
     keys = []
     for i, j in index.pairs(centers):
@@ -933,7 +933,9 @@ def _patch_rows(ms: ModelSet, centers: Sequence[int], radius: Fraction,
         cuts = (np.flatnonzero(np.diff(i)) + 1).tolist()
         keys += [tuple(sorted(rows[a:b]))
                  for a, b in zip([0] + cuts, cuts + [len(rows)])]
-    coords = {key: tuple(sorted(lat.to_coords(key))) for key in set(keys)}
+    order = row_key(lat.kind.coord_count, lat.d)
+    coords = {key: tuple(lat.to_coords(sorted(key, key=order)))
+              for key in set(keys)}
     return keys, coords
 
 
@@ -955,22 +957,10 @@ def patch_catalog(ms: ModelSet, radius: Fraction) -> PatchCatalog:
     return PatchCatalog(radius, classes, len(centers))
 
 
-class ComplexityRow(Record):
-    radius: Fraction
-    class_count: int
-    center_count: int
-    # the catalog the row counts, for reuse by `repetitivity_radii`
-    catalog: PatchCatalog
-    _uncompared = ("catalog",)
-
-
-def complexity_table(ms: ModelSet, radii: Sequence[Fraction]) -> list[ComplexityRow]:
-    rows = []
-    for r in radii:
-        cat = patch_catalog(ms, Fraction(r))
-        rows.append(ComplexityRow(Fraction(r), cat.class_count,
-                                  cat.center_count, cat))
-    return rows
+def complexity_table(ms: ModelSet,
+                     radii: Sequence[Fraction]) -> list[PatchCatalog]:
+    """The patch catalog at each radius, in the order given."""
+    return [patch_catalog(ms, Fraction(r)) for r in radii]
 
 
 # ---------------------------------------------------------------------------
@@ -1101,7 +1091,8 @@ def period_search(ms: ModelSet, gauge_bound: Fraction,
         alive = alive[inside.reshape(len(alive), len(block)).all(axis=1)]
         start += len(block)
         size = max(1, min(2 * size, PAIR_CHUNK // max(len(alive), 1)))
-    survivors = sorted(lat.to_coords(rows[alive].tolist()))
+    survivors = lat.to_coords(sorted(
+        rows[alive].tolist(), key=row_key(lat.kind.coord_count, lat.d)))
     return PeriodReport(
         gauge_bound=gauge_bound,
         erosion=erosion,

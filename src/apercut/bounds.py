@@ -17,8 +17,8 @@ from .heisenberg import GroupKind
 
 if TYPE_CHECKING:
     from .analysis import (
-        ComplexityRow,
         DeloneReport,
+        PatchCatalog,
         PeriodReport,
         RepetitivityReport,
     )
@@ -118,7 +118,7 @@ def build_checklist(
     kind: GroupKind,
     d_g: int,
     delone: DeloneReport,
-    complexity_rows: Sequence[ComplexityRow],
+    complexity_rows: Sequence[PatchCatalog],
     repetitivity: RepetitivityReport,
     periods: PeriodReport,
     regularity: RegularityReport,

@@ -221,7 +221,7 @@ def cmd_analyze(args) -> int:
                            erosion=None if grid_step is None else erosion)
     rows = complexity_table(ms, radii)
     top = max(rows, key=lambda row: row.radius)
-    rep = repetitivity_radii(ms, top.radius, top.catalog)
+    rep = repetitivity_radii(ms, top.radius, top)
     periods = period_search(ms, period_bound, erosion)
 
     config = {

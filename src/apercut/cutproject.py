@@ -8,7 +8,8 @@ physical coordinates stay in a box region R. Both constraints factor per
 coordinate, so generation is exhaustive within the region and is the
 product of exact one-dimensional ring axes (`quadratic.ring_axis`): integer
 pairs (p, v) for the elements (p + v*sqrt(d))/s, which become the sample's
-numerator rows with no `QuadNum` in between.
+numerator rows with no `QuadNum` in between. A boundary witness fills the
+other axes with their least in-window values from the same axis walks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Sequence, Tuple
 
 from .errors import Record, WindowError, check_budget
@@ -24,11 +25,14 @@ from .heisenberg import Family, GroupKind, GroupPoint
 from .quadratic import (
     QuadNum,
     RingSpec,
+    _p_ranges,
     count_ring_in_rectangle,
     enumerate_ring_in_rectangle,
     floor_div,
     numerator_rows,
     ring_axis,
+    row_key,
+    row_order,
     sign_pq,
 )
 
@@ -116,17 +120,6 @@ def _in_interval(u: int, w: int, e: int, d: int, iv: FractionPair) -> bool:
                     w * lo.denominator, d) >= 0
             and sign_pq(u * hi.denominator - hi.numerator * e,
                         w * hi.denominator, d) <= 0)
-
-
-def _row_order(r: Row, s: Row, c: int, d: int) -> int:
-    """Sign of s - r in the lexicographic order of coordinate values, for
-    numerator rows over one denominator with c coordinates: the sign of the
-    first nonzero coordinate of the difference, 0 when the rows are equal."""
-    for k in range(c):
-        du, dw = s[k] - r[k], s[c + k] - r[c + k]
-        if du or dw:
-            return sign_pq(du, dw, d)
-    return 0
 
 
 class ModelSet(Record):
@@ -225,7 +218,7 @@ class ModelSet(Record):
                     (r[k], r[c + k]) in bad[k] for k in range(c)))
                 raise ValueError(f"{message}: {self._coords(row, sign)}")
         for prev, row in zip(rows, rows[1:]):
-            order = _row_order(prev, row, c, d)
+            order = row_order(prev, row, c, d)
             if order == 0:
                 raise ValueError(f"duplicate point {self._coords(row)}")
             if order < 0:
@@ -336,25 +329,21 @@ def _integer_endpoints(iv: FractionPair) -> list[Fraction]:
 
 def _axis_fill(ring: RingSpec, w: FractionPair) -> QuadNum | None:
     """A ring element with conjugate in the closed axis window, or None if
-    there is none. The least with physical value within the witness fill
-    bound, widened to the window endpoints, if any. Otherwise, for a window
-    with interior, m * e, where e = p + q*sqrt(d) runs over the convergents
-    p/q of sqrt(d) until |e'| = |p - q*sqrt(d)| <= the window width (it is
-    below 1/q, so this takes O(log(1/width)) steps), then has its sign set
-    so that e' > 0, and m = ceil(lo / e'): m * e' lies in [lo, lo + e')."""
+    there is none. The least within the witness fill bound, widened to the
+    window endpoints, if any: the least first element of each v of the axis
+    walk. Otherwise, for a window with interior, m * e, where e = p +
+    q*sqrt(d) runs over the convergents p/q of sqrt(d) until |e'| = |p -
+    q*sqrt(d)| <= the window width (it is below 1/q, so this takes
+    O(log(1/width)) steps), then has its sign set so that e' > 0, and m =
+    ceil(lo / e'): m * e' lies in [lo, lo + e')."""
     bound = max(Fraction(WITNESS_FILL_BOUND), abs(w[0]), abs(w[1]))
-    # the least physical value in [-bound, bound] is the least of the first
-    # nonempty [-bound, -bound + width], width = 1, 2, 4, ..., 2*bound
-    width = 1
-    while True:
-        small = enumerate_ring_in_rectangle(
-            ring, (-bound, min(width - bound, bound)), w)
-        if small or width >= 2 * bound:
-            break
-        width *= 2
-    if small or w[0] == w[1]:
-        return small[0] if small else None
     d = ring.d
+    least = min(((ps[0], v) for v, ps in _p_ranges(ring, (-bound, bound), w)
+                 if ps), key=row_key(1, d), default=None)
+    if least is not None:
+        return QuadNum._mk(*least, ring.scale, d)
+    if w[0] == w[1]:
+        return None
     root = math.isqrt(d)
     # sqrt(d) = [a_0; a_1, ...] with a_k = (root + m_k) // den_k
     m, den, a = 0, 1, root
@@ -393,17 +382,17 @@ def check_window_regular(scheme: Scheme, window: Box) -> RegularityReport:
     )
 
     # one witness per touching endpoint, the other coordinates filled with
-    # an in-window lattice value (`_axis_fill`)
+    # an in-window lattice value (`_axis_fill`), each built once when a
+    # witness first needs it
     witnesses: list[Tuple[QuadNum, ...]] = []
     if hit:
-        fills = [_axis_fill(scheme.ring, iv) for iv in ivs]
+        fills = cache(lambda j: _axis_fill(scheme.ring, ivs[j]))
         for i in dims:
-            fill = [fills[j] for j in dims if j != i]
-            if None in fill:
-                continue
             for e in touching[i]:
-                x = QuadNum(int(e), 0, scheme.d)
-                witnesses.append(tuple(fill[:i] + [x] + fill[i:]))
+                fill = [fills(j) for j in dims if j != i]
+                if None not in fill:
+                    x = QuadNum(int(e), 0, scheme.d)
+                    witnesses.append(tuple(fill[:i] + [x] + fill[i:]))
 
     return RegularityReport(
         interior_nonempty=window.has_interior,

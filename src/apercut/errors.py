@@ -27,19 +27,15 @@ class Record:
     of the same name is that field's default. An instance takes the fields
     positionally or by keyword, then runs `__post_init__`. Two instances
     are equal, and hash alike, when their classes are the same and their
-    fields equal, the fields named in `_uncompared` aside; those are left
-    out of the repr too. Assigning or deleting an attribute raises
+    fields equal. Assigning or deleting an attribute raises
     AttributeError; `functools.cached_property` still works, since it
     writes the instance dictionary directly.
     """
 
     _fields: tuple = ()
-    _uncompared: tuple = ()
 
     def __init_subclass__(cls) -> None:
         cls._fields += tuple(vars(cls).get("__annotations__", ()))
-        cls._compared = tuple(f for f in cls._fields
-                              if f not in cls._uncompared)
 
     def __init__(self, *args, **kwargs) -> None:
         cls = type(self)
@@ -66,7 +62,7 @@ class Record:
         pass
 
     def _key(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._compared))
+        return tuple(map(self.__dict__.__getitem__, self._fields))
 
     def __eq__(self, other: object):
         if other.__class__ is not self.__class__:
@@ -77,7 +73,7 @@ class Record:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._compared)
+        shown = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
     def __setattr__(self, name: str, value) -> None:

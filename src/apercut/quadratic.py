@@ -3,11 +3,13 @@
 Numbers are a + b*sqrt(d) with rational a, b and a fixed square-free d >= 2.
 Everything is exact: comparisons reduce to integer comparisons, never floats.
 The two subrings used for lattices are Z[sqrt(d)] and, for d = 1 (mod 4), the
-full ring of integers { (p + q*sqrt(d))/2 : p = q (mod 2) }.
+full ring of integers { (p + q*sqrt(d))/2 : p = q (mod 2) }; d <= `D_BOUND`.
 
 Internally a number is the canonical integer triple (p, q, den) representing
 (p + q*sqrt(d))/den with den > 0 and gcd(p, q, den) = 1, so every operation
 is plain integer arithmetic; Fractions only appear at the API boundary.
+Rows of numerators (the u parts, then the w parts) are ordered by
+`row_order` alone: ring axes, window fills, samples, patches and periods.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ RationalLike = Union[int, Fraction]
 Interval = Tuple[RationalLike, RationalLike]
 
 
+@functools.lru_cache(maxsize=1024)
 def is_square_free(d: int) -> bool:
     if d < 1:
         return False
@@ -35,7 +38,13 @@ def is_square_free(d: int) -> bool:
     return True
 
 
+# the largest d: its square-free check, cached per d, takes about 0.2 s
+D_BOUND = 1 << 40
+
+
 def _check_d(d: int) -> int:
+    if isinstance(d, int) and d > D_BOUND:
+        raise ValueError(f"d must be at most 2^40 = {D_BOUND}, got {d}")
     if not isinstance(d, int) or d < 2 or not is_square_free(d):
         raise ValueError(f"d must be a square-free integer >= 2, got {d!r}")
     return d
@@ -71,6 +80,22 @@ def sign_pq(p: int, q: int, d: int) -> int:
     if q < 0:
         return -1
     return 1 if q * q * d > p * p else -1
+
+
+def row_order(r: Sequence[int], s: Sequence[int], c: int, d: int) -> int:
+    """Sign of s - r in the lexicographic order of exact values (0 if equal)
+    for integer numerator rows of c coordinates, u parts then w parts:
+    coordinate k is (row[k] + row[c + k]*sqrt(d))/e_k, e_k > 0 in both."""
+    for k in range(c):
+        du, dw = s[k] - r[k], s[c + k] - r[c + k]
+        if du or dw:
+            return sign_pq(du, dw, d)
+    return 0
+
+
+def row_key(c: int, d: int):
+    """The sort key of ascending `row_order`."""
+    return functools.cmp_to_key(lambda r, s: row_order(s, r, c, d))
 
 
 class QuadNum:
@@ -420,12 +445,10 @@ def ring_axis(
 ) -> list[Tuple[int, int]]:
     """The ring elements x with x in phys and conjugate(x) in internal, as
     the integer pairs (p, v) of x = (p + v*sqrt(d))/s, with s =
-    `RingSpec.scale`, sorted ascending in x (by `sign_pq`); see
+    `RingSpec.scale`, sorted ascending in x (by `row_order`); see
     `_p_ranges`."""
-    d = ring.d
     pairs = [(p, v) for v, ps in _p_ranges(ring, phys, internal) for p in ps]
-    pairs.sort(key=functools.cmp_to_key(
-        lambda x, y: sign_pq(x[0] - y[0], x[1] - y[1], d)))
+    pairs.sort(key=row_key(1, ring.d))
     return pairs
 
 

@@ -21,8 +21,8 @@ from .heisenberg import Family, GroupKind
 
 if TYPE_CHECKING:
     from .analysis import (
-        ComplexityRow,
         DeloneReport,
+        PatchCatalog,
         PeriodReport,
         RepetitivityReport,
     )
@@ -338,7 +338,7 @@ def _delone_payload(report: DeloneReport) -> dict:
     }
 
 
-def _complexity_payload(rows: Sequence[ComplexityRow]) -> list:
+def _complexity_payload(rows: Sequence[PatchCatalog]) -> list:
     return [
         {
             "radius": _frac_str(r.radius),
@@ -379,7 +379,7 @@ def _period_payload(report: PeriodReport) -> dict:
 def analysis_report_payload(
     input_hash: str,
     delone: DeloneReport,
-    complexity_rows: Sequence[ComplexityRow],
+    complexity_rows: Sequence[PatchCatalog],
     repetitivity: RepetitivityReport,
     periods: PeriodReport,
     config: dict | None = None,
@@ -396,7 +396,7 @@ def analysis_report_payload(
     }
 
 
-def complexity_csv_text(rows: Sequence[ComplexityRow], input_hash: str) -> str:
+def complexity_csv_text(rows: Sequence[PatchCatalog], input_hash: str) -> str:
     buf = io.StringIO()
     buf.write(f"# input_hash: {input_hash}\n")
     writer = csv.writer(buf, lineterminator="\n")

@@ -35,16 +35,23 @@ from apercut.cutproject import (
 )
 from apercut.errors import ErosionError
 from apercut.heisenberg import (
-    Family,
     GroupKind,
     GroupPoint,
     inv_coords,
     mul_coords,
-    qnorm_leq,
     sym_dist_leq,
     sym_dist_sq,
 )
 from apercut.quadratic import QuadNum, RingSpec, RingVariant, floor_div
+from oracles import (
+    bare_samples,
+    brute_patch_classes,
+    brute_periods,
+    dense_covering,
+    float_sym_gauge,
+    reference_return_radii,
+    small_samples,
+)
 
 E1 = GroupKind.euclidean(1)
 E2 = GroupKind.euclidean(2)
@@ -416,52 +423,6 @@ def test_covering_radius_validation():
         covering_radius_estimate(ms, Fraction(1, 10), Fraction(30))
 
 
-def _dense_gauge(kind, centers, pts):
-    """Float symmetric gauge of every center against every point, as the
-    full scan computed it."""
-    c = centers[:, None, :]
-    p = pts[None, :, :]
-    if kind.family is Family.EUCLIDEAN:
-        return np.abs(p - c).max(axis=2)
-    n = kind.rank
-    dx = p[..., :n] - c[..., :n]
-    dy = p[..., n:2 * n] - c[..., n:2 * n]
-    dt = p[..., 2 * n] - c[..., 2 * n]
-    tau1 = dt - (c[..., :n] * dy).sum(axis=2)
-    tau2 = (p[..., :n] * dy).sum(axis=2) - dt
-    head = np.maximum(np.abs(dx).max(axis=2), np.abs(dy).max(axis=2))
-    tmax = np.maximum(np.abs(tau1), np.abs(tau2))
-    return np.maximum(head, np.sqrt(tmax))
-
-
-def _dense_covering(ms, grid_step, erosion):
-    """Reference: every grid point against every sample point."""
-    kind = ms.scheme.kind
-    axes = []
-    for i, (lo, hi) in enumerate(ms.region.intervals):
-        margin = erosion
-        if kind.family is Family.HEISENBERG and i == kind.coord_count - 1:
-            xspan = sum(max(abs(a), abs(b))
-                        for a, b in ms.region.intervals[:kind.rank])
-            margin = erosion * erosion + erosion * xspan
-        a, b = lo + margin, hi - margin
-        steps = int((b - a) / grid_step)
-        axes.append([float(a + k * grid_step) for k in range(steps + 1)])
-    pts = np.array(ms.float_points(), dtype=float)
-    worst = 0.0
-    chunk = []
-    for coords in itertools.product(*axes):
-        chunk.append(coords)
-        if len(chunk) >= 2048:
-            dists = _dense_gauge(kind, np.array(chunk, dtype=float), pts)
-            worst = max(worst, float(dists.min(axis=1).max()))
-            chunk = []
-    if chunk:
-        dists = _dense_gauge(kind, np.array(chunk, dtype=float), pts)
-        worst = max(worst, float(dists.min(axis=1).max()))
-    return worst
-
-
 def sparse_e2():
     # a window of width 1/10 leaves nine points, about 34 apart
     return generate_model_set(Scheme(E2, RingSpec(2)),
@@ -491,7 +452,7 @@ def covering_samples():
     "ms,step,erosion", covering_samples(),
     ids=["e1", "e2", "h1", "h2", "h1-full5", "e2-sparse", "h1-off-origin"])
 def test_covering_radius_equals_dense_scan(ms, step, erosion, monkeypatch):
-    expected = _dense_covering(ms, step, erosion)
+    expected = dense_covering(ms, step, erosion)
     assert covering_radius_estimate(ms, step, erosion) == expected
     # small chunks split the grid blocks and the pairs of one round
     monkeypatch.setattr(analysis, "PAIR_CHUNK", 200)
@@ -554,7 +515,7 @@ def test_covering_radius_doubles_through_three_rounds(monkeypatch):
     monkeypatch.setattr(analysis, "NeighborIndex", CountedIndex)
     step = Fraction(1, 50)
     assert covering_radius_estimate(ms, step, Fraction(3)) == \
-        _dense_covering(ms, step, Fraction(3))
+        dense_covering(ms, step, Fraction(3))
     # the rounds start at the power of two nearest the typical gap,
     # region width / (2 * points) for one dimension, and double
     start = round(math.log2(120 / (2 * len(ms))))
@@ -636,21 +597,6 @@ def test_repetitivity_sturmian_finite():
             assert c.lower_bound_only
 
 
-def float_sym_gauge(kind, c, p):
-    """Float symmetric gauge of c^-1 p for one pair of float coordinate
-    tuples, term by term as the float gauge of `analysis` computes it."""
-    if kind.family is Family.EUCLIDEAN:
-        return max(abs(b - a) for a, b in zip(c, p))
-    n = kind.rank
-    dx = [p[k] - c[k] for k in range(n)]
-    dy = [p[n + k] - c[n + k] for k in range(n)]
-    dt = p[2 * n] - c[2 * n]
-    tau1 = dt - sum(c[k] * dy[k] for k in range(n))    # t part of c^-1 p
-    tau2 = sum(p[k] * dy[k] for k in range(n)) - dt    # t part of p^-1 c
-    head = max(max(map(abs, dx)), max(map(abs, dy)))
-    return max(head, math.sqrt(max(abs(tau1), abs(tau2))))
-
-
 @pytest.mark.parametrize("ms,radius", [
     (h1_sample(3), Fraction(1)),
     (h1_sample(3), Fraction(2)),
@@ -680,32 +626,6 @@ def test_repetitivity_radii_match_brute_force(ms, radius):
     assert report.any_lower_bound == any(lb for _, _, lb in expected)
 
 
-def _nearest_other(kind, feats, members):
-    """Reference: per row of feats, the float gauge to the nearest row of
-    members other than itself (inf if there is none), by the full scan."""
-    members = np.asarray(members, dtype=np.intp)
-    dists = _dense_gauge(kind, feats, feats[members])
-    dists[np.arange(len(feats))[:, None] == members[None, :]] = math.inf
-    return dists.min(axis=1)
-
-
-def _reference_return_radii(ms, catalog):
-    """(multiplicity, return radius, lower bound only) per class: the max
-    over all centers of `_nearest_other` among the class's centers."""
-    centers = sorted(c for cls in catalog.classes for c in cls.centers)
-    position = {c: k for k, c in enumerate(centers)}
-    feats = np.array(ms.float_points(), dtype=float)[centers]
-    expected = []
-    for cls in catalog.classes:
-        nearest = _nearest_other(ms.scheme.kind, feats,
-                                 [position[c] for c in cls.centers])
-        finite = nearest[np.isfinite(nearest)]
-        expected.append((cls.multiplicity,
-                         float(finite.max()) if finite.size else math.inf,
-                         cls.multiplicity == 1))
-    return expected
-
-
 def _return_radii(report):
     return [(c.multiplicity, c.return_radius, c.lower_bound_only)
             for c in report.per_class]
@@ -715,9 +635,9 @@ def _return_radii(report):
 def test_max_min_kernel_equals_full_scans_at_any_chunk(chunk, monkeypatch):
     cases = [(sturmian(20), Fraction(1, 10), Fraction(1)),
              (h1_sample(2), Fraction(1, 2), Fraction(0))]
-    expected = [_dense_covering(*case) for case in cases]
+    expected = [dense_covering(*case) for case in cases]
     rep_cases = [(sturmian(100), Fraction(2)), (h1_sample(3), Fraction(1))]
-    rep_expected = [_reference_return_radii(ms, patch_catalog(ms, radius))
+    rep_expected = [reference_return_radii(ms, patch_catalog(ms, radius))
                     for ms, radius in rep_cases]
     monkeypatch.setattr(analysis, "PAIR_CHUNK", chunk)
     assert [covering_radius_estimate(*case) for case in cases] == expected
@@ -725,48 +645,10 @@ def test_max_min_kernel_equals_full_scans_at_any_chunk(chunk, monkeypatch):
             for ms, radius in rep_cases] == rep_expected
 
 
-def kernel_samples():
-    """Bare `from_points` sets of up to 24 points: E1, E2, H1, H2 over
-    Z[sqrt(d)] for d in {2, 3, 5} and over the full ring of Q(sqrt(5)),
-    the first coordinate moved by up to 10^3 from the origin."""
-    def build(kind, ring, offset, cells):
-        d = ring.d
-        if ring.variant is RingVariant.FULL_INTEGERS:
-            coord = [QuadNum(Fraction(a, 2), Fraction(b, 2), d)
-                     for a, b in cells]
-        else:
-            coord = [QuadNum(a, b, d) for a, b in cells]
-        c = kind.coord_count
-        pts = sorted({tuple(coord[(k * c + i) % len(coord)]
-                            + (offset if i == 0 else 0) for i in range(c))
-                      for k in range(len(coord))})
-        points = [GroupPoint(kind, p) for p in pts]
-        internal = [GroupPoint(kind, tuple(x.conjugate() for x in p))
-                    for p in pts]
-        region = Box(tuple((math.floor(min(axis)), math.ceil(max(axis)))
-                           for axis in zip(*pts)))
-        return ModelSet.from_points(Scheme(kind, ring), region, region,
-                                    points, internal)
-
-    def cells(ring):
-        if ring.variant is RingVariant.FULL_INTEGERS:
-            # (a + b*sqrt(5))/2 with a = b (mod 2)
-            return st.tuples(st.integers(-3, 3), st.integers(-1, 1)).map(
-                lambda ab: (2 * ab[0] + ab[1] % 2, ab[1]))
-        return st.tuples(st.integers(-3, 3), st.integers(-1, 1))
-
-    rings = st.sampled_from([RingSpec(2), RingSpec(3), RingSpec(5), FULL5])
-    return st.tuples(st.sampled_from([E1, E2, H1, H2]), rings).flatmap(
-        lambda kr: st.builds(build, st.just(kr[0]), st.just(kr[1]),
-                             st.integers(-1000, 1000),
-                             st.lists(cells(kr[1]), min_size=2,
-                                      max_size=24)))
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_max_min_kernel_matches_full_scans_on_random_samples(data):
-    ms = data.draw(kernel_samples(), label="sample")
+    ms = data.draw(bare_samples(), label="sample")
     kind = ms.scheme.kind
     step = Fraction(2 if kind.coord_count > 3 else 1)
     # small chunks send even these samples through the index rounds
@@ -781,7 +663,7 @@ def test_max_min_kernel_matches_full_scans_on_random_samples(data):
 
 def _check_kernel(data, ms, step):
     assert covering_radius_estimate(ms, step, Fraction(0)) == \
-        _dense_covering(ms, step, Fraction(0))
+        dense_covering(ms, step, Fraction(0))
     # random classes over a random subset of the points as centers
     labels = data.draw(st.lists(st.integers(-1, 3), min_size=len(ms),
                                 max_size=len(ms)), label="labels")
@@ -796,7 +678,7 @@ def _check_kernel(data, ms, step):
                     for k, m in enumerate(members.values()))
     catalog = PatchCatalog(one, classes, sum(map(len, members.values())))
     assert _return_radii(repetitivity_radii(ms, one, catalog)) == \
-        _reference_return_radii(ms, catalog)
+        reference_return_radii(ms, catalog)
 
 
 @pytest.mark.parametrize("ms", [sturmian(100), h1_sample(4)],
@@ -883,44 +765,55 @@ def test_full_ring_separation_brute_force(ms):
     assert result.certificate == min(k for k, v in sq.items() if v == least)
 
 
+def check_patch_catalog(ms, radius):
+    brute = brute_patch_classes(ms, radius)
+    if not brute:
+        with pytest.raises(ErosionError):
+            patch_catalog(ms, radius)
+        return
+    cat = patch_catalog(ms, radius)
+    # classes in order, each with its coordinates in order and its centers
+    assert [(c.relative_coords, c.centers) for c in cat.classes] == sorted(
+        brute.items())
+    assert cat.center_count == sum(map(len, brute.values()))
+
+
+def check_period_search(ms, bound):
+    if not left_interior(ms, bound):
+        with pytest.raises(ErosionError):
+            period_search(ms, bound, bound)
+        return
+    tested, survivors = brute_periods(ms, bound)
+    report = period_search(ms, bound, bound)
+    assert report.candidates_tested == tested
+    assert list(report.nontrivial_periods) == survivors
+
+
 @pytest.mark.parametrize("ms", full_ring_samples(), ids=["e1", "h1"])
 def test_full_ring_patch_catalog_brute_force(ms):
-    kind = ms.scheme.kind
-    radius = Fraction(1)
-    brute = {}
-    for idx in right_interior(ms, radius):
-        center = ms.points[idx]
-        inv_c = inv_coords(kind, center.coords)
-        key = tuple(sorted(
-            mul_coords(kind, inv_c, q.coords)
-            for q in ms.points if sym_dist_leq(center, q, radius)))
-        brute[key] = brute.get(key, 0) + 1
-    cat = patch_catalog(ms, radius)
-    assert {c.relative_coords: c.multiplicity for c in cat.classes} == brute
-    assert [c.relative_coords for c in cat.classes] == sorted(brute)
+    assert patch_catalog(ms, Fraction(1)).class_count > 1
+    check_patch_catalog(ms, Fraction(1))
 
 
 @pytest.mark.parametrize("ms", full_ring_samples(), ids=["e1", "h1"])
 def test_full_ring_period_search_brute_force(ms):
-    kind = ms.scheme.kind
-    bound = Fraction(1)
-    members = {p.coords for p in ms.points}
-    core = [ms.points[i].coords for i in left_interior(ms, bound)]
-    # every g = q * c^-1 within the bound, over every core point c
-    candidates = {}
-    for c in core:
-        inv_c = inv_coords(kind, c)
-        candidates[c] = {
-            g for g in (mul_coords(kind, q.coords, inv_c)
-                        for q in ms.points if q.coords != c)
-            if qnorm_leq(GroupPoint(kind, g), bound)
-        }
-    survivors = sorted(
-        g for g in set().union(*candidates.values())
-        if all(mul_coords(kind, g, c) in members for c in core))
-    report = period_search(ms, bound, bound)
-    assert report.candidates_tested == len(candidates[core[0]]) > 0
-    assert list(report.nontrivial_periods) == survivors
+    assert brute_periods(ms, Fraction(1))[0] > 0
+    check_period_search(ms, Fraction(1))
+
+
+RADII = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ms=small_samples(), radius=st.sampled_from(RADII))
+def test_patch_catalog_matches_brute_force_on_random_samples(ms, radius):
+    check_patch_catalog(ms, radius)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ms=small_samples(), bound=st.sampled_from(RADII))
+def test_period_search_matches_brute_force_on_random_samples(ms, bound):
+    check_period_search(ms, bound)
 
 
 def test_period_search_finds_left_periods_that_are_not_right_differences():

@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apercut import analysis, cli, cutproject
 from apercut.cli import main
@@ -740,6 +748,142 @@ def test_check_window_witness_without_small_fill(capsys):
     )
     conj = QuadNum(1154, 816, 2).conjugate()
     assert Fraction(1, 1000) <= conj <= Fraction(2, 1000)
+
+
+WIDE_WINDOWS = [
+    (["--m", "1", "--d", "2", "--window=-100000,100000"],
+     ["(-100000)", "(100000)"]),
+    (["--m", "2", "--d", "2", "--window=-100000,100000;0,1/2"],
+     ["(-100000, -4 - 3*sqrt(2))", "(100000, -4 - 3*sqrt(2))",
+      "(-100000, 0)"]),
+    (["--m", "2", "--d", "5", "--ring", "full",
+      "--window=-1000,1000;1/3,1/2"],
+     ["(-1000, -4 - 2*sqrt(5))", "(1000, -4 - 2*sqrt(5))"]),
+]
+
+
+@pytest.mark.parametrize("args,witnesses", WIDE_WINDOWS,
+                         ids=["m1", "m2", "m2-full"])
+def test_check_window_wide_windows(capsys, args, witnesses):
+    # each fill is the least in-window value of its axis walk
+    code, out, _ = run(capsys, ["check-window", "--kind", "euclidean", *args])
+    assert code == 3
+    assert out == "".join(
+        ["window boundary clear: false\n"]
+        + [f"  boundary witness: {w}\n" for w in witnesses]
+        + ["window regular: false\n"])
+
+
+def test_check_window_refuses_d_above_the_bound(capsys):
+    code, out, err = run(capsys, [
+        "check-window", "--kind", "euclidean", "--m", "1",
+        "--d", "10000000000000061", "--window=-9/10,11/10",
+    ])
+    assert (code, out) == (2, "")
+    assert err == ("error: d must be at most 2^40 = 1099511627776, "
+                   "got 10000000000000061\n")
+
+
+def mostly(common, rare, one_in=10):
+    """common, and rare one time in one_in (many parts of one argument
+    vector can each be wrong, and most draws should still run)."""
+    return st.integers(1, one_in).flatmap(
+        lambda k: rare if k == 1 else common)
+
+
+def cli_rationals():
+    """Rational arguments as typed: zero, negative and fractional values;
+    numerators and denominators of 20 and 40 digits; and rarely a zero
+    denominator or text that is no number. Values stay within a few units,
+    so no run walks a wide axis."""
+    small = st.fractions(-4, 4, max_denominator=12).map(str)
+    huge = st.builds(lambda k, j, big: f"{k * big + j}/{big}",
+                     st.integers(-3, 3), st.integers(-5, 5),
+                     st.sampled_from([10 ** 20, 10 ** 40]))
+    odd = st.sampled_from(["-0", "1/0", "abc", "", " 2 ", "1/1" + "0" * 40])
+    return mostly(small | huge, odd, 40)
+
+
+def _value(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+@st.composite
+def cli_boxes(draw, coords):
+    """A box option of mostly ordered intervals, with empty (reversed) and
+    degenerate ones, and rarely one interval too few or too many or an
+    option that does not parse."""
+    count = draw(mostly(st.just(coords),
+                        st.sampled_from([coords - 1, coords + 1, 0])))
+    parts = []
+    for _ in range(count):
+        lo, hi = draw(cli_rationals()), draw(cli_rationals())
+        how = draw(mostly(st.just("ordered"),
+                          st.sampled_from(["degenerate", "drawn"]), 5))
+        if how == "degenerate":
+            hi = lo
+        elif how == "ordered" and None not in (_value(lo), _value(hi)) \
+                and _value(lo) > _value(hi):
+            lo, hi = hi, lo
+        parts.append(f"{lo},{hi}")
+    return ";".join(parts) if parts else draw(
+        st.sampled_from(["", "1,2,3", ";"]))
+
+
+@st.composite
+def cli_argv(draw):
+    """generate or check-window with drawn d, rank, ring, window and
+    region; the output goes to the file name "out.json"."""
+    command = draw(st.sampled_from(["generate", "check-window"]))
+    kind = draw(st.sampled_from(["euclidean", "heisenberg"]))
+    rank = draw(mostly(st.sampled_from([1, 2]), st.sampled_from(
+        [0, 3 if kind == "euclidean" else 2])))
+    coords = max(rank, 1) if kind == "euclidean" else 2 * rank + 1
+    d = draw(mostly(st.sampled_from([2, 3, 5, 10 ** 6 + 3]), st.sampled_from(
+        [0, 1, 4, 2 ** 40 + 1, 10 ** 16 + 61])))
+    argv = [command, "--kind", kind, "--m" if kind == "euclidean" else "--n",
+            str(rank), "--d", str(d),
+            "--ring", draw(mostly(st.just("zsqrt"), st.just("full"), 4)),
+            "--window=" + draw(cli_boxes(coords))]
+    if command == "generate":
+        argv += ["--region=" + draw(cli_boxes(coords)), "--out", "out.json"]
+        if draw(st.booleans()):
+            argv.append("--allow-irregular")
+    return argv
+
+
+def run_in(directory, argv):
+    """(exit code, stdout, files written) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+    return code, out.getvalue(), files
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=cli_argv())
+def test_every_argv_exits_with_a_documented_code(argv):
+    with tempfile.TemporaryDirectory() as first, \
+            tempfile.TemporaryDirectory() as second, \
+            mock.patch.dict(os.environ, {"APERCUT_BUDGET": "2000"}):
+        code, out, files = run_in(Path(first), argv)
+        assert code in (0, 2, 3, 4, 5, 6)
+        if code:
+            assert files == {}
+        else:
+            assert run_in(Path(second), argv) == (code, out, files)
 
 
 def test_cli_usage_error_exits_2(capsys):

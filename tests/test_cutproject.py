@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apercut import cutproject
+from apercut import cutproject, quadratic
 from apercut.cutproject import (
     WITNESS_FILL_BOUND,
     Box,
@@ -277,17 +277,60 @@ def test_axis_fill_conjugate_in_window(d, variant, lo, digits):
 
 def test_axis_fill_search_grows_with_the_window_not_its_square(monkeypatch):
     # the full range [-1000, 1000] holds about 1.4 million elements with
-    # conjugate in the window
-    returned = []
+    # conjugate in the window; the search walks about 1,414 values of v and
+    # reads one element of each
+    work = []
+
+    class Counted:
+        """A p-range that counts the elements read from it."""
+
+        def __init__(self, ps):
+            self.ps = ps
+
+        def __len__(self):
+            return len(self.ps)
+
+        def __getitem__(self, k):
+            work.append(1)
+            return self.ps[k]
+
+        def __iter__(self):
+            for p in self.ps:
+                work.append(1)
+                yield p
 
     def counting(*args):
-        out = enumerate_ring_in_rectangle(*args)
-        returned.append(len(out))
-        return out
-    monkeypatch.setattr(cutproject, "enumerate_ring_in_rectangle", counting)
+        for v, ps in p_ranges(*args):
+            work.append(1)
+            yield v, Counted(ps)
+    p_ranges = quadratic._p_ranges
+    monkeypatch.setattr(quadratic, "_p_ranges", counting)
+    monkeypatch.setattr(cutproject, "_p_ranges", counting)
     x = _axis_fill(RingSpec(2), (Fraction(-1000), Fraction(1000)))
     assert -1000 <= x.conjugate() <= 1000
-    assert sum(returned) < 1000
+    assert 0 < len(work) <= 4 * 1000
+
+
+@pytest.mark.parametrize("intervals,filled", [
+    (((-100000, 100000),), []),
+    (((-100000, 100000), (0, Fraction(1, 2))), [0, 1]),
+    (((1, Fraction(3, 2)), (Fraction(1, 1000), Fraction(2, 1000))), [1]),
+], ids=["m1", "m2-both-touch", "m2-one-touches"])
+def test_regularity_builds_only_the_fills_a_witness_uses(intervals, filled,
+                                                         monkeypatch):
+    window = interval_box(*intervals)
+    scheme = Scheme(GroupKind.euclidean(window.dim), RingSpec(2))
+    expected = check_window_regular(scheme, window)
+    calls = []
+
+    def counting(ring, w):
+        calls.append(window.intervals.index(w))
+        return _axis_fill(ring, w)
+    monkeypatch.setattr(cutproject, "_axis_fill", counting)
+    assert check_window_regular(scheme, window) == expected
+    # each fill a witness uses is built once
+    assert sorted(calls) == filled
+    assert expected.boundary_witnesses
 
 
 @settings(max_examples=100, deadline=None)

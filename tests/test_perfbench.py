@@ -22,7 +22,9 @@ WORKER = ROOT / "perfbench" / "worker.py"
     (["trace", "out.json", "p0", "--", "bounds", "--dg", "4", "--dimx", "2"],
      {"spans", "counts", "values"}),
     # the integer window endpoint -1 is on the boundary, so generate's
-    # regularity check runs the hook on the ring enumeration (`_axis_fill`)
+    # regularity check looks for witnesses; with one axis it builds no fill,
+    # and no command calls the hooked `enumerate_ring_in_rectangle` now,
+    # but the worker must still find the name
     (["trace", "out.json", "p0", "--", "generate", "--kind", "euclidean",
       "--m", "1", "--d", "2", "--window=-1,11/10", "--allow-irregular",
       "--region=-30,30", "--out", "sample.json"],

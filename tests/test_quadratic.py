@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from apercut.errors import EmptyIntervalError, FieldMismatchError
 from apercut.quadratic import (
+    D_BOUND,
     QuadNum,
     RingSpec,
     RingVariant,
@@ -127,6 +128,32 @@ def test_d_validation():
     for good in (2, 3, 5, 6, 7, 10, 11, 13):
         QuadNum(1, 1, good)
         assert is_square_free(good)
+
+
+def test_d_bound():
+    # 2^40 - 2 is the largest square-free d at most the bound, and the
+    # square-free 2^40 + 1 is refused with the bound in the message
+    assert D_BOUND == 2 ** 40
+    assert QuadNum(3, 5, D_BOUND - 2).d == RingSpec(D_BOUND - 2).d
+    for bad in (D_BOUND, D_BOUND - 1):  # 4 and 25 divide them
+        with pytest.raises(ValueError, match="square-free"):
+            QuadNum(3, 5, bad)
+    message = f"at most 2\\^40 = {D_BOUND}, got {D_BOUND + 1}"
+    for make in (lambda: QuadNum(3, 5, D_BOUND + 1),
+                 lambda: RingSpec(D_BOUND + 1)):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
+def test_d_checked_once_per_d():
+    is_square_free.cache_clear()
+    for _ in range(100):
+        QuadNum(3, 5, 1000003)
+        RingSpec(1000003)
+        QuadNum(1, 2, 7)
+        with pytest.raises(ValueError):
+            QuadNum(1, 2, 12)
+    assert is_square_free.cache_info().misses == 3
 
 
 def test_conjugation_is_homomorphism_randomized():

@@ -1,6 +1,6 @@
 """The package's value types, all `errors.Record` subclasses, behave as the
 frozen dataclasses they replace: field order and defaults, construction,
-`__post_init__` checks, equality and hash over the compared fields,
+`__post_init__` checks, equality and hash over the fields,
 immutability and repr."""
 
 from fractions import Fraction
@@ -9,7 +9,6 @@ import pytest
 
 from apercut.analysis import (
     ClassReturn,
-    ComplexityRow,
     DeloneReport,
     PatchCatalog,
     PatchClass,
@@ -59,8 +58,6 @@ RECORDS = [
     (PatchClass, dict(radius=ONE, relative_coords=((0,),), centers=(0, 2))),
     (PatchCatalog, dict(radius=ONE, classes=CATALOG.classes,
                         center_count=1)),
-    (ComplexityRow, dict(radius=ONE, class_count=1, center_count=1,
-                         catalog=CATALOG)),
     (ClassReturn, dict(class_index=0, multiplicity=2, return_radius=1.5,
                        lower_bound_only=False)),
     (RepetitivityReport, dict(radius=ONE, per_class=(), max_return_radius=0.0,
@@ -84,12 +81,6 @@ RECORDS = [
         sample_size=81, model_set_hash=None)),
 ]
 IDS = [cls.__name__ for cls, _ in RECORDS]
-UNCOMPARED = {ComplexityRow: ("catalog",)}
-
-
-def compared(cls, fields: dict) -> dict:
-    return {k: v for k, v in fields.items()
-            if k not in UNCOMPARED.get(cls, ())}
 
 
 @pytest.mark.parametrize("cls,fields", RECORDS, ids=IDS)
@@ -108,19 +99,19 @@ def test_fields_in_order_by_position_or_keyword(cls, fields):
 @pytest.mark.parametrize("cls,fields", RECORDS, ids=IDS)
 def test_equality_and_hash_follow_the_compared_fields(cls, fields):
     record = cls(**fields)
-    values = tuple(compared(cls, fields).values())
-    # a frozen dataclass hashes the tuple of its compared fields
+    values = tuple(fields.values())
+    # a frozen dataclass hashes the tuple of its fields
     assert hash(record) == hash(values)
     assert record == cls(**fields)
     assert not record != cls(**fields)
-    assert record != values and record != tuple(fields.values())
+    assert record != values
     assert record.__eq__(values) is NotImplemented
     assert record != object()
 
 
 @pytest.mark.parametrize("cls,fields", RECORDS, ids=IDS)
 def test_repr_names_the_compared_fields(cls, fields):
-    shown = ", ".join(f"{k}={v!r}" for k, v in compared(cls, fields).items())
+    shown = ", ".join(f"{k}={v!r}" for k, v in fields.items())
     assert repr(cls(**fields)) == f"{cls.__name__}({shown})"
 
 
@@ -158,8 +149,6 @@ def test_exact_reprs():
         "RingSpec(d=2, variant=<RingVariant.Z_SQRT_D: 'zsqrt'>)")
     assert repr(Box(((0, 1),))) == (
         "Box(intervals=((Fraction(0, 1), Fraction(1, 1)),))")
-    assert repr(ComplexityRow(ONE, 1, 1, CATALOG)) == (
-        "ComplexityRow(radius=Fraction(1, 1), class_count=1, center_count=1)")
     assert repr(FitReport(2.0, 0.5, 1, ())) == (
         "FitReport(exponent=2.0, residual=0.5, k_min=1, doubling_ratios=(), "
         "c_estimates=())")
@@ -181,15 +170,6 @@ def test_fields_differ():
     assert H1 != GroupKind(Family.HEISENBERG, 2)
     assert RingSpec(5) != RingSpec(5, RingVariant.FULL_INTEGERS)
     assert len({H1, GroupKind.heisenberg(1), GroupKind.euclidean(1)}) == 2
-
-
-def test_complexity_row_ignores_its_catalog():
-    other = PatchCatalog(Fraction(2), (), 0)
-    row = ComplexityRow(ONE, 1, 1, CATALOG)
-    assert row == ComplexityRow(ONE, 1, 1, other)
-    assert hash(row) == hash(ComplexityRow(ONE, 1, 1, other))
-    assert row != ComplexityRow(ONE, 2, 1, CATALOG)
-    assert row.catalog is CATALOG
 
 
 @pytest.mark.parametrize("make,error", [

@@ -20,12 +20,12 @@ from apercut.cutproject import (
     ModelSet,
     Scheme,
     _in_interval,
-    _row_order,
     generate_model_set,
 )
 from apercut.heisenberg import GroupKind
 from apercut.lattice import LIMIT, Lattice
 from apercut.quadratic import QuadNum, RingSpec, RingVariant
+from apercut.quadratic import row_order as _row_order
 
 FULL = RingVariant.FULL_INTEGERS
 # (ring, e): the sample denominator each ring's elements share
