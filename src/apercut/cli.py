@@ -10,13 +10,16 @@ output bytes; the current implementation runs single-threaded regardless of
 Start-up: each command imports only the modules it runs. `import apercut.cli`
 loads `errors`, `heisenberg` and `serialize`. On top of those, `generate`
 and `check-window` load `cutproject` and `quadratic`, `bounds` loads only
-`bounds`, and `analyze` loads `analysis`, `lattice`, `cutproject`,
-`quadratic` and numpy. `growth` and `cover` load only `growth`: word balls
-are bitsets on plain Python integers, so neither numpy, a model-set module
-nor `quadratic`. No command makes a BLAS call. No command loads
-`dataclasses` (the value types are `errors.Record`s), and `hashlib` loads
-at the first content hash: `generate` and `analyze` load it, `cover` and
-`bounds` with `--out`, and `growth` never.
+`bounds`, and `analyze` loads `analysis`, `cutproject` and `quadratic`:
+its samples are products of axes, which the analyses run on in pure
+Python. Only return radii beyond `analysis.AXIS_QUERIES` (query, class)
+pairs on a sample of more than one axis load `lattice` and numpy.
+`growth` and `cover` load only `growth`: word balls are bitsets on plain
+Python integers, so neither numpy, a model-set module nor `quadratic`. No
+command makes a BLAS call. No command loads `dataclasses` (the value
+types are `errors.Record`s), and `hashlib` loads at the first content
+hash: `generate` and `analyze` load it, `cover` and `bounds` with
+`--out`, and `growth` never.
 
 `generate` counts its sample against the element budget before it
 enumerates an axis, and `analyze` rebuilds the model set of the file's

@@ -37,6 +37,7 @@ from .quadratic import (
 )
 
 if TYPE_CHECKING:
+    from .analysis import Grid
     from .lattice import Lattice
 
 FractionPair = Tuple[Fraction, Fraction]
@@ -132,7 +133,8 @@ class ModelSet(Record):
     negated. The points are ring elements, pairwise distinct and sorted
     lexicographically by coordinates; every physical point is in the region,
     and every internal point is in the window. `points`, `internal_points`
-    (as `GroupPoint`s) and `lattice` are views built on first use.
+    (as `GroupPoint`s), `axes`, `grid` and `lattice` are views built on
+    first use.
     """
 
     scheme: Scheme
@@ -182,9 +184,37 @@ class ModelSet(Record):
         return [tuple(p) for p in self.lattice.float_coords().tolist()]
 
     @cached_property
+    def axes(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """Per coordinate k, the distinct numerator pairs (row[k],
+        row[c + k]) of the points, ascending in value. The points are
+        distinct and lie in the product of their axes, so they are that
+        product exactly when the product of the axis lengths is len(self)
+        (`is_product`); then, as they are sorted, the point with axis
+        indices (i_0, ..., i_(c-1)) is the one at the mixed-radix index of
+        those indices."""
+        c, d = self.scheme.kind.coord_count, self.scheme.d
+        cols = list(zip(*self.rows)) or [()] * (2 * c)
+        key = row_key(1, d)
+        return tuple(tuple(sorted(set(zip(cols[k], cols[c + k])), key=key))
+                     for k in range(c))
+
+    @property
+    def is_product(self) -> bool:
+        return math.prod(map(len, self.axes)) == len(self)
+
+    @cached_property
+    def grid(self) -> Grid | None:
+        """The axes prepared for the pure-Python kernels of `analysis`,
+        built on first use; None when the set is no product of its axes
+        (`analysis.Grid.build`)."""
+        from .analysis import Grid
+
+        return Grid.build(self)
+
+    @cached_property
     def lattice(self) -> Lattice:
         """The rows as a `Lattice`, built on first use."""
-        from .lattice import Lattice  # numpy loads with the first analysis
+        from .lattice import Lattice  # numpy loads with the pair route
 
         return Lattice(self.scheme.kind, self.scheme.d, self.rows, self.e)
 
@@ -279,8 +309,11 @@ def _product_model_set(scheme: Scheme, window: Box, region: Box,
     # the products of the p and of the v lists run in step
     us = itertools.product(*[[p for p, _ in axis] for axis in axes])
     ws = itertools.product(*[[v for _, v in axis] for axis in axes])
-    return ModelSet(scheme, window, region,
-                    tuple(u + w for u, w in zip(us, ws)), e)
+    ms = ModelSet(scheme, window, region,
+                  tuple(u + w for u, w in zip(us, ws)), e)
+    # the ascending axes of a product are `ModelSet.axes`; keep them
+    ms.__dict__["axes"] = tuple(map(tuple, axes))
+    return ms
 
 
 def periodic_control_model_set(scheme: Scheme, region: Box) -> ModelSet:

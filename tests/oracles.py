@@ -3,7 +3,10 @@ run on.
 
 Each oracle answers one analysis question by the definition, with
 `QuadNum` products and gauges or float full scans over every pair, so it
-stays independent of the integer-row kernel and the neighbour index. The
+stays independent of the axis kernels, the integer-row kernel and the
+neighbour index. `ROUTES` runs an analysis on a sample as it comes (the
+axis kernels, for a product of axes) and through the pair route of
+`lattice` (`pair_route`). The
 samples are small (at most about 60 points), which keeps the O(N^2)
 oracles fast: cut-and-project samples with random rational box windows;
 bare `ModelSet.from_points` sets, which reach sparse cases that
@@ -19,7 +22,7 @@ import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from apercut.analysis import left_interior, right_interior
+from apercut.analysis import _initial_radius, left_interior, right_interior
 from apercut.cutproject import (
     Box,
     ModelSet,
@@ -35,6 +38,7 @@ from apercut.heisenberg import (
     mul_coords,
     qnorm_leq,
     sym_dist_leq,
+    sym_dist_sq,
 )
 from apercut.quadratic import QuadNum, RingSpec, RingVariant
 
@@ -46,9 +50,40 @@ FULL5 = RingSpec(5, RingVariant.FULL_INTEGERS)
 RINGS = (RingSpec(2), RingSpec(3), RingSpec(5), FULL5)
 
 
+def pair_route(ms):
+    """A copy of ms that the analyses serve by the pair route of
+    `lattice`, as they serve samples that are no product of axes."""
+    copy = ModelSet(ms.scheme, ms.window, ms.region, ms.rows, ms.e)
+    copy.__dict__["grid"] = None
+    return copy
+
+
+ROUTES = (lambda ms: ms, pair_route)
+
+
 # ---------------------------------------------------------------------------
-# patches and periods, by exact QuadNum products
+# separation, patches and periods, by exact QuadNum products
 # ---------------------------------------------------------------------------
+
+def brute_separation(ms):
+    """(separation_sq, certificate, bracket) of `separation(ms)` on at
+    least two points: the least exact squared symmetric distance over every
+    pair, the least pair (i, j), i < j, at it, and the bracket of 40
+    bisection steps from [0, r], r the first `_initial_radius` * 2^k whose
+    square reaches it."""
+    points = ms.points
+    sq = {(i, j): sym_dist_sq(points[i], points[j])
+          for i, j in itertools.combinations(range(len(points)), 2)}
+    least = min(sq.values())
+    hi = _initial_radius(ms)
+    while least > hi * hi:
+        hi *= 2
+    lo = Fraction(0)
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if least <= mid * mid else (mid, hi)
+    return least, min(k for k, v in sq.items() if v == least), (lo, hi)
+
 
 def brute_patch_classes(ms, radius):
     """{relative coordinates: centers} over the right-interior centers: the

@@ -12,8 +12,6 @@ from collections import Counter
 from fractions import Fraction
 
 from apercut.analysis import (
-    NeighborIndex,
-    _patch_rows,
     patch_catalog,
     period_search,
     repetitivity_radii,
@@ -28,6 +26,7 @@ from apercut.bounds import (
     tube_dim_bound,
 )
 from apercut.analysis import complexity_table, delone_report
+from apercut.lattice import NeighborIndex, patch_rows
 from apercut.cli import main
 from apercut.cutproject import (
     Box,
@@ -242,8 +241,9 @@ def test_heisenberg_model_set_delone_flc_aperiodic():
 
     # patch-by-center catalog of the radius-8 sample
     centers8 = right_interior(ms8, one)
-    keys8, coords8 = _patch_rows(ms8, centers8, one, NeighborIndex(ms8, one))
-    per_center8 = {i: coords8[k] for i, k in zip(centers8, keys8)}
+    keys8, rows8 = patch_rows(ms8, centers8, one, NeighborIndex(ms8, one))
+    per_center8 = {i: tuple(ms8.lattice.to_coords(rows8[k]))
+                   for i, k in zip(centers8, keys8)}
     counts8 = Counter(per_center8.values())
     assert len(counts8) == 43
 
@@ -253,10 +253,10 @@ def test_heisenberg_model_set_delone_flc_aperiodic():
     # larger physical region samples the window at finer resolution.)
     pos12 = {p.coords: j for j, p in enumerate(ms12.points)}
     centers12 = [pos12[ms8.points[i].coords] for i in per_center8]
-    keys12, coords12 = _patch_rows(ms12, centers12, one,
-                                   NeighborIndex(ms12, one))
+    keys12, rows12 = patch_rows(ms12, centers12, one,
+                                NeighborIndex(ms12, one))
     for key, k12 in zip(per_center8.values(), keys12):
-        assert coords12[k12] == key
+        assert tuple(ms12.lattice.to_coords(rows12[k12])) == key
 
     cat12 = patch_catalog(ms12, one)
     counts12 = {c.relative_coords: c.multiplicity for c in cat12.classes}

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apercut import analysis
+from apercut import analysis, lattice
 from apercut.analysis import (
-    NeighborIndex,
     PatchCatalog,
     PatchClass,
     _initial_radius,
@@ -43,12 +42,16 @@ from apercut.heisenberg import (
     sym_dist_sq,
 )
 from apercut.quadratic import QuadNum, RingSpec, RingVariant, floor_div
+from apercut.lattice import NeighborIndex
 from oracles import (
+    ROUTES,
     bare_samples,
     brute_patch_classes,
     brute_periods,
+    brute_separation,
     dense_covering,
     float_sym_gauge,
+    pair_route,
     reference_return_radii,
     small_samples,
 )
@@ -319,13 +322,13 @@ def test_index_pairs_match_candidates_in_any_chunking(monkeypatch):
         (i, j) for i, p in enumerate(ms.points)
         for j in index.candidates(p.coords))
     for chunk in (1, 50, 1 << 18):
-        monkeypatch.setattr(analysis, "PAIR_CHUNK", chunk)
+        monkeypatch.setattr(lattice, "PAIR_CHUNK", chunk)
         got = [pair for i, j in index.pairs()
                for pair in zip(i.tolist(), j.tolist())]
         assert sorted(got) == expected
     # chosen centers come out grouped, in the order given, never split
     centers = [40, 2, 17]
-    monkeypatch.setattr(analysis, "PAIR_CHUNK", 5)
+    monkeypatch.setattr(lattice, "PAIR_CHUNK", 5)
     chunks = [i.tolist() for i, _ in index.pairs(centers)]
     assert [i for chunk in chunks for i in chunk] == [
         c for c in centers for _ in index.candidates(ms.points[c].coords)]
@@ -453,10 +456,12 @@ def covering_samples():
     ids=["e1", "e2", "h1", "h2", "h1-full5", "e2-sparse", "h1-off-origin"])
 def test_covering_radius_equals_dense_scan(ms, step, erosion, monkeypatch):
     expected = dense_covering(ms, step, erosion)
+    assert ms.grid is not None
     assert covering_radius_estimate(ms, step, erosion) == expected
+    assert covering_radius_estimate(pair_route(ms), step, erosion) == expected
     # small chunks split the grid blocks and the pairs of one round
-    monkeypatch.setattr(analysis, "PAIR_CHUNK", 200)
-    assert covering_radius_estimate(ms, step, erosion) == expected
+    monkeypatch.setattr(lattice, "PAIR_CHUNK", 200)
+    assert covering_radius_estimate(pair_route(ms), step, erosion) == expected
 
 
 def test_index_work_stays_below_region_sized_cells(monkeypatch):
@@ -464,8 +469,9 @@ def test_index_work_stays_below_region_sized_cells(monkeypatch):
     # region's x-span X = 5, the index yielded 49,857 pairs to
     # `separation`, 33,605 to `complexity_table([1, 2])` and 510,212 to
     # `covering_radius_estimate(1/2, 1)`
-    ms = generate_model_set(SCHEME_H1, Box.cube(H1, Fraction(9, 10)),
-                            Box(((-5, 5), (-5, 5), (-14, 14))))
+    ms = pair_route(generate_model_set(
+        SCHEME_H1, Box.cube(H1, Fraction(9, 10)),
+        Box(((-5, 5), (-5, 5), (-14, 14)))))
     assert len(ms) == 833
     pairs_near = NeighborIndex.pairs_near
     yielded = [0]
@@ -478,13 +484,13 @@ def test_index_work_stays_below_region_sized_cells(monkeypatch):
     monkeypatch.setattr(NeighborIndex, "pairs_near", counted)
     # the covering kernel takes its candidates in rank tiles, not through
     # pairs_near: count the pairs it compares
-    gauge = analysis._Gauge.__call__
+    gauge = lattice._Gauge.__call__
 
     def compared(self, q, t, i, j):
         yielded[0] += len(i)
         return gauge(self, q, t, i, j)
 
-    monkeypatch.setattr(analysis._Gauge, "__call__", compared)
+    monkeypatch.setattr(lattice._Gauge, "__call__", compared)
     for run, region_sized in [
         (lambda: separation(ms), 49_857),
         (lambda: complexity_table(ms, [1, 2]), 33_605),
@@ -504,7 +510,7 @@ def test_covering_sparse_grid_leaves_point_key_range():
 
 
 def test_covering_radius_doubles_through_three_rounds(monkeypatch):
-    ms = sturmian(60)
+    ms = pair_route(sturmian(60))
     radii = []
 
     class CountedIndex(NeighborIndex):
@@ -512,7 +518,7 @@ def test_covering_radius_doubles_through_three_rounds(monkeypatch):
             radii.append(radius)
             super().__init__(ms, radius, *args)
 
-    monkeypatch.setattr(analysis, "NeighborIndex", CountedIndex)
+    monkeypatch.setattr(lattice, "NeighborIndex", CountedIndex)
     step = Fraction(1, 50)
     assert covering_radius_estimate(ms, step, Fraction(3)) == \
         dense_covering(ms, step, Fraction(3))
@@ -531,8 +537,9 @@ def test_covering_estimate_peak_memory():
     # the benchmark's H1 sample: pair tiles of PAIR_CHUNK / 4 pairs on
     # reused buffers keep the traced peak below 3.5 MB, where whole
     # 2^16-pair chunks gathered as (P, 3) arrays need about 7 MB
-    ms = generate_model_set(SCHEME_H1, Box.cube(H1, Fraction(9, 10)),
-                            Box(((-5, 5), (-5, 5), (-14, 14))))
+    ms = pair_route(generate_model_set(
+        SCHEME_H1, Box.cube(H1, Fraction(9, 10)),
+        Box(((-5, 5), (-5, 5), (-14, 14)))))
     ms.lattice
     tracemalloc.start()
     try:
@@ -563,9 +570,9 @@ def test_float_gauge_error_bounds_exact_gauge(data):
     point = sample_point()
     # |c| <= scale and |p| + |q|*sqrt(2) < 2*scale, so coordinates and
     # their float conversions stay within 2^20
-    delta = analysis._float_gauge_error(kind, 2 * scale)
+    delta = lattice._float_gauge_error(kind, 2 * scale)
     one = np.zeros(1, dtype=np.intp)
-    d_f = float(analysis._Gauge(kind)(
+    d_f = float(lattice._Gauge(kind)(
         [np.array([float(c)]) for c in query],
         [np.array([float(c)]) for c in point], one, one)[0])
     c, p = GroupPoint(kind, query), GroupPoint(kind, point)
@@ -631,7 +638,7 @@ def _return_radii(report):
             for c in report.per_class]
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 200, analysis.PAIR_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 5, 200, lattice.PAIR_CHUNK])
 def test_max_min_kernel_equals_full_scans_at_any_chunk(chunk, monkeypatch):
     cases = [(sturmian(20), Fraction(1, 10), Fraction(1)),
              (h1_sample(2), Fraction(1, 2), Fraction(0))]
@@ -639,10 +646,12 @@ def test_max_min_kernel_equals_full_scans_at_any_chunk(chunk, monkeypatch):
     rep_cases = [(sturmian(100), Fraction(2)), (h1_sample(3), Fraction(1))]
     rep_expected = [reference_return_radii(ms, patch_catalog(ms, radius))
                     for ms, radius in rep_cases]
-    monkeypatch.setattr(analysis, "PAIR_CHUNK", chunk)
-    assert [covering_radius_estimate(*case) for case in cases] == expected
-    assert [_return_radii(repetitivity_radii(ms, radius))
-            for ms, radius in rep_cases] == rep_expected
+    monkeypatch.setattr(lattice, "PAIR_CHUNK", chunk)
+    for route in ROUTES:
+        assert [covering_radius_estimate(route(ms), *rest)
+                for ms, *rest in cases] == expected
+        assert [_return_radii(repetitivity_radii(route(ms), radius))
+                for ms, radius in rep_cases] == rep_expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -652,13 +661,14 @@ def test_max_min_kernel_matches_full_scans_on_random_samples(data):
     kind = ms.scheme.kind
     step = Fraction(2 if kind.coord_count > 3 else 1)
     # small chunks send even these samples through the index rounds
-    chunk = data.draw(st.sampled_from([5, 200, analysis.PAIR_CHUNK]),
+    chunk = data.draw(st.sampled_from([5, 200, lattice.PAIR_CHUNK]),
                       label="chunk")
-    default, analysis.PAIR_CHUNK = analysis.PAIR_CHUNK, chunk
+    route = data.draw(st.sampled_from(ROUTES), label="route")
+    default, lattice.PAIR_CHUNK = lattice.PAIR_CHUNK, chunk
     try:
-        _check_kernel(data, ms, step)
+        _check_kernel(data, route(ms), step)
     finally:
-        analysis.PAIR_CHUNK = default
+        lattice.PAIR_CHUNK = default
 
 
 def _check_kernel(data, ms, step):
@@ -674,7 +684,8 @@ def _check_kernel(data, ms, step):
     if not members:
         return
     one = Fraction(1)
-    classes = tuple(PatchClass(one, ((k,),), tuple(m))
+    classes = tuple(PatchClass(one, ((k,),), tuple(m), ms.scheme.kind,
+                               ms.scheme.d, ms.e)
                     for k, m in enumerate(members.values()))
     catalog = PatchCatalog(one, classes, sum(map(len, members.values())))
     assert _return_radii(repetitivity_radii(ms, one, catalog)) == \
@@ -684,10 +695,11 @@ def _check_kernel(data, ms, step):
 @pytest.mark.parametrize("ms", [sturmian(100), h1_sample(4)],
                          ids=["e1", "h1"])
 def test_repetitivity_row_blocks_match_unblocked(ms, monkeypatch):
-    monkeypatch.setattr(analysis, "PAIR_CHUNK", 1 << 40)
+    ms = pair_route(ms)
+    monkeypatch.setattr(lattice, "PAIR_CHUNK", 1 << 40)
     whole = repetitivity_radii(ms, Fraction(1))
     for chunk in (1, 5, 64):
-        monkeypatch.setattr(analysis, "PAIR_CHUNK", chunk)
+        monkeypatch.setattr(lattice, "PAIR_CHUNK", chunk)
         assert repetitivity_radii(ms, Fraction(1)) == whole
     assert any(c.multiplicity > 5 for c in whole.per_class)
 
@@ -767,26 +779,65 @@ def test_full_ring_separation_brute_force(ms):
 
 def check_patch_catalog(ms, radius):
     brute = brute_patch_classes(ms, radius)
-    if not brute:
-        with pytest.raises(ErosionError):
-            patch_catalog(ms, radius)
-        return
-    cat = patch_catalog(ms, radius)
-    # classes in order, each with its coordinates in order and its centers
-    assert [(c.relative_coords, c.centers) for c in cat.classes] == sorted(
-        brute.items())
-    assert cat.center_count == sum(map(len, brute.values()))
+    for route in ROUTES:
+        if not brute:
+            with pytest.raises(ErosionError):
+                patch_catalog(route(ms), radius)
+            continue
+        cat = patch_catalog(route(ms), radius)
+        # classes in order, each with its coordinates in order and its
+        # centers
+        assert [(c.relative_coords, c.centers) for c in cat.classes] == \
+            sorted(brute.items())
+        assert cat.center_count == sum(map(len, brute.values()))
+        # the return radii of both routes equal the full scans
+        assert _return_radii(repetitivity_radii(route(ms), radius, cat)) \
+            == reference_return_radii(ms, cat)
 
 
 def check_period_search(ms, bound):
     if not left_interior(ms, bound):
-        with pytest.raises(ErosionError):
-            period_search(ms, bound, bound)
+        for route in ROUTES:
+            with pytest.raises(ErosionError):
+                period_search(route(ms), bound, bound)
         return
     tested, survivors = brute_periods(ms, bound)
-    report = period_search(ms, bound, bound)
-    assert report.candidates_tested == tested
-    assert list(report.nontrivial_periods) == survivors
+    for route in ROUTES:
+        report = period_search(route(ms), bound, bound)
+        assert report.candidates_tested == tested
+        assert list(report.nontrivial_periods) == survivors
+
+
+@settings(max_examples=150, deadline=None)
+@given(ms=small_samples())
+def test_separation_matches_brute_force_on_random_samples(ms):
+    if len(ms) < 2:
+        return
+    least, pair, bracket = brute_separation(ms)
+    for route in ROUTES:
+        result = separation(route(ms))
+        assert result.separation_sq == least
+        assert result.certificate == pair
+        assert result.bracket == bracket
+
+
+@settings(max_examples=60, deadline=None)
+@given(ms=small_samples(), step=st.sampled_from([Fraction(1, 2), 1]),
+       erosion=st.sampled_from([Fraction(0), Fraction(1, 2)]))
+def test_covering_matches_dense_scan_on_random_samples(ms, step, erosion):
+    kind = ms.scheme.kind
+    if kind.coord_count > 3:
+        step = Fraction(2)
+    try:
+        expected = dense_covering(ms, step, erosion)
+    except (ValueError, IndexError):
+        return
+    for route in ROUTES:
+        try:
+            got = covering_radius_estimate(route(ms), step, erosion)
+        except ErosionError:
+            return
+        assert got == expected
 
 
 @pytest.mark.parametrize("ms", full_ring_samples(), ids=["e1", "h1"])

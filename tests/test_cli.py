@@ -185,7 +185,7 @@ def test_analyze_pipeline(tmp_path, capsys):
 
 
 def test_analyze_never_builds_point_views(tmp_path, capsys, monkeypatch):
-    # every analysis reads the rows through ms.lattice
+    # every analysis of a product sample reads its axes through ms.grid
     read = cli.read_model_set
     samples = []
 
@@ -201,7 +201,8 @@ def test_analyze_never_builds_point_views(tmp_path, capsys, monkeypatch):
     ])
     assert code == 0, err
     built = vars(samples[0])
-    assert "lattice" in built
+    assert built["grid"] is not None
+    assert "lattice" not in built
     assert "points" not in built and "internal_points" not in built
 
 
@@ -310,12 +311,12 @@ def test_analyze_rerun_byte_identical_any_threads(tmp_path, capsys):
 def test_analyze_builds_each_catalog_once(tmp_path, capsys, monkeypatch):
     # repetitivity reuses the catalog at the largest K
     radii = []
-    patch_rows = analysis._patch_rows
+    patches = analysis._AxisPatches
 
-    def counted(ms, centers, radius, index):
+    def counted(grid, radius):
         radii.append(radius)
-        return patch_rows(ms, centers, radius, index)
-    monkeypatch.setattr(analysis, "_patch_rows", counted)
+        return patches(grid, radius)
+    monkeypatch.setattr(analysis, "_AxisPatches", counted)
     ms_path = gen_file(tmp_path, capsys)
     code, _, err = run(capsys, [
         "analyze", "--in", str(ms_path), "--K", "2,1", "--period-bound", "1",
@@ -891,3 +892,49 @@ def test_cli_usage_error_exits_2(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def analyze_samples(tmp_path_factory):
+    """Two small product samples, E1 and H1, outside every run's directory."""
+    where = tmp_path_factory.mktemp("argv-samples")
+    for name, scheme, window, region in [
+            ("e1.json", ["--kind", "euclidean", "--m", "1"],
+             "-9/10,11/10", "-6,6"),
+            ("h1.json", ["--kind", "heisenberg", "--n", "1"],
+             "-9/10,9/10;-9/10,9/10;-9/10,9/10", "-3,3;-3,3;-8,8")]:
+        code, _, _ = run_in(where, ["generate", *scheme, "--d", "2",
+                                    f"--window={window}",
+                                    f"--region={region}", "--out", name])
+        assert code == 0
+    return [str(where / "e1.json"), str(where / "h1.json")]
+
+
+@st.composite
+def analyze_argv(draw, samples):
+    """analyze on one of samples with drawn --K, --period-bound and, now
+    and then, --erosion and --grid-step."""
+    radii = draw(st.lists(cli_rationals(), min_size=1, max_size=3))
+    argv = ["analyze", "--in", draw(st.sampled_from(samples)),
+            "--K=" + ",".join(radii),
+            "--period-bound=" + draw(cli_rationals()), "--out", "out.json"]
+    for option in ("--erosion", "--grid-step"):
+        if draw(st.booleans()):
+            argv.append(f"{option}={draw(cli_rationals())}")
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_analyze_argv_exits_with_a_documented_code(data,
+                                                         analyze_samples):
+    argv = data.draw(analyze_argv(analyze_samples), label="argv")
+    with tempfile.TemporaryDirectory() as first, \
+            tempfile.TemporaryDirectory() as second, \
+            mock.patch.dict(os.environ, {"APERCUT_BUDGET": "2000"}):
+        code, out, files = run_in(Path(first), argv)
+        assert code in (0, 2, 3, 4, 5, 6)
+        if code:
+            assert files == {}
+        else:
+            assert run_in(Path(second), argv) == (code, out, files)

@@ -35,7 +35,7 @@ E1 = GroupKind(Family.EUCLIDEAN, 1)
 ONE = Fraction(1)
 UNIT = ((Fraction(-1), ONE),)
 SEP = SeparationResult(1.0, ONE, (0, 1), (Fraction(0), Fraction(2)))
-CATALOG = PatchCatalog(ONE, (PatchClass(ONE, ((0,),), (0,)),), 1)
+CATALOG = PatchCatalog(ONE, (PatchClass(ONE, ((0, 0),), (0,), E1, 2, 1),), 1)
 
 # Each record type with one value per field, in the dataclass field order.
 RECORDS = [
@@ -55,7 +55,8 @@ RECORDS = [
                             bracket=(Fraction(0), Fraction(2)))),
     (DeloneReport, dict(separation=SEP, covering_radius=None,
                         grid_step=None, erosion=None)),
-    (PatchClass, dict(radius=ONE, relative_coords=((0,),), centers=(0, 2))),
+    (PatchClass, dict(radius=ONE, rows=((0, 0),), centers=(0, 2), kind=E1,
+                      d=2, e=1)),
     (PatchCatalog, dict(radius=ONE, classes=CATALOG.classes,
                         center_count=1)),
     (ClassReturn, dict(class_index=0, multiplicity=2, return_radius=1.5,
@@ -204,8 +205,10 @@ def test_model_set_views_are_cached():
     assert ms.points is points and len(points) == len(ms)
     assert ms.internal_points is ms.internal_points
     assert ms.lattice is ms.lattice
+    assert ms.grid is ms.grid
+    # generate keeps the axes it built the sample from
     assert set(vars(ms)) == {*ModelSet._fields, "points", "internal_points",
-                             "lattice"}
+                             "lattice", "axes", "grid"}
     # the cached views take no part in equality or hash
     fresh = ModelSet(*(getattr(ms, f) for f in ModelSet._fields))
     assert fresh == ms and hash(fresh) == hash(ms)

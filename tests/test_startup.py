@@ -1,13 +1,16 @@
 """Start-up cost: which modules each command loads and which threads
 `growth` starts, checked in fresh interpreters.
 
-`generate`, `check-window`, `bounds`, `growth` and `cover` never call
-numpy, so neither `import apercut`, `import apercut.cli` nor those commands
-may import it; `analyze` loads it when it starts. Neither
-`import apercut.cli` nor `growth`, `cover` and `bounds` load a model-set
-module or `quadratic`. No command loads `dataclasses`, and neither
-`import apercut.cli` nor `growth` loads `hashlib`: only a command that
-writes a content hash does.
+Neither `import apercut`, `import apercut.cli` nor any command but
+`analyze` imports numpy, and `analyze` runs on the axes of a product
+sample, loading neither numpy nor `apercut.lattice` on the samples here.
+Only the pair route loads them: the analysis of a set that is no product
+of its axes (a `ModelSet.from_points` set), or return radii of large
+catalogs. Neither `import
+apercut.cli` nor `growth`, `cover` and `bounds` load a model-set module or
+`quadratic`. No command loads `dataclasses`, and neither `import
+apercut.cli` nor `growth` loads `hashlib`: only a command that writes a
+content hash does.
 """
 
 import os
@@ -54,6 +57,10 @@ def sample(tmp_path_factory):
     cwd = tmp_path_factory.mktemp("startup")
     run_python(["-m", "apercut.cli", "generate", *SCHEME, WINDOW,
                 "--region=-30,30", "--out", "sample.json"], cwd)
+    run_python(["-m", "apercut.cli", "generate", "--kind", "heisenberg",
+                "--n", "1", "--d", "2", "--window=-9/10,9/10;-9/10,9/10;"
+                "-9/10,9/10", "--region=-4,4;-4,4;-12,12", "--out",
+                "h1.json"], cwd)
     return cwd
 
 
@@ -157,12 +164,53 @@ def test_command_does_not_load_numpy(argv, module, expected, tmp_path):
 @pytest.mark.parametrize("argv,expected", [
     (["analyze", "--in", "sample.json", "--K", "1,2", "--period-bound", "2",
       "--out", "report.json"], "nontrivial periods found: 0"),
-], ids=["analyze"])
-def test_numpy_commands_run(argv, expected, sample):
+    (["analyze", "--in", "h1.json", "--K", "1,2", "--period-bound", "1",
+      "--grid-step", "1/2", "--out", "h1-report.json"],
+     "covering radius (grid estimate):"),
+], ids=["analyze", "analyze-h1"])
+def test_analyze_loads_no_numpy(argv, expected, sample):
     proc = run_python(["-X", "importtime", "-m", "apercut.cli", *argv],
                       sample)
     assert expected in proc.stdout
-    assert loads_numpy(imported_modules(proc.stderr))
+    modules = imported_modules(proc.stderr)
+    assert "apercut.analysis" in modules
+    assert not loads_numpy(modules)
+    assert "apercut.lattice" not in modules
+
+
+# Every analysis of a set that is no product of its axes runs, on the pair
+# route of `lattice`, which loads numpy.
+FROM_POINTS = """
+import sys
+from fractions import Fraction
+from apercut import analysis
+from apercut.cutproject import Box, ModelSet, Scheme
+from apercut.heisenberg import GroupKind, GroupPoint
+from apercut.quadratic import QuadNum, RingSpec
+kind = GroupKind.euclidean(2)
+cells = [(i, j) for i in range(6) for j in range(6) if (i, j) != (5, 5)]
+points = [GroupPoint(kind, tuple(QuadNum(v, 0, 2) for v in c))
+          for c in cells]
+region = Box(((0, 5), (0, 5)))
+ms = ModelSet.from_points(Scheme(kind, RingSpec(2)), region, region,
+                          points, points)
+assert not ms.is_product and ms.grid is None
+assert "numpy" not in sys.modules
+one = Fraction(1)
+catalog = analysis.patch_catalog(ms, one)
+print(analysis.separation(ms).separation_sq, catalog.class_count,
+      analysis.repetitivity_radii(ms, one, catalog).max_return_radius,
+      len(analysis.period_search(ms, one, one).nontrivial_periods),
+      analysis.covering_radius_estimate(ms, Fraction(1, 2), Fraction(0)),
+      "numpy" in sys.modules)
+"""
+
+
+def test_from_points_set_analyses_on_numpy(tmp_path):
+    proc = run_python(["-c", FROM_POINTS], tmp_path)
+    # 35 points: the corner (5, 5) is missing, so the centre (4, 4) has a
+    # patch of its own and the translates by (1, 1) are no period
+    assert proc.stdout.split() == ["1", "2", "3.0", "7", "1.0", "True"]
 
 
 @pytest.mark.parametrize("argv", [
