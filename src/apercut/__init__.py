@@ -6,7 +6,7 @@ Every public name is bound on first use (PEP 562), so `import apercut`
 loads no submodule, and a command or script pays only for the modules whose
 names it touches. None of them loads numpy: only the pair route of
 `apercut.lattice` does, which analyses point sets that are no product of
-axes and the return radii of large catalogs."""
+axes."""
 
 __version__ = "0.1.0"
 

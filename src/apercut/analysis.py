@@ -34,14 +34,15 @@ alone. The phases built on that neighbourhood:
 * return radii and the covering estimate: for a query, the head rows (x',
   y') in order of increasing head gauge max(|dx|, |dy|), and in each row
   the t' around t + <x, dy> + <dx, dy>/2, in the float operations and
-  order of the full scan;
+  order of the full scan; the return radii of a class skip the head rows
+  of queries that a bound from the gaps of its rows shows cannot raise
+  its maximum;
 * the period search: candidates from the neighbourhood of the first core
   point, tested by membership on the axes.
 
 On one axis the return radii need only the neighbours of each centre in
-index order. Any other sample (`ModelSet.from_points` sets), and the
-return radii of more than `AXIS_QUERIES` (query, class) pairs on more than
-one axis, take the pair route of `lattice`, which loads numpy.
+index order. Any other sample (`ModelSet.from_points` sets) takes the pair
+route of `lattice`, which loads numpy.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Sequence, Tuple
 
 from .cutproject import ModelSet
 from .errors import ErosionError, Record, check_budget
@@ -664,9 +665,10 @@ def covering_radius_estimate(
     floats = [[float(v) for v in axis] for axis in axes]
     worst = -math.inf
     for head in itertools.product(*floats[:-1]):
-        rows = kernel.rows(head, head)
+        rows = _Rows(kernel, head)
         for t in floats[-1]:
-            worst = max(worst, kernel.nearest(rows, t, None, worst))
+            worst = max(worst, kernel.nearest(rows.items, t, None, worst,
+                                              rows.extend))
     return worst
 
 
@@ -678,60 +680,58 @@ class _MaxMin:
     sample point for the covering estimate, the centres of one class for
     the return radii.
 
-    `nearest` visits the head rows around the query in order of increasing
-    head gauge (the max over the head axes of |dx| and |dy|, by `_Rows`),
-    and stops at a row whose head gauge reaches the best value found, since
-    every later target has a larger one. Within a row the float gauge of a
-    target t' has the t part max(|dt - <c_x, dy>|, |<p_x, dy> - dt|) (on
-    Z^m, |dt|), at least |t' - z| for z = t + (<c_x, dy> + <p_x, dy>)/2 (on
-    Z^m, t) up to rounding, so the row's targets are read outward from z on
-    both sides until that bound exceeds the best value. The gauge takes the
-    full scan's float operations in its order (`lattice._Gauge`), so the
-    nearest value is the full scan's bit for bit. The search also stops as
-    soon as some target lies within `worst`, the running maximum of the
-    caller: that query cannot raise it (Taha and Hanbury, "An efficient
-    algorithm for calculating the exact Hausdorff distance", IEEE TPAMI
-    37(11), 2015)."""
+    `nearest` reads rows in order of increasing head gauge (the max over
+    the head axes of |dx| and |dy|), and stops at a row whose head gauge
+    reaches the best value found, since every later target has a larger
+    one. Within a row the float gauge of a target t' has the t part
+    max(|dt - <c_x, dy>|, |<p_x, dy> - dt|) (on Z^m, |dt|), at least |t' -
+    z| for z = t + (<c_x, dy> + <p_x, dy>)/2 (on Z^m, t) up to rounding, so
+    the row's targets are read outward from z on both sides until that
+    bound exceeds the best value. The gauge takes the full scan's float
+    operations in its order (`lattice._Gauge`), so the nearest value is
+    the full scan's bit for bit. The search also stops as soon as some
+    target lies within `worst`, the running maximum of the caller: that
+    query cannot raise it (Taha and Hanbury, "An efficient algorithm for
+    calculating the exact Hausdorff distance", IEEE TPAMI 37(11), 2015)."""
 
     def __init__(self, grid: Grid) -> None:
         self.grid = grid
-        self.orders: dict = {}
         self.heisenberg = grid.heisenberg
         region = max(abs(v) for iv in grid.region.intervals for v in iv)
         scale = max(grid.magnitude, float(region)) + 1
         self.slack = FLOAT_SLACK * (grid.n + 2) * scale * scale
 
-    def rows(self, key, head: Sequence[float]) -> "_Rows":
-        """The head rows around a query with head floats head, shared by
-        every query with the same key."""
-        order = self.orders.get(key)
-        if order is None:
-            order = self.orders[key] = _Rows(self, head)
-        return order
+    def shear(self, head: Sequence[float], cell: Sequence[int]) -> tuple:
+        """(<c_x, dy>, <p_x, dy>) from a query with head floats head to the
+        head cell cell, the sums taken term by term in coordinate order as
+        the full scan does; (0.0, 0.0) on Z^m."""
+        if not self.heisenberg:
+            return 0.0, 0.0
+        floats, n = self.grid.floats, self.grid.n
+        cd = pd = 0.0
+        for m in range(n):
+            dy = floats[n + m][cell[n + m]] - head[n + m]
+            c = head[m] * dy
+            p = floats[m][cell[m]] * dy
+            cd, pd = (c, p) if m == 0 else (cd + c, pd + p)
+        return cd, pd
 
-    def nearest(self, rows: "_Rows", t: float, own: int | None,
-                worst: float, targets: dict | None = None) -> float:
-        """The gauge from the query with head rows rows and last float t
-        to its nearest target other than the point own, or a value <=
-        worst once one is found; targets maps head cells to the (floats,
-        point indices) of their rows, None for every sample point."""
+    def nearest(self, rows: list, t: float, own: int | None, worst: float,
+                extend: Callable[[], bool] | None = None) -> float:
+        """The gauge from the query with last float t to its nearest target
+        other than the point own, or a value <= worst once one is found.
+        rows holds the target rows around the query in order of increasing
+        head gauge, each (head gauge, last-axis floats, their point indices
+        or None when own is none of them, <c_x, dy>, <p_x, dy>); extend, if
+        given, appends the next row to rows, False when there is none."""
         best = math.inf
-        last = self.grid.floats[-1]
         heisenberg, slack = self.heisenberg, self.slack
-        items = rows.items
         r = 0
-        while r < len(items) or rows.extend():
-            dist, cell, cd, pd = items[r]
+        while r < len(rows) or extend is not None and extend():
+            dist, floats, points, cd, pd = rows[r]
             r += 1
             if dist >= best:
                 break
-            if targets is None:
-                floats, points = last, None
-            else:
-                row = targets.get(cell)
-                if row is None:
-                    continue
-                floats, points = row
             z = t + (cd + pd) / 2 if heisenberg else t
             j = bisect_left(floats, z)
             for side in (range(j - 1, -1, -1), range(j, len(floats))):
@@ -761,13 +761,12 @@ class _MaxMin:
 
 
 class _Rows:
-    """The head rows of a `_MaxMin` kernel around one query head, in
-    order of increasing head gauge, built only as far as they are read.
-    Each item is (head gauge, head cell, <c_x, dy>, <p_x, dy>) for H_n, the
-    two sums taken term by term in coordinate order as the full scan does
-    (0.0, 0.0 on Z^m). Per head axis the targets' values are taken outward
-    from the query, nearest first; a row is emitted when the last of its
-    head values is taken, at the largest of their gauges."""
+    """The rows of every sample point around one query head, in order of
+    increasing head gauge, built only as far as they are read and shared
+    by the queries of that head, as items of `_MaxMin.nearest`. Per head
+    axis the points' values are taken outward from the query, nearest
+    first; a row is emitted when the last of its head values is taken, at
+    the largest of their gauges."""
 
     __slots__ = ("items", "_gen")
 
@@ -796,13 +795,13 @@ class _Rows:
 
     def _walk(self, kernel: _MaxMin, head: Sequence[float]) -> Iterator:
         grid = kernel.grid
+        last = grid.floats[-1]
         walks = [self._outward(f, q) for f, q in zip(grid.floats, head)]
         if not walks:
-            yield 0.0, (), 0.0, 0.0
+            yield 0.0, last, None, 0.0, 0.0
             return
         taken: list = [[] for _ in walks]
         pending = [next(w, None) for w in walks]
-        n = grid.n
         while True:
             live = [k for k, p in enumerate(pending) if p is not None]
             if not live:
@@ -815,16 +814,7 @@ class _Rows:
             if not all(parts):
                 continue
             for cells in itertools.product(*parts):
-                if not kernel.heisenberg:
-                    yield dist, cells, 0.0, 0.0
-                    continue
-                cd = pd = 0.0
-                for m in range(n):
-                    dy = grid.floats[n + m][cells[n + m]] - head[n + m]
-                    c = head[m] * dy
-                    p = grid.floats[m][cells[m]] * dy
-                    cd, pd = (c, p) if m == 0 else (cd + c, pd + p)
-                yield dist, cells, cd, pd
+                yield (dist, last, None) + kernel.shear(head, cells)
 
 
 class DeloneReport(Record):
@@ -1149,12 +1139,6 @@ class _AxisPatches:
 # repetitivity
 # ---------------------------------------------------------------------------
 
-# The most (query, class) pairs the return radii take on the axes of a
-# product sample of more than one axis; beyond it the pair route of
-# `lattice`, whose index rounds share work between classes, is faster (the
-# R = 12 yardstick has 19.6M pairs, the h1-analyze sample 4,779).
-AXIS_QUERIES = 1 << 16
-
 class ClassReturn(Record):
     class_index: int
     multiplicity: int
@@ -1178,11 +1162,10 @@ def repetitivity_radii(ms: ModelSet, radius: Fraction,
     (their recurrence lies beyond the sampled region). `catalog`, if given,
     is `patch_catalog(ms, radius)`, already built.
 
-    Each radius equals the full scan's bit for bit: on a product sample
-    through `_MaxMin`, each class's centres being its queries and targets,
-    taken first in a spread order so that the running maximum is near its
-    final value early, or on a line by `_line_return_radii`; on any other
-    through the pair route of `lattice` (`lattice.return_radii`)."""
+    Each radius equals the full scan's bit for bit: on a product sample of
+    one axis by `_line_return_radii`, of more axes by `_axis_return_radii`;
+    on any other through the pair route of `lattice`
+    (`lattice.return_radii`)."""
     radius = Fraction(radius)
     if catalog is None:
         catalog = patch_catalog(ms, radius)
@@ -1191,17 +1174,14 @@ def repetitivity_radii(ms: ModelSet, radius: Fraction,
                          f"not {radius}")
     members = [cls.centers for cls in catalog.classes]
     grid = ms.grid
-    if grid is not None and len(grid.sizes) == 1:
-        worst = _line_return_radii(grid, members)
-    elif grid is None or catalog.center_count * len(members) > AXIS_QUERIES:
+    if grid is None:
         from .lattice import return_radii
 
         worst = return_radii(ms, members)
+    elif len(grid.sizes) == 1:
+        worst = _line_return_radii(grid, members)
     else:
-        kernel = _MaxMin(grid)
-        queries = sorted(c for centers in members for c in centers)
-        worst = [_axis_return_radius(kernel, queries, centers)
-                 for centers in members]
+        worst = _axis_return_radii(grid, members)
     per_class = []
     for ci, cls in enumerate(catalog.classes):
         w = float(worst[ci])
@@ -1216,10 +1196,10 @@ def repetitivity_radii(ms: ModelSet, radius: Fraction,
 
 def _line_return_radii(grid: Grid, members: Sequence[Sequence[int]]
                        ) -> list[float]:
-    """`_axis_return_radius` of each class on a sample of one axis, where
-    index order is float order: the nearest other centre of a class is a
-    neighbour in that order, so only the queries next to the centres and
-    around the float midpoints between them can give the maximum."""
+    """`_axis_return_radii` on a sample of one axis, where index order is
+    float order: the nearest other centre of a class is a neighbour in that
+    order, so only the queries next to the centres and around the float
+    midpoints between them can give the maximum."""
     floats = grid.floats[0]
     queries = sorted(c for centers in members for c in centers)
     qf = [floats[c] for c in queries]
@@ -1261,32 +1241,96 @@ def _line_return_radius(qf: list, positions: list) -> float:
     return worst
 
 
-def _axis_return_radius(kernel: _MaxMin, queries: Sequence[int],
-                        centers: Sequence[int]) -> float:
-    """The largest over the queries of the float gauge to the nearest of
-    centers other than the query itself (-inf when none has one), on a
-    product sample. The queries are taken in a spread order first, so
-    that the running maximum nears its final value early."""
-    grid = kernel.grid
-    last = grid.floats[-1]
-    rows: dict = {}
-    for c in centers:
-        cell = grid.cell(c)
-        row = rows.setdefault(tuple(cell[:-1]), ([], []))
-        row[0].append(last[cell[-1]])
-        row[1].append(c)
-    step = max(1, len(queries) // 64)
-    worst = -math.inf
-    for at in itertools.chain(range(0, len(queries), step),
-                              (a for a in range(len(queries)) if a % step)):
-        cell = grid.cell(queries[at])
-        head = tuple(cell[:-1])
-        floats = [grid.floats[k][i] for k, i in enumerate(head)]
-        found = kernel.nearest(kernel.rows(head, floats), last[cell[-1]],
-                               queries[at], worst, rows)
-        if found < math.inf:
-            worst = max(worst, found)
-    return worst
+def _axis_return_radii(grid: Grid, members: Sequence[Sequence[int]]
+                       ) -> list[float]:
+    """`repetitivity_radii` on a product sample of more than one axis: per
+    class (its ascending centres), the largest over the queries, every
+    centre of every class, of the float gauge to the nearest centre of the
+    class other than the query itself (-inf when none has one).
+
+    The points of one head cell (every axis but the last, on Z^m too) form
+    a row. Take a row h of queries, last floats t_lo to t_hi, and a row of
+    centres of the class, last floats ts with largest gap `gap`, at head
+    gauge `dist` from h. With cd = <c_x, dy>, pd = <p_x, dy> and mid = (cd
+    + pd)/2, the t part of the gauge from t to t' is max(|t' - t - cd|,
+    |t' - t - pd|) = |t' - (t + mid)| + |cd - pd|/2 (on Z^m, |t' - t|), and
+    for t + mid in [t_lo + mid, t_hi + mid] some t' lies within max(ts[0] -
+    (t_lo + mid), (t_hi + mid) - ts[-1], gap/2). In h's own row a query's
+    nearest other centre lies within the whole gap, and a row holding only
+    that query gives no bound. So, up to the rounding the kernel's slack
+    covers, every query of h has its nearest centre within bound(h), the
+    least over the rows of max(dist, sqrt(reach + |cd - pd|/2)) (on Z^m,
+    without the root). The query rows are visited by decreasing bound, and
+    each of their queries is evaluated by `_MaxMin.nearest`; the first row
+    whose bound is <= the running maximum ends the class, since none of
+    its queries, nor those of the rows after it, can raise it."""
+    kernel = _MaxMin(grid)
+    size, last = grid.sizes[-1], grid.floats[-1]
+    heisenberg, slack = kernel.heisenberg, kernel.slack
+
+    def by_row(points: Iterable[int]) -> list:
+        # (head number, head cell, points, last floats, largest gap)
+        rows: dict = {}
+        for p in points:
+            rows.setdefault(p // size, []).append(p)
+        out = []
+        for h, found in rows.items():
+            ts = [last[p - h * size] for p in found]
+            gap = max(map(float.__sub__, ts[1:], ts[:-1]), default=0.0)
+            out.append((h, grid.cell(h * size)[:-1], found, ts, gap))
+        return out
+
+    def offset(head: list, cell: list, tq: list) -> tuple:
+        # (dist, cd, pd, t_lo + mid, t_hi + mid, |cd - pd|/2)
+        dist = max(abs(grid.floats[k][i] - head[k])
+                   for k, i in enumerate(cell))
+        cd, pd = kernel.shear(head, cell)
+        mid = (cd + pd) / 2
+        return dist, cd, pd, tq[0] + mid, tq[-1] + mid, abs(cd - pd) / 2
+
+    # per query row, the offsets of the rows of centres from it by head
+    # number, shared by the classes
+    queries = [(h, [grid.floats[k][i] for k, i in enumerate(cell)], points,
+                tq, {})
+               for h, cell, points, tq, _ in by_row(sorted(
+                   itertools.chain(*members)))]
+    radii = []
+    for centers in members:
+        targets = by_row(centers)
+        visits = []
+        for h, head, points, tq, known in queries:
+            bound = math.inf
+            for r, cell, _, ts, gap in targets:
+                got = known.get(r)
+                if got is None:
+                    got = known[r] = offset(head, cell, tq)
+                dist, _, _, lo, hi, half = got
+                if dist >= bound:
+                    continue
+                if r != h:
+                    gap /= 2
+                elif len(ts) == 1:
+                    continue
+                part = max(ts[0] - lo, hi - ts[-1], gap) + half + slack
+                if heisenberg:
+                    part = math.sqrt(part)
+                bound = min(bound, part if part > dist else dist)
+            visits.append((bound, h, points, tq, known))
+        visits.sort(key=itemgetter(0), reverse=True)
+        worst = -math.inf
+        for bound, h, points, tq, known in visits:
+            if bound <= worst:
+                break
+            items = sorted(((known[r][0], ts, found if r == h else None)
+                            + known[r][1:3]
+                            for r, _, found, ts, _ in targets),
+                           key=itemgetter(0))
+            for p, t in zip(points, tq):
+                found = kernel.nearest(items, t, p, worst)
+                if worst < found < math.inf:
+                    worst = found
+        radii.append(worst)
+    return radii
 
 
 # ---------------------------------------------------------------------------

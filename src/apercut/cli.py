@@ -12,8 +12,7 @@ loads `errors`, `heisenberg` and `serialize`. On top of those, `generate`
 and `check-window` load `cutproject` and `quadratic`, `bounds` loads only
 `bounds`, and `analyze` loads `analysis`, `cutproject` and `quadratic`:
 its samples are products of axes, which the analyses run on in pure
-Python. Only return radii beyond `analysis.AXIS_QUERIES` (query, class)
-pairs on a sample of more than one axis load `lattice` and numpy.
+Python, so it loads neither `lattice` nor numpy.
 `growth` and `cover` load only `growth`: word balls are bitsets on plain
 Python integers, so neither numpy, a model-set module nor `quadratic`. No
 command makes a BLAS call. No command loads `dataclasses` (the value

@@ -180,8 +180,12 @@ class ModelSet(Record):
         return tuple(GroupPoint(kind, self._coords(r, -1)) for r in self.rows)
 
     def float_points(self) -> list:
-        """Float coordinates, each equal to float() of its exact value."""
-        return [tuple(p) for p in self.lattice.float_coords().tolist()]
+        """Float coordinates, each equal to float() of its exact value,
+        computed as `analysis.Grid.floats` computes its axes."""
+        c, e = self.scheme.kind.coord_count, self.e
+        root = math.sqrt(self.scheme.d)
+        return [tuple((row[k] + row[c + k] * root) / e for k in range(c))
+                for row in self.rows]
 
     @cached_property
     def axes(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
@@ -213,7 +217,8 @@ class ModelSet(Record):
 
     @cached_property
     def lattice(self) -> Lattice:
-        """The rows as a `Lattice`, built on first use."""
+        """The rows as a `Lattice`, built on first use by the pair route of
+        `analysis`, for sets that are no product of their axes."""
         from .lattice import Lattice  # numpy loads with the pair route
 
         return Lattice(self.scheme.kind, self.scheme.d, self.rows, self.e)

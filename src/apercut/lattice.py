@@ -25,9 +25,10 @@ the kernel tests whole chunks with exact integer arithmetic.
 
 The two float estimates, the covering radius (grid point to nearest sample
 point) and the return radii (centre to nearest other centre of a class),
-are max-min problems and share one kernel (`_MaxMin`). It retires a query
-as soon as some candidate lies within the running maximum W, which is
-exact: a query whose candidate minimum is <= W cannot raise the maximum.
+are max-min problems and share one kernel (`_MaxMin`), one per class for
+the return radii. It retires a query as soon as some candidate lies within
+the running maximum W, which is exact: a query whose candidate minimum is
+<= W cannot raise the maximum.
 A query with no candidate within W or within the round's radius r has its
 nearest target beyond r, since every target within r is a candidate, so
 it goes on to the next round, until the radius reaches that target.
@@ -546,9 +547,9 @@ def separation_pairs(ms: ModelSet, radius: Fraction) -> tuple:
 def covering_pairs(ms: ModelSet, axes: Sequence[Sequence[Fraction]]) -> float:
     """`analysis.covering_radius_estimate` over the grid with the rational
     axis values axes, by the max-min kernel (`_MaxMin`) with the sample
-    points as targets and a single label. The grid is walked in blocks,
-    never built whole. The kernel compares a grid point only with the
-    points of its index neighbourhood, at doubling radii r, each indexed at
+    points as targets. The grid is walked in blocks, never built whole.
+    The kernel compares a grid point only with the points of its index
+    neighbourhood, at doubling radii r, each indexed at
     r + delta (delta from `_float_gauge_error` bounds |float gauge - exact
     gauge| over the region); see `_MaxMin` for why the estimate equals the
     full grid-by-sample scan bit for bit. The candidates come from the
@@ -569,7 +570,7 @@ def covering_pairs(ms: ModelSet, axes: Sequence[Sequence[Fraction]]) -> float:
         u = np.stack([g[a] for g, a in zip(num_axes, at)], axis=1)
         kernel.add([g[a] for g, a in zip(grid_axes, at)],
                    Quad(u, np.zeros_like(u), ms.lattice.d), den)
-    return float(kernel.worst[0])
+    return kernel.worst
 
 
 def patch_rows(ms: ModelSet, centers: Sequence[int], radius: Fraction,
@@ -592,26 +593,23 @@ def patch_rows(ms: ModelSet, centers: Sequence[int], radius: Fraction,
 
 
 def return_radii(ms: ModelSet, classes: Sequence[Sequence[int]]) -> list:
-    """Per class (its ascending centres), the largest over its centres of
-    the float gauge to the nearest other centre of the class, -inf when no
-    centre has another. The centres go through the max-min kernel
-    (`_MaxMin`) as queries and as targets, labelled by class, with one
-    index per round for all classes (the class is the leading digit of its
-    codes)."""
+    """Per class (its ascending centres), the largest over every centre of
+    every class of the float gauge to the nearest other centre of the
+    class, -inf when no centre has one: one max-min kernel (`_MaxMin`) per
+    class, its centres the targets and every centre a query."""
     centers = np.array(sorted(c for cls in classes for c in cls),
                        dtype=np.intp)
-    labels = np.empty(len(centers), dtype=np.intp)
-    for ci, cls in enumerate(classes):
-        labels[np.searchsorted(centers, cls)] = ci
-    kernel = _MaxMin(ms, centers, labels, len(classes))
     lat = ms.lattice
-    # the block's neighbourhoods are kept per round: 4 * PAIR_CHUNK rows
-    block = max(1, 4 * PAIR_CHUNK // 3 ** (lat.kind.coord_count - 1))
-    for start in range(0, len(centers), block):
-        idx = centers[start:start + block]
-        kernel.add([c[idx] for c in kernel.cols], lat.numerators(idx), lat.e,
-                   own=idx)
-    return kernel.worst.tolist()
+    block = max(1, PAIR_CHUNK // 3 ** lat.kind.coord_count)
+    radii = []
+    for cls in classes:
+        kernel = _MaxMin(ms, np.asarray(cls, dtype=np.intp))
+        for start in range(0, len(centers), block):
+            idx = centers[start:start + block]
+            kernel.add([c[idx] for c in kernel.cols], lat.numerators(idx),
+                       lat.e, own=idx)
+        radii.append(kernel.worst)
+    return radii
 
 
 def period_rows(ms: ModelSet, core: Sequence[int],
@@ -645,8 +643,7 @@ def period_rows(ms: ModelSet, core: Sequence[int],
 # At 2^16 the temporaries stay near cache size; 2^18 was no faster on the
 # R=8 and R=12 H1 samples. The max-min kernel derives its sizes from it:
 # pair tiles of PAIR_CHUNK / 4 for the float gauge, a spread sample of
-# PAIR_CHUNK / 1024 queries, and query blocks of PAIR_CHUNK / 3^dim grid
-# points or 4 * PAIR_CHUNK / 3^(dim - 1) centres.
+# PAIR_CHUNK / 1024 queries, and query blocks of PAIR_CHUNK / 3^dim points.
 PAIR_CHUNK = 1 << 16
 
 
@@ -676,12 +673,8 @@ class NeighborIndex:
     searchsorted range.
     """
 
-    def __init__(self, ms: ModelSet, radius: Fraction, points=None,
-                 labels=None) -> None:
-        """Index the sample points `points` (default: all of them). With
-        labels, one non-negative int per indexed point, the label is the
-        leading digit of every code, so the points of one label form one
-        block of the sorted order, keyed by cell inside it."""
+    def __init__(self, ms: ModelSet, radius: Fraction, points=None) -> None:
+        """Index the sample points `points` (default: all of them)."""
         radius = Fraction(radius)
         if radius <= 0:
             raise ValueError("index radius must be positive")
@@ -702,12 +695,6 @@ class NeighborIndex:
         keys = self._keys(lat.numerators(rows), lat.e, own=True)
         self._cells = CellCodes(keys)
         codes = self._cells.codes
-        if labels is not None:
-            labels = np.asarray(labels)
-            top = (int(labels.max()) + 1) * self._cells.size
-            dtype = np.int64 if top < LIMIT else object
-            codes = labels.astype(dtype) * self._cells.size + codes.astype(
-                dtype)
         self._order = np.argsort(codes, kind="stable")
         self._sorted = codes[self._order]
         self._points = np.arange(len(lat)) if points is None else np.asarray(
@@ -781,21 +768,16 @@ class NeighborIndex:
 
     def cell_runs(self, coords: Quad, den: int) -> tuple:
         """The code runs (first, last) of the 3^dim cells around the query
-        points with numerators coords over den, without labels: arrays of
-        shape (Q, 3^(dim-1)) as from `CellCodes.neighbors`."""
+        points with numerators coords over den: arrays of shape (Q,
+        3^(dim-1)) as from `CellCodes.neighbors`."""
         return self._cells.neighbors(self._keys(coords, den, own=False))
 
-    def lookup(self, first, last, label=0) -> tuple:
-        """(lo, count): the indexed points of label (an int, or an int
-        array that broadcasts against first) whose cells lie in the runs
+    def lookup(self, first, last) -> tuple:
+        """(lo, count): the indexed points whose cells lie in the runs
         first..last of `cell_runs`, as runs lo..lo+count-1 of the sorted
-        order. The label digit is looked up at offset 0 only."""
-        label = np.asarray(label)
-        if self._sorted.dtype == object:
-            label = label.astype(object)
-        shift = label * self._cells.size
-        lo = np.searchsorted(self._sorted, first + shift, side="left")
-        hi = np.searchsorted(self._sorted, last + shift, side="right")
+        order."""
+        lo = np.searchsorted(self._sorted, first, side="left")
+        hi = np.searchsorted(self._sorted, last, side="right")
         return lo, hi - lo
 
     def _expand(self, q, lo, counts) -> tuple:
@@ -805,71 +787,52 @@ class NeighborIndex:
 
 
 class _MaxMin:
-    """The max-min kernel: per label c, the largest over query points q of
-    the float symmetric gauge from q to its nearest target of label c,
-    q itself excluded (a directed Hausdorff distance per label). Targets
-    are sample points, every label has one at least, and `worst[c]` holds
-    the running maximum W_c (-inf while no query of label c has a finite
-    distance). Queries arrive in blocks (`add`), and each block meets the
-    labels one at a time.
+    """The max-min kernel: the largest over query points q of the float
+    symmetric gauge from q to its nearest target, q itself excluded (a
+    directed Hausdorff distance). Targets are sample points, one at least,
+    and `worst` holds the running maximum W (-inf while no query has a
+    finite distance). Queries arrive in blocks (`add`).
 
-    The queries of a label go through rounds at radii r = 2^k, from the
-    rung of the label (`_start_rungs`). Round k looks the queries up in one
-    `NeighborIndex` of all targets at r + delta, shared by every label and
-    every block: the label is the leading digit of its codes, so a query
-    looks up the 3^dim cells around it inside the block of its label
-    (offset 0 on the label digit). The neighbourhoods of a block's queries
-    are computed once per round and shared by the labels. The queries of
-    one neighbourhood share its candidate list, ordered by gauge from one
-    of them, so that its first ranks are near for each. A query takes its
-    candidates in rank tiles of doubling width and leaves as soon as one
-    of two things holds:
+    The queries go through rounds at radii r = 2^k, from the rung of the
+    targets (`_start_rung`). Round k looks the queries up in one
+    `NeighborIndex` of the targets at r + delta, shared by every block. The
+    queries of one neighbourhood share its candidate list, ordered by
+    gauge from one of them, so that its first ranks are near for each. A
+    query takes its candidates in rank tiles of doubling width and leaves
+    as soon as one of two things holds:
 
-    * retired: some candidate lies within W_c. Its nearest target is no
+    * retired: some candidate lies within W. Its nearest target is no
       farther, so it cannot raise the maximum, whatever its exact value.
     * settled: all its candidates are in and their minimum m is <= r. The
       nearest target p* of the full scan has float gauge D <= m <= r, so
       its exact gauge is <= r + delta and p* is a candidate: m = D, which
-      W_c then takes.
+      W then takes.
 
-    A query with neither has no candidate within W_c or within r, so its
+    A query with neither has no candidate within W or within r, so its
     nearest target lies beyond r (every target within r is a candidate),
     and it goes on to the next radius. So every query with a finite
     distance leaves by the round whose radius reaches that distance, and
-    W_c ends as the maximum of the full scan bit for bit: the float gauge
-    takes the full scan's operations (`_Gauge`). Taha and Hanbury, "An efficient algorithm for calculating
-    the exact Hausdorff distance" (IEEE TPAMI 37(11), 2015), give the early
-    break and the order: while some W_c is unset, a spread sample of the
-    block's queries is first compared with every target, which sets each
-    W_c near its final value, so the rest mostly retire on their first
-    candidate. A block whose queries times targets fit in one pair chunk
-    is compared whole the same way.
+    W ends as the maximum of the full scan bit for bit: the float gauge
+    takes the full scan's operations (`_Gauge`). Taha and Hanbury, "An
+    efficient algorithm for calculating the exact Hausdorff distance"
+    (IEEE TPAMI 37(11), 2015), give the early break and the order: while W
+    is unset, a spread sample of the block's queries is first compared
+    with every target, which sets W near its final value, so the rest
+    mostly retire on their first candidate. A block whose queries times
+    targets fit in one pair chunk is compared whole the same way.
     """
 
-    def __init__(self, ms: ModelSet, targets=None, labels=None,
-                 label_count: int = 1) -> None:
+    def __init__(self, ms: ModelSet, targets=None) -> None:
         self.ms = ms
-        self.targets = targets
-        self.labels = labels
         floats = ms.lattice.float_coords()
         self.cols = [np.ascontiguousarray(floats[:, k])
                      for k in range(floats.shape[1])]
         self.delta = _float_gauge_error(ms.scheme.kind, _float_magnitude(ms))
-        self.worst = np.full(label_count, -math.inf)
-        points = np.arange(len(ms)) if targets is None else targets
-        label = np.zeros(len(points), dtype=np.intp) if labels is None \
-            else np.asarray(labels)
-        counts = np.bincount(label, minlength=label_count)
-        self.start = _start_rungs(ms, counts)
-        # the one target of a single-target label is no target for itself
-        self.only = np.full(label_count, -1)
-        single = counts[label] == 1
-        self.only[label[single]] = points[single]
-        # the targets by label, for blocks compared with all of them
-        by_label = np.argsort(label, kind="stable")
-        self.by_label = points[by_label]
-        self.label_starts = np.flatnonzero(
-            np.r_[True, np.diff(label[by_label]) != 0])
+        self.worst = -math.inf
+        self.points = np.arange(len(ms)) if targets is None else targets
+        self.start = _start_rung(ms, len(self.points))
+        # the one target of a single-target kernel is no target for itself
+        self.only = int(self.points[0]) if len(self.points) == 1 else -1
         self.indexes: dict[int, NeighborIndex] = {}
         self.gauge = _Gauge(ms.scheme.kind)
         self.tile = max(1, PAIR_CHUNK >> 2)
@@ -880,27 +843,28 @@ class _MaxMin:
         and exact numerators qnum (shape (B, dim)) over den; own holds
         their sample indices when they are targets too."""
         size = len(qcols[0])
-        if size * len(self.by_label) <= PAIR_CHUNK:
+        if size * len(self.points) <= PAIR_CHUNK:
             self._all_pairs(qcols, own, np.arange(size))
             return
         first = np.zeros(size, dtype=bool)
-        if (self.worst == -math.inf).any():
-            # a spread sample against every target sets each W_c
+        if self.worst == -math.inf:
+            # a spread sample against every target sets W
             first[::max(1, size // self.sample)] = True
             self._all_pairs(qcols, own, np.flatnonzero(first))
-        rest = np.flatnonzero(~first)
-        self._block = (qcols, qnum, den, own, {})
-        for label in range(len(self.worst)):
-            queries = rest
-            if own is not None and self.only[label] >= 0:
-                queries = rest[own[rest] != self.only[label]]
-            self._label(label, queries)
-        del self._block
+        queries = np.flatnonzero(~first)
+        if own is not None and self.only >= 0:
+            queries = queries[own[queries] != self.only]
+        near = np.full(len(queries), math.inf)
+        rung = self.start
+        while queries.size:
+            done = self._round(rung, queries, near, qcols, qnum, den, own)
+            queries, near = queries[~done], near[~done]
+            rung += 1
 
     def _all_pairs(self, qcols: list, own, rows: np.ndarray) -> None:
         """The query points rows against every target: a round at a radius
         beyond every distance, so each of them settles."""
-        targets = self.by_label
+        targets = self.points
         step = max(1, PAIR_CHUNK // len(targets))
         for s in range(0, len(rows), step):
             q = rows[s:s + step]
@@ -909,55 +873,34 @@ class _MaxMin:
             dist = self._gauges(qcols, i, j)
             if own is not None:
                 dist[j == own[i]] = math.inf
-            nearest = np.minimum.reduceat(dist.reshape(len(q), -1),
-                                          self.label_starts, axis=1)
-            nearest[np.isinf(nearest)] = -math.inf
-            np.maximum(self.worst, nearest.max(axis=0), out=self.worst)
-
-    def _label(self, label: int, queries: np.ndarray) -> None:
-        rung = int(self.start[label])
-        near = np.full(len(queries), math.inf)
-        while queries.size:
-            done = self._round(label, rung, queries, near)
-            queries, near = queries[~done], near[~done]
-            rung += 1
+            nearest = dist.reshape(len(q), -1).min(axis=1)
+            finite = nearest[np.isfinite(nearest)]
+            if finite.size:
+                self.worst = max(self.worst, float(finite.max()))
 
     def _index(self, rung: int) -> NeighborIndex:
         index = self.indexes.get(rung)
         if index is None:
             index = self.indexes[rung] = NeighborIndex(
-                self.ms, Fraction(2) ** rung + self.delta, self.targets,
-                self.labels)
+                self.ms, Fraction(2) ** rung + self.delta, self.points)
         return index
 
-    def _hoods(self, rung: int, index: NeighborIndex,
-               queries: np.ndarray) -> tuple:
-        """Per query, its neighbourhood: a row of the distinct code runs
-        (first, last) of `NeighborIndex.cell_runs`. With several labels
-        the rows of the whole block are computed once per round."""
-        _, qnum, den, _, cache = self._block
-        if len(self.worst) == 1:  # nothing to share: the open queries only
-            return _distinct_rows(*index.cell_runs(qnum[queries], den))
-        if rung not in cache:
-            cache[rung] = _distinct_rows(*index.cell_runs(qnum, den))
-        hood, first, last = cache[rung]
-        return hood[queries], first, last
-
-    def _round(self, label: int, rung: int, queries: np.ndarray,
-               near: np.ndarray) -> np.ndarray:
-        """One round at radius 2^rung for the queries of label, whose
-        running minima near it updates; returns which are done."""
+    def _round(self, rung: int, queries: np.ndarray, near: np.ndarray,
+               qcols: list, qnum: Quad, den: int, own) -> np.ndarray:
+        """One round at radius 2^rung for the queries, whose running
+        minima near it updates; returns which are done."""
         r = 2.0 ** rung  # a power of two: the float is exact
-        worst = self.worst
-        done = near <= worst[label]
+        done = near <= self.worst
         live = np.flatnonzero(~done)
         if not live.size:
             return done
         index = self._index(rung)
-        hood, first, last = self._hoods(rung, index, queries)
+        # per query, its neighbourhood: a row of distinct code runs
+        hood, first, last = _distinct_rows(*index.cell_runs(qnum[queries],
+                                                            den))
         need = np.zeros(len(first), dtype=bool)
         need[hood[live]] = True
-        lo, cnt = index.lookup(first[need], last[need], label)
+        lo, cnt = index.lookup(first[need], last[need])
         total = cnt.sum(axis=1)
         row = (np.cumsum(need) - 1)[hood]  # per query, a row of lo and cnt
         live = live[total[row[live]] > 0]
@@ -966,7 +909,6 @@ class _MaxMin:
         # each row's candidates, nearest to one of its queries first: the
         # queries of a row share their cells, so its early ranks are near
         # for each of them
-        qcols, _, _, own, _ = self._block
         rep = np.empty(len(total), dtype=np.intp)
         rep[row[live[::-1]]] = queries[live[::-1]]
         owner = np.repeat(np.arange(len(total)), total)
@@ -993,11 +935,12 @@ class _MaxMin:
                 near[live] = g
             else:
                 _min_into(near, pair, g)
-            retired = near[live] <= worst[label]
+            retired = near[live] <= self.worst
             spent = total[rows] <= b
             settled = spent & ~retired & (near[live] <= r)
             if settled.any():
-                worst[label] = max(worst[label], near[live[settled]].max())
+                self.worst = max(self.worst,
+                                 float(near[live[settled]].max()))
             done[live[retired | settled]] = True
             live = live[~(retired | spent)]
             a, b = b, 2 * b
@@ -1014,19 +957,19 @@ class _MaxMin:
         return out
 
 
-def _start_rungs(ms: ModelSet, counts: np.ndarray) -> np.ndarray:
-    """Per label with counts[c] >= 1 targets, the exponent k whose radius
-    2^k lies nearest (in log scale) the typical nearest distance to them:
-    the radius whose gauge ball would hold one target if they spread
-    evenly over the region (axes narrower than 1 taken as 1). The
-    radius is only a starting guess; the rounds are exact from any."""
+def _start_rung(ms: ModelSet, count: int) -> int:
+    """For count >= 1 targets, the exponent k whose radius 2^k lies
+    nearest (in log scale) the typical nearest distance to them: the
+    radius whose gauge ball would hold one target if they spread evenly
+    over the region (axes narrower than 1 taken as 1). The radius is only
+    a starting guess; the rounds are exact from any."""
     kind = ms.scheme.kind
     if kind.family is Family.EUCLIDEAN:
         ball, dim = kind.rank, kind.rank  # log2 of the unit ball's volume
     else:
         ball, dim = 2 * kind.rank + 1, 2 * kind.rank + 2
     volume = sum(math.log2(max(hi - lo, 1)) for lo, hi in ms.region.intervals)
-    return np.rint((volume - ball - np.log2(counts)) / dim).astype(np.intp)
+    return round((volume - ball - math.log2(count)) / dim)
 
 
 def _distinct_rows(first: np.ndarray, last: np.ndarray) -> tuple:
@@ -1049,7 +992,7 @@ def _distinct_rows(first: np.ndarray, last: np.ndarray) -> tuple:
         _, index, inverse = np.unique(rows, axis=0, return_index=True,
                                       return_inverse=True)
         inverse = inverse.reshape(-1)
-    # sorted needles make the label lookups' binary searches cheap
+    # sorted needles make the lookups' binary searches cheap
     order = np.argsort(first[index, 0], kind="stable")
     rank = np.empty(len(order), dtype=np.intp)
     rank[order] = np.arange(len(order))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from apercut import analysis, lattice
@@ -49,9 +49,11 @@ from oracles import (
     brute_patch_classes,
     brute_periods,
     brute_separation,
+    cut_project_samples,
     dense_covering,
     float_sym_gauge,
     pair_route,
+    progression_samples,
     reference_return_radii,
     small_samples,
 )
@@ -669,6 +671,33 @@ def test_max_min_kernel_matches_full_scans_on_random_samples(data):
         _check_kernel(data, route(ms), step)
     finally:
         lattice.PAIR_CHUNK = default
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_max_min_kernel_matches_full_scans_on_random_product_classes(data):
+    # random classes on product samples: classes of one centre, classes
+    # spread over many head rows and rows holding one centre each reach
+    # the bounds of the axis kernel
+    ms = data.draw(cut_project_samples() | progression_samples(),
+                   label="sample")
+    assume(len(ms) >= 2)
+    assert ms.grid is not None
+    step = Fraction(2 if ms.scheme.kind.coord_count > 3 else 1)
+    route = data.draw(st.sampled_from(ROUTES), label="route")
+    _check_kernel(data, route(ms), step)
+
+
+def test_return_radii_of_a_large_catalog_equal_on_both_routes():
+    # the R = 8 flagship sample at K = 2: 411 classes over 5,499 centres
+    ms = generate_model_set(SCHEME_H1, Box.cube(H1, Fraction(9, 10)),
+                            Box(((-8, 8), (-8, 8), (-64, 64))))
+    radius = Fraction(2)
+    catalog = patch_catalog(ms, radius)
+    assert catalog.center_count * catalog.class_count > 1 << 16
+    report = repetitivity_radii(ms, radius, catalog)
+    assert repetitivity_radii(pair_route(ms), radius, catalog) == report
+    assert report.max_return_radius == 11.65685424949238
 
 
 def _check_kernel(data, ms, step):

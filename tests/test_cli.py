@@ -856,6 +856,43 @@ def cli_argv(draw):
     return argv
 
 
+@st.composite
+def word_argv(draw):
+    """growth, cover or bounds with drawn groups, radii and sizes: mostly
+    small and valid, now and then zero, negative or no group at all; and
+    for growth and cover, now and then --budget at zero, a negative value,
+    text that is no integer or a small budget. No budget above 2000 is
+    drawn, so every ball stays small. The output, if any, goes to the file
+    "out.txt"."""
+    command = draw(st.sampled_from(["growth", "cover", "bounds"]))
+    if command == "bounds":
+        argv = ["bounds",
+                "--dg", str(draw(mostly(st.integers(0, 40),
+                                        st.sampled_from([-1, 5000])))),
+                "--dimx", str(draw(mostly(st.integers(0, 10),
+                                          st.sampled_from([-2, -1]))))]
+    else:
+        group = draw(mostly(
+            st.sampled_from(["z1", "z2", "z3", "h1z", "h2z"]),
+            st.sampled_from(["z0", "h0z", "h1", "x2", ""])))
+        argv = [command, "--group", group]
+        if command == "growth":
+            argv += ["--kmax", str(draw(mostly(st.integers(0, 12),
+                                               st.integers(-3, -1))))]
+            if draw(st.booleans()):
+                argv += ["--kmin", str(draw(st.integers(-2, 12)))]
+        else:
+            for option in ("--a", "--n"):
+                argv += [option, str(draw(mostly(st.integers(1, 3),
+                                                 st.integers(-2, 0))))]
+        if draw(st.booleans()):
+            argv += ["--budget", draw(st.sampled_from(
+                ["0", "-1", "-5", "abc", "1.5", "", "50", "2000"]))]
+    if draw(st.booleans()):
+        argv += ["--out", "out.txt"]
+    return argv
+
+
 def run_in(directory, argv):
     """(exit code, stdout, files written) of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
@@ -873,12 +910,14 @@ def run_in(directory, argv):
     return code, out.getvalue(), files
 
 
-@settings(max_examples=200, deadline=None)
-@given(argv=cli_argv())
-def test_every_argv_exits_with_a_documented_code(argv):
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argv() | word_argv(),
+       budget=mostly(st.just("2000"), st.sampled_from(["0", "-3", "abc",
+                                                       "1.5"])))
+def test_every_argv_exits_with_a_documented_code(argv, budget):
     with tempfile.TemporaryDirectory() as first, \
             tempfile.TemporaryDirectory() as second, \
-            mock.patch.dict(os.environ, {"APERCUT_BUDGET": "2000"}):
+            mock.patch.dict(os.environ, {"APERCUT_BUDGET": budget}):
         code, out, files = run_in(Path(first), argv)
         assert code in (0, 2, 3, 4, 5, 6)
         if code:

@@ -3,10 +3,9 @@
 
 Neither `import apercut`, `import apercut.cli` nor any command but
 `analyze` imports numpy, and `analyze` runs on the axes of a product
-sample, loading neither numpy nor `apercut.lattice` on the samples here.
-Only the pair route loads them: the analysis of a set that is no product
-of its axes (a `ModelSet.from_points` set), or return radii of large
-catalogs. Neither `import
+sample, loading neither numpy nor `apercut.lattice`, whatever the size of
+its catalogs. Only the pair route loads them: the analysis of a set that
+is no product of its axes (a `ModelSet.from_points` set). Neither `import
 apercut.cli` nor `growth`, `cover` and `bounds` load a model-set module or
 `quadratic`. No command loads `dataclasses`, and neither `import
 apercut.cli` nor `growth` loads `hashlib`: only a command that writes a
@@ -61,6 +60,10 @@ def sample(tmp_path_factory):
                 "--n", "1", "--d", "2", "--window=-9/10,9/10;-9/10,9/10;"
                 "-9/10,9/10", "--region=-4,4;-4,4;-12,12", "--out",
                 "h1.json"], cwd)
+    run_python(["-m", "apercut.cli", "generate", "--kind", "heisenberg",
+                "--n", "1", "--d", "2", "--window=-9/10,9/10;-9/10,9/10;"
+                "-9/10,9/10", "--region=-8,8;-8,8;-64,64", "--out",
+                "r8.json"], cwd)
     return cwd
 
 
@@ -167,7 +170,10 @@ def test_command_does_not_load_numpy(argv, module, expected, tmp_path):
     (["analyze", "--in", "h1.json", "--K", "1,2", "--period-bound", "1",
       "--grid-step", "1/2", "--out", "h1-report.json"],
      "covering radius (grid estimate):"),
-], ids=["analyze", "analyze-h1"])
+    # 43 classes over 6,201 centres: 266,643 (query, class) pairs
+    (["analyze", "--in", "r8.json", "--K", "1", "--period-bound", "2",
+      "--out", "r8-report.json"], "patch classes at K=1: 43 (6201 centers)"),
+], ids=["analyze", "analyze-h1", "analyze-r8"])
 def test_analyze_loads_no_numpy(argv, expected, sample):
     proc = run_python(["-X", "importtime", "-m", "apercut.cli", *argv],
                       sample)
@@ -176,6 +182,19 @@ def test_analyze_loads_no_numpy(argv, expected, sample):
     assert "apercut.analysis" in modules
     assert not loads_numpy(modules)
     assert "apercut.lattice" not in modules
+
+
+def test_model_set_csv_loads_no_numpy(sample):
+    script = ("import sys\n"
+              "from apercut.serialize import model_set_csv_text, "
+              "read_model_set\n"
+              "ms, _ = read_model_set('h1.json')\n"
+              "text = model_set_csv_text(ms)\n"
+              "print(len(text.splitlines()), 'numpy' in sys.modules)\n")
+    proc = run_python(["-c", script], sample)
+    rows, numpy_loaded = proc.stdout.split()
+    assert int(rows) > 1
+    assert numpy_loaded == "False"
 
 
 # Every analysis of a set that is no product of its axes runs, on the pair
