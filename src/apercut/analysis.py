@@ -42,7 +42,10 @@ alone. The phases built on that neighbourhood:
 
 On one axis the return radii need only the neighbours of each centre in
 index order. Any other sample (`ModelSet.from_points` sets) takes the pair
-route of `lattice`, which loads numpy.
+route of `lattice`, which loads numpy, for its exact phases. Its two float
+estimates stay here: the covering estimate and the return radii scan the
+rows of the grid of its own axes with the same kernel, `_MaxMin`, with no
+bound that skips a row of queries.
 """
 
 from __future__ import annotations
@@ -119,9 +122,11 @@ class Grid:
     """The axes of a sample that is their product, prepared for the axis
     kernels. Per axis k: `values[k]`, the ascending numerator pairs (u, w)
     over e (`ModelSet.axes`), and `floats[k]`, each equal to float() of its
-    value as `Lattice.float_coords` computes it, so the float gauges here
+    value as `ModelSet.float_points` computes it, so the float gauges here
     are those of the full scans. `magnitude` bounds (|u| + |w|*sqrt(d))/e
-    over every axis value."""
+    over every axis value. On a set that is no product of its axes, or
+    whose float order disagrees with its exact order, the grid of its own
+    axes serves only the plain row scan of the float estimates."""
 
     def __init__(self, ms: ModelSet) -> None:
         self.kind = kind = ms.scheme.kind
@@ -615,7 +620,7 @@ def _first_pair(grid: Grid, best: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# covering radius estimate, and the max-min kernel of product samples
+# covering radius estimate, and the max-min kernel
 # ---------------------------------------------------------------------------
 
 def covering_radius_estimate(
@@ -625,9 +630,11 @@ def covering_radius_estimate(
     float symmetric distance to the nearest sample point. Resolution
     grid_step; not exact.
 
-    The value equals the full grid-by-sample scan bit for bit: on a product
-    sample through `_MaxMin` below, on any other through the pair route of
-    `lattice` (`lattice.covering_pairs`).
+    The value equals the full grid-by-sample scan bit for bit, through
+    `_MaxMin` below: on a product sample the rows around each grid head are
+    walked outward on the axes (`_Rows`); on any other, every row of the
+    grid of its own axes is sorted by head gauge from the grid head
+    (`_scan_rows`).
 
     Raises BudgetExceededError before any work when the grid has more
     points than `errors.element_budget()`.
@@ -654,31 +661,32 @@ def covering_radius_estimate(
         shape.append(int((b - a) / grid_step) + 1)
     total = math.prod(shape)
     check_budget(total, f"covering grid of {total} points")
-    axes = [[a + k * grid_step for k in range(count)]
-            for a, count in zip(starts, shape)]
-    grid = ms.grid
+    floats = [[float(a + k * grid_step) for k in range(count)]
+              for a, count in zip(starts, shape)]
+    grid, rows = ms.grid, None
     if grid is None:
-        from .lattice import covering_pairs
-
-        return covering_pairs(ms, axes)
+        grid = Grid(ms)
+        rows = _scan_rows(grid, _cells(ms, grid), range(len(ms)))
     kernel = _MaxMin(grid)
-    floats = [[float(v) for v in axis] for axis in axes]
     worst = -math.inf
     for head in itertools.product(*floats[:-1]):
-        rows = _Rows(kernel, head)
+        if rows is None:
+            walk = _Rows(kernel, head)
+            items, extend = walk.items, walk.extend
+        else:
+            items, extend = _scan_items(kernel, head, rows, {}), None
         for t in floats[-1]:
-            worst = max(worst, kernel.nearest(rows.items, t, None, worst,
-                                              rows.extend))
+            worst = max(worst, kernel.nearest(items, t, None, worst, extend))
     return worst
 
 
 class _MaxMin:
-    """The max-min kernel of a product sample: the float symmetric gauge
-    from a query point to its nearest target, the query itself excluded.
-    The targets are sample points grouped by head cell (all axes but the
-    last) into rows, each row a sorted list of last-axis floats: every
-    sample point for the covering estimate, the centres of one class for
-    the return radii.
+    """The max-min kernel of every sample, on the grid of its axes: the
+    float symmetric gauge from a query point to its nearest target, the
+    query itself excluded. The targets are sample points grouped by head
+    cell (all axes but the last) into rows, each row a sorted list of
+    last-axis floats: every sample point for the covering estimate, the
+    centres of one class for the return radii.
 
     `nearest` reads rows in order of increasing head gauge (the max over
     the head axes of |dx| and |dy|), and stops at a row whose head gauge
@@ -688,11 +696,13 @@ class _MaxMin:
     z| for z = t + (<c_x, dy> + <p_x, dy>)/2 (on Z^m, t) up to rounding, so
     the row's targets are read outward from z on both sides until that
     bound exceeds the best value. The gauge takes the full scan's float
-    operations in its order (`lattice._Gauge`), so the nearest value is
-    the full scan's bit for bit. The search also stops as soon as some
-    target lies within `worst`, the running maximum of the caller: that
-    query cannot raise it (Taha and Hanbury, "An efficient algorithm for
-    calculating the exact Hausdorff distance", IEEE TPAMI 37(11), 2015)."""
+    operations in its order (the t parts dt - <c_x, dy> and <p_x, dy> - dt,
+    the root of the larger of their absolute values, then the maximum with
+    the head gauge), so the nearest value is the full scan's bit for bit.
+    The search also stops as soon as some target lies within `worst`, the
+    running maximum of the caller: that query cannot raise it (Taha and
+    Hanbury, "An efficient algorithm for calculating the exact Hausdorff
+    distance", IEEE TPAMI 37(11), 2015)."""
 
     def __init__(self, grid: Grid) -> None:
         self.grid = grid
@@ -700,6 +710,14 @@ class _MaxMin:
         region = max(abs(v) for iv in grid.region.intervals for v in iv)
         scale = max(grid.magnitude, float(region)) + 1
         self.slack = FLOAT_SLACK * (grid.n + 2) * scale * scale
+
+    def offset(self, head: Sequence[float], cell: Sequence[int]) -> tuple:
+        """(head gauge, <c_x, dy>, <p_x, dy>) from a query with head floats
+        head to the head cell cell; the head gauge is 0.0 on one axis."""
+        floats = self.grid.floats
+        dist = max((abs(floats[k][i] - h)
+                    for k, (i, h) in enumerate(zip(cell, head))), default=0.0)
+        return (dist,) + self.shear(head, cell)
 
     def shear(self, head: Sequence[float], cell: Sequence[int]) -> tuple:
         """(<c_x, dy>, <p_x, dy>) from a query with head floats head to the
@@ -815,6 +833,43 @@ class _Rows:
                 continue
             for cells in itertools.product(*parts):
                 yield (dist, last, None) + kernel.shear(head, cells)
+
+
+def _cells(ms: ModelSet, grid: Grid) -> list[tuple]:
+    """Per point of ms, its axis indices on grid, the grid of its own
+    axes."""
+    c = len(grid.values)
+    at = [{v: i for i, v in enumerate(axis)} for axis in grid.values]
+    return [tuple(at[k][row[k], row[c + k]] for k in range(c))
+            for row in ms.rows]
+
+
+def _scan_rows(grid: Grid, cells: list, points: Iterable[int]) -> list:
+    """The points, with axis indices cells, as rows of the plain scan: per
+    head cell (every axis but the last, on Z^m too), (head cell, points,
+    last-axis floats), sorted by float, which need not be index order."""
+    last = grid.floats[-1]
+    rows: dict = {}
+    for p in points:
+        rows.setdefault(cells[p][:-1], []).append((last[cells[p][-1]], p))
+    return [(head, [p for _, p in row], [f for f, _ in row])
+            for head, row in ((h, sorted(r)) for h, r in rows.items())]
+
+
+def _scan_items(kernel: _MaxMin, head: Sequence[float], rows: list,
+                known: dict, own: tuple | None = None) -> list:
+    """The items of `_MaxMin.nearest` from a query with head floats head to
+    the rows of `_scan_rows`, in order of increasing head gauge; the
+    offsets are cached in known by head cell, and only the row of head cell
+    own (the query's) keeps its points."""
+    items = []
+    for cell, points, ts in rows:
+        got = known.get(cell)
+        if got is None:
+            got = known[cell] = kernel.offset(head, cell)
+        items.append((got[0], ts, points if cell == own else None) + got[1:])
+    items.sort(key=itemgetter(0))
+    return items
 
 
 class DeloneReport(Record):
@@ -1164,8 +1219,7 @@ def repetitivity_radii(ms: ModelSet, radius: Fraction,
 
     Each radius equals the full scan's bit for bit: on a product sample of
     one axis by `_line_return_radii`, of more axes by `_axis_return_radii`;
-    on any other through the pair route of `lattice`
-    (`lattice.return_radii`)."""
+    on any other by the plain row scan `_scan_return_radii`."""
     radius = Fraction(radius)
     if catalog is None:
         catalog = patch_catalog(ms, radius)
@@ -1175,9 +1229,7 @@ def repetitivity_radii(ms: ModelSet, radius: Fraction,
     members = [cls.centers for cls in catalog.classes]
     grid = ms.grid
     if grid is None:
-        from .lattice import return_radii
-
-        worst = return_radii(ms, members)
+        worst = _scan_return_radii(Grid(ms), ms, members)
     elif len(grid.sizes) == 1:
         worst = _line_return_radii(grid, members)
     else:
@@ -1282,9 +1334,7 @@ def _axis_return_radii(grid: Grid, members: Sequence[Sequence[int]]
 
     def offset(head: list, cell: list, tq: list) -> tuple:
         # (dist, cd, pd, t_lo + mid, t_hi + mid, |cd - pd|/2)
-        dist = max(abs(grid.floats[k][i] - head[k])
-                   for k, i in enumerate(cell))
-        cd, pd = kernel.shear(head, cell)
+        dist, cd, pd = kernel.offset(head, cell)
         mid = (cd + pd) / 2
         return dist, cd, pd, tq[0] + mid, tq[-1] + mid, abs(cd - pd) / 2
 
@@ -1325,6 +1375,35 @@ def _axis_return_radii(grid: Grid, members: Sequence[Sequence[int]]
                             + known[r][1:3]
                             for r, _, found, ts, _ in targets),
                            key=itemgetter(0))
+            for p, t in zip(points, tq):
+                found = kernel.nearest(items, t, p, worst)
+                if worst < found < math.inf:
+                    worst = found
+        radii.append(worst)
+    return radii
+
+
+def _scan_return_radii(grid: Grid, ms: ModelSet,
+                       members: Sequence[Sequence[int]]) -> list[float]:
+    """`_axis_return_radii` by the plain row scan, on the grid of the own
+    axes of a sample that is no product of them, or whose float order
+    disagrees with its exact order: per class, every query is evaluated by
+    `_MaxMin.nearest` over the class's rows. No bound skips a query row, so
+    the two routes agree only if the bounds of `_axis_return_radii` hold.
+    The offsets between a query row and a row of centres are cached per
+    pair of rows and shared by the classes."""
+    kernel = _MaxMin(grid)
+    cells = _cells(ms, grid)
+    queries = [(cell, [grid.floats[k][i] for k, i in enumerate(cell)],
+                points, tq, {})
+               for cell, points, tq in _scan_rows(
+                   grid, cells, sorted(itertools.chain(*members)))]
+    radii = []
+    for centers in members:
+        targets = _scan_rows(grid, cells, centers)
+        worst = -math.inf
+        for cell, head, points, tq, known in queries:
+            items = _scan_items(kernel, head, targets, known, cell)
             for p, t in zip(points, tq):
                 found = kernel.nearest(items, t, p, worst)
                 if worst < found < math.inf:

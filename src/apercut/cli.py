@@ -315,6 +315,12 @@ def cmd_cover(args) -> int:
 def cmd_bounds(args) -> int:
     from . import bounds as bounds_mod
 
+    # 11^d_g has more than d_g digits, so past the limit of integer
+    # printing no bound could be printed: refuse it before the power
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and args.dg > limit:
+        raise ValueError(f"--dg must be at most {limit}, the digit limit of "
+                         f"integer printing, got {args.dg}")
     tube = bounds_mod.tube_dim_bound(args.dg, args.dimx)
     from_tube = bounds_mod.nuclear_dim_from_tube(args.dimx, tube)
     nuclear = bounds_mod.nuclear_dim_bound(args.dg, args.dimx)

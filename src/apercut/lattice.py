@@ -18,20 +18,13 @@ answers are the same either way.
 
 `analysis` runs every phase of a sample that is a product of axes on those
 axes in pure Python. The functions at the end of this module are its route
-for the other samples (`ModelSet.from_points` sets): the neighbour index
+for the exact phases of the other samples (`ModelSet.from_points` sets):
+interior cores, separation, patches and periods. The neighbour index
 (`NeighborIndex`) emits candidate pairs as index arrays, in bounded chunks
 (the period search takes its candidates from one core point instead), and
-the kernel tests whole chunks with exact integer arithmetic.
-
-The two float estimates, the covering radius (grid point to nearest sample
-point) and the return radii (centre to nearest other centre of a class),
-are max-min problems and share one kernel (`_MaxMin`), one per class for
-the return radii. It retires a query as soon as some candidate lies within
-the running maximum W, which is exact: a query whose candidate minimum is
-<= W cannot raise the maximum.
-A query with no candidate within W or within the round's radius r has its
-nearest target beyond r, since every target within r is a candidate, so
-it goes on to the next round, until the radius reaches that target.
+the kernel tests whole chunks with exact integer arithmetic. The two float
+estimates, the covering radius and the return radii, run in `analysis` on
+every sample.
 
 The index follows the left-invariant metric: for H_n it keys t on the
 sheared coordinate t - <X, y>, X the centre of the point's x-cell, in cells
@@ -369,13 +362,6 @@ class Lattice:
         return Quad(self.rows[idx, :c], self.rows[idx, c:], self.d,
                     self.bound)
 
-    def float_coords(self) -> np.ndarray:
-        """Float coordinates, shape (N, coord_count), each equal to float()
-        of its exact value: float(QuadNum) computes (p + q*sqrt(d))/den,
-        and when e is the least common denominator of ring elements, e/den
-        is 1 or 2, so scaling p, q and den by it changes no rounding."""
-        return self.numerators().to_float() / self.e
-
 
 def cell_floor(num: Quad, den: int, size: Fraction) -> np.ndarray:
     """floor(num / (den * size)), exactly, for numerators num over an
@@ -544,35 +530,6 @@ def separation_pairs(ms: ModelSet, radius: Fraction) -> tuple:
             (int(i[first]), int(j[first])), radius)
 
 
-def covering_pairs(ms: ModelSet, axes: Sequence[Sequence[Fraction]]) -> float:
-    """`analysis.covering_radius_estimate` over the grid with the rational
-    axis values axes, by the max-min kernel (`_MaxMin`) with the sample
-    points as targets. The grid is walked in blocks, never built whole.
-    The kernel compares a grid point only with the points of its index
-    neighbourhood, at doubling radii r, each indexed at
-    r + delta (delta from `_float_gauge_error` bounds |float gauge - exact
-    gauge| over the region); see `_MaxMin` for why the estimate equals the
-    full grid-by-sample scan bit for bit. The candidates come from the
-    query keys of the grid point itself: exact floors of its coordinates,
-    held as integer numerators over one common denominator, and the sheared
-    cells of `NeighborIndex` keep every point within r + delta among them
-    wherever the region lies."""
-    shape = [len(axis) for axis in axes]
-    total = math.prod(shape)
-    grid_axes = [np.array([float(v) for v in axis]) for axis in axes]
-    den = math.lcm(1, *(v.denominator for axis in axes for v in axis))
-    num_axes = [int_array([int(v * den) for v in axis])[0] for axis in axes]
-    kernel = _MaxMin(ms)
-    block = max(1, PAIR_CHUNK // 3 ** len(shape))
-    for start in range(0, total, block):
-        at = np.unravel_index(np.arange(start, min(start + block, total)),
-                              shape)
-        u = np.stack([g[a] for g, a in zip(num_axes, at)], axis=1)
-        kernel.add([g[a] for g, a in zip(grid_axes, at)],
-                   Quad(u, np.zeros_like(u), ms.lattice.d), den)
-    return kernel.worst
-
-
 def patch_rows(ms: ModelSet, centers: Sequence[int], radius: Fraction,
                index: "NeighborIndex") -> tuple[list, dict]:
     """Patches at the centers, each as a key (the sorted numerator rows of
@@ -590,26 +547,6 @@ def patch_rows(ms: ModelSet, centers: Sequence[int], radius: Fraction,
                  for a, b in zip([0] + cuts, cuts + [len(rows)])]
     order = row_key(lat.kind.coord_count, lat.d)
     return keys, {key: tuple(sorted(key, key=order)) for key in set(keys)}
-
-
-def return_radii(ms: ModelSet, classes: Sequence[Sequence[int]]) -> list:
-    """Per class (its ascending centres), the largest over every centre of
-    every class of the float gauge to the nearest other centre of the
-    class, -inf when no centre has one: one max-min kernel (`_MaxMin`) per
-    class, its centres the targets and every centre a query."""
-    centers = np.array(sorted(c for cls in classes for c in cls),
-                       dtype=np.intp)
-    lat = ms.lattice
-    block = max(1, PAIR_CHUNK // 3 ** lat.kind.coord_count)
-    radii = []
-    for cls in classes:
-        kernel = _MaxMin(ms, np.asarray(cls, dtype=np.intp))
-        for start in range(0, len(centers), block):
-            idx = centers[start:start + block]
-            kernel.add([c[idx] for c in kernel.cols], lat.numerators(idx),
-                       lat.e, own=idx)
-        radii.append(kernel.worst)
-    return radii
 
 
 def period_rows(ms: ModelSet, core: Sequence[int],
@@ -641,9 +578,8 @@ def period_rows(ms: ModelSet, core: Sequence[int],
 
 # Candidate pairs per chunk: bounds the memory of the vectorized predicates.
 # At 2^16 the temporaries stay near cache size; 2^18 was no faster on the
-# R=8 and R=12 H1 samples. The max-min kernel derives its sizes from it:
-# pair tiles of PAIR_CHUNK / 4 for the float gauge, a spread sample of
-# PAIR_CHUNK / 1024 queries, and query blocks of PAIR_CHUNK / 3^dim points.
+# R=8 and R=12 H1 samples. The period search grows its blocks of core
+# points up to PAIR_CHUNK candidate tests.
 PAIR_CHUNK = 1 << 16
 
 
@@ -673,8 +609,7 @@ class NeighborIndex:
     searchsorted range.
     """
 
-    def __init__(self, ms: ModelSet, radius: Fraction, points=None) -> None:
-        """Index the sample points `points` (default: all of them)."""
+    def __init__(self, ms: ModelSet, radius: Fraction) -> None:
         radius = Fraction(radius)
         if radius <= 0:
             raise ValueError("index radius must be positive")
@@ -691,16 +626,10 @@ class NeighborIndex:
             # the x-cell offsets of the columns a query looks up
             self._columns = np.array(
                 list(itertools.product((-1, 0, 1), repeat=n)))
-        rows = slice(None) if points is None else points
-        keys = self._keys(lat.numerators(rows), lat.e, own=True)
-        self._cells = CellCodes(keys)
+        self._cells = CellCodes(self._keys(lat.numerators(), lat.e, own=True))
         codes = self._cells.codes
         self._order = np.argsort(codes, kind="stable")
         self._sorted = codes[self._order]
-        self._points = np.arange(len(lat)) if points is None else np.asarray(
-            points, dtype=np.intp)
-        if points is not None:
-            self._order = self._points[self._order]
 
     def _keys(self, coords: Quad, den: int, own: bool) -> list:
         """Cell keys of the points with numerators coords over den: one
@@ -737,11 +666,11 @@ class NeighborIndex:
         over the 3^dim cell neighborhood of i, i itself included. Yields
         about `PAIR_CHUNK` pairs at a time, never splitting one center's
         pairs."""
+        lat = self.ms.lattice
         if centers is None:
-            queries = self._points
+            queries = np.arange(len(lat))
         else:
             queries = np.asarray(centers, dtype=np.intp)
-        lat = self.ms.lattice
         return self.pairs_near(queries, lat.numerators(queries), lat.e)
 
     def pairs_near(self, queries: np.ndarray, coords: Quad,
@@ -766,16 +695,10 @@ class NeighborIndex:
                 yield self._expand(q[a:b], lo[a:b], counts[a:b])
                 a = b
 
-    def cell_runs(self, coords: Quad, den: int) -> tuple:
-        """The code runs (first, last) of the 3^dim cells around the query
-        points with numerators coords over den: arrays of shape (Q,
-        3^(dim-1)) as from `CellCodes.neighbors`."""
-        return self._cells.neighbors(self._keys(coords, den, own=False))
-
     def lookup(self, first, last) -> tuple:
-        """(lo, count): the indexed points whose cells lie in the runs
-        first..last of `cell_runs`, as runs lo..lo+count-1 of the sorted
-        order."""
+        """(lo, count): the points whose cells lie in the code runs
+        first..last of `CellCodes.neighbors`, as runs lo..lo+count-1 of the
+        sorted order."""
         lo = np.searchsorted(self._sorted, first, side="left")
         hi = np.searchsorted(self._sorted, last, side="right")
         return lo, hi - lo
@@ -786,354 +709,9 @@ class NeighborIndex:
         return np.repeat(q, per_query), self._order[pos]
 
 
-class _MaxMin:
-    """The max-min kernel: the largest over query points q of the float
-    symmetric gauge from q to its nearest target, q itself excluded (a
-    directed Hausdorff distance). Targets are sample points, one at least,
-    and `worst` holds the running maximum W (-inf while no query has a
-    finite distance). Queries arrive in blocks (`add`).
-
-    The queries go through rounds at radii r = 2^k, from the rung of the
-    targets (`_start_rung`). Round k looks the queries up in one
-    `NeighborIndex` of the targets at r + delta, shared by every block. The
-    queries of one neighbourhood share its candidate list, ordered by
-    gauge from one of them, so that its first ranks are near for each. A
-    query takes its candidates in rank tiles of doubling width and leaves
-    as soon as one of two things holds:
-
-    * retired: some candidate lies within W. Its nearest target is no
-      farther, so it cannot raise the maximum, whatever its exact value.
-    * settled: all its candidates are in and their minimum m is <= r. The
-      nearest target p* of the full scan has float gauge D <= m <= r, so
-      its exact gauge is <= r + delta and p* is a candidate: m = D, which
-      W then takes.
-
-    A query with neither has no candidate within W or within r, so its
-    nearest target lies beyond r (every target within r is a candidate),
-    and it goes on to the next radius. So every query with a finite
-    distance leaves by the round whose radius reaches that distance, and
-    W ends as the maximum of the full scan bit for bit: the float gauge
-    takes the full scan's operations (`_Gauge`). Taha and Hanbury, "An
-    efficient algorithm for calculating the exact Hausdorff distance"
-    (IEEE TPAMI 37(11), 2015), give the early break and the order: while W
-    is unset, a spread sample of the block's queries is first compared
-    with every target, which sets W near its final value, so the rest
-    mostly retire on their first candidate. A block whose queries times
-    targets fit in one pair chunk is compared whole the same way.
-    """
-
-    def __init__(self, ms: ModelSet, targets=None) -> None:
-        self.ms = ms
-        floats = ms.lattice.float_coords()
-        self.cols = [np.ascontiguousarray(floats[:, k])
-                     for k in range(floats.shape[1])]
-        self.delta = _float_gauge_error(ms.scheme.kind, _float_magnitude(ms))
-        self.worst = -math.inf
-        self.points = np.arange(len(ms)) if targets is None else targets
-        self.start = _start_rung(ms, len(self.points))
-        # the one target of a single-target kernel is no target for itself
-        self.only = int(self.points[0]) if len(self.points) == 1 else -1
-        self.indexes: dict[int, NeighborIndex] = {}
-        self.gauge = _Gauge(ms.scheme.kind)
-        self.tile = max(1, PAIR_CHUNK >> 2)
-        self.sample = max(1, PAIR_CHUNK >> 10)
-
-    def add(self, qcols: list, qnum: Quad, den: int, own=None) -> None:
-        """Fold in the query points with float coordinate columns qcols
-        and exact numerators qnum (shape (B, dim)) over den; own holds
-        their sample indices when they are targets too."""
-        size = len(qcols[0])
-        if size * len(self.points) <= PAIR_CHUNK:
-            self._all_pairs(qcols, own, np.arange(size))
-            return
-        first = np.zeros(size, dtype=bool)
-        if self.worst == -math.inf:
-            # a spread sample against every target sets W
-            first[::max(1, size // self.sample)] = True
-            self._all_pairs(qcols, own, np.flatnonzero(first))
-        queries = np.flatnonzero(~first)
-        if own is not None and self.only >= 0:
-            queries = queries[own[queries] != self.only]
-        near = np.full(len(queries), math.inf)
-        rung = self.start
-        while queries.size:
-            done = self._round(rung, queries, near, qcols, qnum, den, own)
-            queries, near = queries[~done], near[~done]
-            rung += 1
-
-    def _all_pairs(self, qcols: list, own, rows: np.ndarray) -> None:
-        """The query points rows against every target: a round at a radius
-        beyond every distance, so each of them settles."""
-        targets = self.points
-        step = max(1, PAIR_CHUNK // len(targets))
-        for s in range(0, len(rows), step):
-            q = rows[s:s + step]
-            i = np.repeat(q, len(targets))
-            j = np.tile(targets, len(q))
-            dist = self._gauges(qcols, i, j)
-            if own is not None:
-                dist[j == own[i]] = math.inf
-            nearest = dist.reshape(len(q), -1).min(axis=1)
-            finite = nearest[np.isfinite(nearest)]
-            if finite.size:
-                self.worst = max(self.worst, float(finite.max()))
-
-    def _index(self, rung: int) -> NeighborIndex:
-        index = self.indexes.get(rung)
-        if index is None:
-            index = self.indexes[rung] = NeighborIndex(
-                self.ms, Fraction(2) ** rung + self.delta, self.points)
-        return index
-
-    def _round(self, rung: int, queries: np.ndarray, near: np.ndarray,
-               qcols: list, qnum: Quad, den: int, own) -> np.ndarray:
-        """One round at radius 2^rung for the queries, whose running
-        minima near it updates; returns which are done."""
-        r = 2.0 ** rung  # a power of two: the float is exact
-        done = near <= self.worst
-        live = np.flatnonzero(~done)
-        if not live.size:
-            return done
-        index = self._index(rung)
-        # per query, its neighbourhood: a row of distinct code runs
-        hood, first, last = _distinct_rows(*index.cell_runs(qnum[queries],
-                                                            den))
-        need = np.zeros(len(first), dtype=bool)
-        need[hood[live]] = True
-        lo, cnt = index.lookup(first[need], last[need])
-        total = cnt.sum(axis=1)
-        row = (np.cumsum(need) - 1)[hood]  # per query, a row of lo and cnt
-        live = live[total[row[live]] > 0]
-        if not live.size:
-            return done
-        # each row's candidates, nearest to one of its queries first: the
-        # queries of a row share their cells, so its early ranks are near
-        # for each of them
-        rep = np.empty(len(total), dtype=np.intp)
-        rep[row[live[::-1]]] = queries[live[::-1]]
-        owner = np.repeat(np.arange(len(total)), total)
-        target = index._order[_expand_runs(lo.ravel(), cnt.ravel())]
-        key = self._gauges(qcols, rep[owner], target)
-        target = target[np.lexsort((key, owner))]
-        start = np.cumsum(total) - total
-        a, b = 0, 1
-        while live.size:
-            # ranks a..b-1 of the live queries' candidates
-            rows = row[live]
-            if a == 0:  # one each
-                pair, cand = live, target[start[rows]]
-            else:
-                n = np.minimum(total[rows], b) - a
-                pair = np.repeat(live, n)
-                cand = target[_expand_runs(start[rows] + a, n)]
-            q = queries[pair]
-            g = self._gauges(qcols, q, cand)
-            if own is not None:
-                g[cand == own[q]] = math.inf
-            if a == 0:
-                np.minimum(near[live], g, out=g)
-                near[live] = g
-            else:
-                _min_into(near, pair, g)
-            retired = near[live] <= self.worst
-            spent = total[rows] <= b
-            settled = spent & ~retired & (near[live] <= r)
-            if settled.any():
-                self.worst = max(self.worst,
-                                 float(near[live[settled]].max()))
-            done[live[retired | settled]] = True
-            live = live[~(retired | spent)]
-            a, b = b, 2 * b
-        return done
-
-    def _gauges(self, qcols: list, i: np.ndarray, j: np.ndarray
-                ) -> np.ndarray:
-        """The float gauges of the pairs (i, j), tile by tile."""
-        out = np.empty(len(i))
-        for s in range(0, len(i), self.tile):
-            out[s:s + self.tile] = self.gauge(qcols, self.cols,
-                                              i[s:s + self.tile],
-                                              j[s:s + self.tile])
-        return out
-
-
-def _start_rung(ms: ModelSet, count: int) -> int:
-    """For count >= 1 targets, the exponent k whose radius 2^k lies
-    nearest (in log scale) the typical nearest distance to them: the
-    radius whose gauge ball would hold one target if they spread evenly
-    over the region (axes narrower than 1 taken as 1). The radius is only
-    a starting guess; the rounds are exact from any."""
-    kind = ms.scheme.kind
-    if kind.family is Family.EUCLIDEAN:
-        ball, dim = kind.rank, kind.rank  # log2 of the unit ball's volume
-    else:
-        ball, dim = 2 * kind.rank + 1, 2 * kind.rank + 2
-    volume = sum(math.log2(max(hi - lo, 1)) for lo, hi in ms.region.intervals)
-    return round((volume - ball - math.log2(count)) / dim)
-
-
-def _distinct_rows(first: np.ndarray, last: np.ndarray) -> tuple:
-    """Per row of (first, last), the index of its distinct row; and the
-    distinct rows, ordered by their first code. Rows are told apart by a
-    64-bit polynomial hash, checked row by row; on a collision they are
-    sorted instead. Python-int codes are not deduplicated."""
-    if first.dtype == object:
-        return np.arange(len(first)), first, last
-    rows = np.hstack([first, last])
-    base = 0x9E3779B97F4A7C15
-    weights = np.array([pow(base, k + 1, 1 << 64)
-                        for k in range(rows.shape[1])], dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        code = (rows.astype(np.uint64) * weights).sum(axis=1)
-    _, index, inverse = np.unique(code, return_index=True,
-                                  return_inverse=True)
-    inverse = inverse.reshape(-1)
-    if not np.array_equal(rows[index][inverse], rows):
-        _, index, inverse = np.unique(rows, axis=0, return_index=True,
-                                      return_inverse=True)
-        inverse = inverse.reshape(-1)
-    # sorted needles make the lookups' binary searches cheap
-    order = np.argsort(first[index, 0], kind="stable")
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order))
-    index = index[order]
-    return rank[inverse], first[index], last[index]
-
-
 def _expand_runs(begin: np.ndarray, count: np.ndarray) -> np.ndarray:
     """begin[k], begin[k] + 1, ..., begin[k] + count[k] - 1 for every k,
     concatenated."""
     total = int(count.sum())
     return np.repeat(begin - (np.cumsum(count) - count), count) + np.arange(
         total)
-
-
-def _min_into(best: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-    """best[idx] = min(best[idx], values), for a sorted idx."""
-    first = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
-    at = idx[first]
-    best[at] = np.minimum(best[at], np.minimum.reduceat(values, first))
-
-
-def _float_magnitude(ms: ModelSet) -> int:
-    """An integer B >= 1 with |v| <= B for every coordinate v of the region
-    and, for every sample coordinate (p + q*sqrt(d))/den, with
-    (|p| + |q|*sqrt(d))/den <= B: the float conversion works on p and q, so
-    its error scales with that sum, which cancellation can make larger than
-    |v|."""
-    region = max(max(abs(lo), abs(hi)) for lo, hi in ms.region.intervals)
-    lat = ms.lattice
-    parts = Fraction(lat.bound * (math.isqrt(lat.d) + 2), lat.e)
-    return max(1, math.ceil(region), math.ceil(parts))
-
-
-def _float_gauge_error(kind: GroupKind, bound: int) -> Fraction:
-    """A power of two delta >= |float gauge - exact gauge| of c^-1 p, for c
-    a rational grid point or a sample point and p a sample point, whose
-    magnitudes and float conversions are bounded by `bound` = B >= 1 as in
-    `_float_magnitude`.
-
-    With u = 2^-53, each float operation is exact up to a factor (1 + e),
-    |e| <= u. A grid coordinate converts with error <= u*B, and a sample
-    coordinate, computed as (p + q*sqrt(d))/den, with error <= 7u*B (about
-    3u on each of |p| and |q|sqrt(d), and u on the sum). So both operands
-    are off by <= 7u*B, their difference (|.| <= 2B) by <= 14u*B before and
-    16.1u*B after its own rounding, and the coordinate terms of the gauge
-    and their maximum by <= 17u*B. For H_n, each product x*dy is off by
-    <= B*17u*B + 2.03B*7u*B + 2.03u*B^2 <= 34u*B^2 (|dy| <= 2.03B with its
-    error); with dt off by 17u*B and the roundings of the n-term sum and of
-    the subtraction (<= 2.1(n^2 + n)u*B^2 + 2.03u*B), each t part tau is
-    off by E <= (2.1n^2 + 37n + 20)u*B^2 <= 32(n+1)^2 u*B^2, as B >= 1.
-    sqrt is not Lipschitz at 0, but |sqrt(a) - sqrt(b)| <= sqrt|a - b|,
-    and rounding the sqrt adds u*sqrt|tau| <= 2(n+1)u*B; so the sqrt term
-    is off by at most sqrt(E) + 2(n+1)u*B = (n+1)*B*(2^-24 + 2^-52), which
-    exceeds 17u*B. The bound is rounded up to a power of two, which keeps
-    the index cell sizes r + delta short fractions.
-    """
-    u = Fraction(1, 1 << 53)
-    if kind.family is Family.EUCLIDEAN:
-        err = 17 * u * bound
-    else:
-        err = (kind.rank + 1) * bound * (Fraction(1, 1 << 24) + 2 * u)
-    delta = Fraction(1)
-    while delta < err:
-        delta *= 2
-    while delta / 2 >= err:
-        delta /= 2
-    return delta
-
-
-class _Gauge:
-    """The float symmetric gauge of c^-1 p for the pairs (c, p) = (q[i],
-    t[j]) of index arrays i, j into the float coordinate columns q and t
-    (one 1-D array per coordinate). It takes the full scan's operations in
-    its order, so it gives the same floats, computed column by column into
-    buffers allocated once and reused (they grow to the largest tile)."""
-
-    def __init__(self, kind: GroupKind) -> None:
-        self.kind = kind
-        self.size = 0
-
-    def _buffers(self, size: int) -> None:
-        if size <= self.size:
-            return
-        self.size = size
-        self.out, self.a, self.b, self.dt = (np.empty(size) for _ in range(4))
-        if self.kind.family is Family.HEISENBERG:
-            n = self.kind.rank
-            self.dy = np.empty((n, size))
-            self.c_dy = np.empty((size, n))
-            self.p_dy = np.empty((size, n))
-
-    def __call__(self, q: list, t: list, i: np.ndarray,
-                 j: np.ndarray) -> np.ndarray:
-        size = len(i)
-        self._buffers(size)
-        out, a, b = self.out[:size], self.a[:size], self.b[:size]
-        if self.kind.family is Family.EUCLIDEAN:
-            # max_k |p_k - c_k|
-            for k in range(len(q)):
-                np.take(t[k], j, out=a)
-                np.take(q[k], i, out=b)
-                np.subtract(a, b, out=a)
-                np.abs(a, out=a)
-                if k:
-                    np.maximum(out, a, out=out)
-                else:
-                    np.copyto(out, a)
-            return out
-        n = self.kind.rank
-        dy, dt = self.dy[:, :size], self.dt[:size]
-        c_dy, p_dy = self.c_dy[:size], self.p_dy[:size]
-        for k in range(n):
-            np.take(t[n + k], j, out=dy[k])
-            np.take(q[n + k], i, out=a)
-            np.subtract(dy[k], a, out=dy[k])
-        np.take(t[2 * n], j, out=dt)
-        np.take(q[2 * n], i, out=a)
-        np.subtract(dt, a, out=dt)
-        for k in range(n):
-            np.take(q[k], i, out=a)        # c_x
-            np.take(t[k], j, out=b)        # p_x
-            np.multiply(a, dy[k], out=c_dy[:, k])
-            np.multiply(b, dy[k], out=p_dy[:, k])
-            np.subtract(b, a, out=a)       # dx
-            np.abs(a, out=a)
-            np.abs(dy[k], out=b)
-            np.maximum(a, b, out=a)
-            if k:
-                np.maximum(out, a, out=out)
-            else:
-                np.copyto(out, a)
-        # the t parts of c^-1 p and of p^-1 c, summed as the (P, n) rows of
-        # the full scan
-        np.sum(c_dy, axis=1, out=a)
-        np.subtract(dt, a, out=a)
-        np.sum(p_dy, axis=1, out=b)
-        np.subtract(b, dt, out=b)
-        np.abs(a, out=a)
-        np.abs(b, out=b)
-        np.maximum(a, b, out=a)
-        np.sqrt(a, out=a)
-        np.maximum(out, a, out=out)
-        return out

@@ -5,13 +5,14 @@ Each oracle answers one analysis question by the definition, with
 `QuadNum` products and gauges or float full scans over every pair, so it
 stays independent of the axis kernels, the integer-row kernel and the
 neighbour index. `ROUTES` runs an analysis on a sample as it comes (the
-axis kernels, for a product of axes) and through the pair route of
-`lattice` (`pair_route`). The
-samples are small (at most about 60 points), which keeps the O(N^2)
-oracles fast: cut-and-project samples with random rational box windows;
-bare `ModelSet.from_points` sets, which reach sparse cases that
-cut-and-project samples avoid; and products of progressions with
-irrational steps, whose periods are irrational.
+axis kernels, for a product of axes) and as a set that is no product
+(`pair_route`): the exact phases through the pair route of `lattice`, and
+the float estimates by the plain row scan of `analysis`. The samples are
+small (at most about 60 points), which keeps the O(N^2) oracles fast:
+cut-and-project samples with random rational box windows; bare
+`ModelSet.from_points` sets, which reach sparse cases that cut-and-project
+samples avoid; and products of progressions with irrational steps, whose
+periods are irrational.
 """
 
 import itertools
@@ -51,8 +52,8 @@ RINGS = (RingSpec(2), RingSpec(3), RingSpec(5), FULL5)
 
 
 def pair_route(ms):
-    """A copy of ms that the analyses serve by the pair route of
-    `lattice`, as they serve samples that are no product of axes."""
+    """A copy of ms that the analyses serve as they serve samples that are
+    no product of axes."""
     copy = ModelSet(ms.scheme, ms.window, ms.region, ms.rows, ms.e)
     copy.__dict__["grid"] = None
     return copy

@@ -456,21 +456,17 @@ def covering_samples():
 @pytest.mark.parametrize(
     "ms,step,erosion", covering_samples(),
     ids=["e1", "e2", "h1", "h2", "h1-full5", "e2-sparse", "h1-off-origin"])
-def test_covering_radius_equals_dense_scan(ms, step, erosion, monkeypatch):
+def test_covering_radius_equals_dense_scan(ms, step, erosion):
     expected = dense_covering(ms, step, erosion)
     assert ms.grid is not None
     assert covering_radius_estimate(ms, step, erosion) == expected
-    assert covering_radius_estimate(pair_route(ms), step, erosion) == expected
-    # small chunks split the grid blocks and the pairs of one round
-    monkeypatch.setattr(lattice, "PAIR_CHUNK", 200)
     assert covering_radius_estimate(pair_route(ms), step, erosion) == expected
 
 
 def test_index_work_stays_below_region_sized_cells(monkeypatch):
     # the benchmark's H1 sample; with t cells sized r^2 + r*X by the
     # region's x-span X = 5, the index yielded 49,857 pairs to
-    # `separation`, 33,605 to `complexity_table([1, 2])` and 510,212 to
-    # `covering_radius_estimate(1/2, 1)`
+    # `separation` and 33,605 to `complexity_table([1, 2])`
     ms = pair_route(generate_model_set(
         SCHEME_H1, Box.cube(H1, Fraction(9, 10)),
         Box(((-5, 5), (-5, 5), (-14, 14)))))
@@ -484,61 +480,19 @@ def test_index_work_stays_below_region_sized_cells(monkeypatch):
             yield i, j
 
     monkeypatch.setattr(NeighborIndex, "pairs_near", counted)
-    # the covering kernel takes its candidates in rank tiles, not through
-    # pairs_near: count the pairs it compares
-    gauge = lattice._Gauge.__call__
-
-    def compared(self, q, t, i, j):
-        yielded[0] += len(i)
-        return gauge(self, q, t, i, j)
-
-    monkeypatch.setattr(lattice._Gauge, "__call__", compared)
     for run, region_sized in [
         (lambda: separation(ms), 49_857),
         (lambda: complexity_table(ms, [1, 2]), 33_605),
-        (lambda: covering_radius_estimate(ms, Fraction(1, 2), 1), 510_212),
     ]:
         yielded[0] = 0
         run()
         assert 0 < yielded[0] <= 0.65 * region_sized
 
 
-def test_covering_sparse_grid_leaves_point_key_range():
-    # the eroded grid of the e2-sparse case reaches |x| = 40; cells of side
-    # >= 1 there lie more than one cell beyond every point, outside the key
-    # range the index packs
-    farthest = max(abs(c) for p in sparse_e2().float_points() for c in p)
-    assert farthest + 2 < 40
-
-
-def test_covering_radius_doubles_through_three_rounds(monkeypatch):
-    ms = pair_route(sturmian(60))
-    radii = []
-
-    class CountedIndex(NeighborIndex):
-        def __init__(self, ms, radius, *args):
-            radii.append(radius)
-            super().__init__(ms, radius, *args)
-
-    monkeypatch.setattr(lattice, "NeighborIndex", CountedIndex)
-    step = Fraction(1, 50)
-    assert covering_radius_estimate(ms, step, Fraction(3)) == \
-        dense_covering(ms, step, Fraction(3))
-    # the rounds start at the power of two nearest the typical gap,
-    # region width / (2 * points) for one dimension, and double
-    start = round(math.log2(120 / (2 * len(ms))))
-    assert start == -1
-    delta = radii[0] - Fraction(2) ** start
-    assert 0 < delta < Fraction(1, 10 ** 9)
-    assert len(radii) >= 3
-    assert radii == [Fraction(2) ** (start + k) + delta
-                     for k in range(len(radii))]
-
-
 def test_covering_estimate_peak_memory():
-    # the benchmark's H1 sample: pair tiles of PAIR_CHUNK / 4 pairs on
-    # reused buffers keep the traced peak below 3.5 MB, where whole
-    # 2^16-pair chunks gathered as (P, 3) arrays need about 7 MB
+    # the benchmark's H1 sample on the pair route: the row scan holds one
+    # item per row of sample points for the grid head at hand, a traced
+    # peak near 0.1 MB
     ms = pair_route(generate_model_set(
         SCHEME_H1, Box.cube(H1, Fraction(9, 10)),
         Box(((-5, 5), (-5, 5), (-14, 14)))))
@@ -550,37 +504,6 @@ def test_covering_estimate_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 3.5e6
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_float_gauge_error_bounds_exact_gauge(data):
-    kind = data.draw(st.sampled_from([E1, E2, H1, H2]))
-    scale = data.draw(st.sampled_from([1, 2 ** 6, 2 ** 19]))
-
-    def sample_point():
-        return tuple(
-            QuadNum(data.draw(st.integers(-scale, scale)),
-                    data.draw(st.integers(-scale // 2, scale // 2)), 2)
-            for _ in range(kind.coord_count))
-
-    grid = tuple(
-        Fraction(data.draw(st.integers(-scale * 8, scale * 8)), 8)
-        for _ in range(kind.coord_count))
-    # the query is a rational grid point or another sample point
-    query = data.draw(st.sampled_from([grid, sample_point()]))
-    point = sample_point()
-    # |c| <= scale and |p| + |q|*sqrt(2) < 2*scale, so coordinates and
-    # their float conversions stay within 2^20
-    delta = lattice._float_gauge_error(kind, 2 * scale)
-    one = np.zeros(1, dtype=np.intp)
-    d_f = float(lattice._Gauge(kind)(
-        [np.array([float(c)]) for c in query],
-        [np.array([float(c)]) for c in point], one, one)[0])
-    c, p = GroupPoint(kind, query), GroupPoint(kind, point)
-    assert sym_dist_leq(c, p, Fraction(d_f) + delta)
-    if d_f > delta:
-        assert not sym_dist_leq(c, p, Fraction(d_f) - delta)
 
 
 # ---------------------------------------------------------------------------
@@ -662,15 +585,8 @@ def test_max_min_kernel_matches_full_scans_on_random_samples(data):
     ms = data.draw(bare_samples(), label="sample")
     kind = ms.scheme.kind
     step = Fraction(2 if kind.coord_count > 3 else 1)
-    # small chunks send even these samples through the index rounds
-    chunk = data.draw(st.sampled_from([5, 200, lattice.PAIR_CHUNK]),
-                      label="chunk")
     route = data.draw(st.sampled_from(ROUTES), label="route")
-    default, lattice.PAIR_CHUNK = lattice.PAIR_CHUNK, chunk
-    try:
-        _check_kernel(data, route(ms), step)
-    finally:
-        lattice.PAIR_CHUNK = default
+    _check_kernel(data, route(ms), step)
 
 
 @settings(max_examples=150, deadline=None)

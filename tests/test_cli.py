@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 import tracemalloc
 from fractions import Fraction
@@ -707,6 +708,16 @@ def test_bounds_negative_exits_2(capsys):
     assert code == 2
 
 
+def test_bounds_refuses_dg_past_the_digit_limit(capsys):
+    # 11^d_g has more than d_g digits: past the limit of integer printing
+    # it is refused before the power, which at 1.6 * 10^7 took 41 s and
+    # then failed to print
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, ["bounds", "--dg", "16000000", "--dimx", "2"]) == (
+        2, "", f"error: --dg must be at most {limit}, the digit limit of "
+        "integer printing, got 16000000\n")
+
+
 def test_check_window(capsys):
     base = ["check-window", "--kind", "euclidean", "--m", "1", "--d", "2"]
     code, out, _ = run(capsys, base + ["--window=-9/10,11/10"])
@@ -859,16 +870,18 @@ def cli_argv(draw):
 @st.composite
 def word_argv(draw):
     """growth, cover or bounds with drawn groups, radii and sizes: mostly
-    small and valid, now and then zero, negative or no group at all; and
-    for growth and cover, now and then --budget at zero, a negative value,
-    text that is no integer or a small budget. No budget above 2000 is
-    drawn, so every ball stays small. The output, if any, goes to the file
-    "out.txt"."""
+    small and valid, now and then zero, negative or no group at all, or
+    for bounds a --dg up to 10^8, past the digit limit of integer printing;
+    and for growth and cover, now and then --budget at zero, a negative
+    value, text that is no integer or a small budget. No budget above 2000
+    is drawn, so every ball stays small. The output, if any, goes to the
+    file "out.txt"."""
     command = draw(st.sampled_from(["growth", "cover", "bounds"]))
     if command == "bounds":
         argv = ["bounds",
-                "--dg", str(draw(mostly(st.integers(0, 40),
-                                        st.sampled_from([-1, 5000])))),
+                "--dg", str(draw(mostly(st.integers(0, 40), st.sampled_from(
+                    [-1, 4128, 4129, 4300, 4301, 10 ** 8])
+                    | st.integers(0, 10 ** 8)))),
                 "--dimx", str(draw(mostly(st.integers(0, 10),
                                           st.sampled_from([-2, -1]))))]
     else:
@@ -963,14 +976,51 @@ def analyze_argv(draw, samples):
     return argv
 
 
+@st.composite
+def sample_edit(draw):
+    """One edit of a sample's payload, to be sealed anew so that the
+    reader's checks run past the hash: the scheme's d or ring, one end of a
+    window or region interval, or one part of a point's coordinate."""
+    field = draw(st.sampled_from(["d", "ring", "window", "region", "point"]))
+    if field in ("d", "ring"):
+        value = draw(st.sampled_from(
+            [2, 3, 5, 0, 1, 4, -2, 10 ** 6 + 3, 2 ** 40 + 1, "3", None]
+            if field == "d" else ["full", "zsqrt", "ZSQRT", "", None]))
+        return lambda payload: payload["scheme"].update({field: value})
+    if field == "point":
+        at = [draw(st.integers(0, 10 ** 4)) for _ in range(3)]
+        value = draw(st.sampled_from(["0", "1", "-1", "2", "-3", "1/2", "x"]))
+
+        def edit(payload):
+            points = payload["points"]
+            point = points[at[0] % len(points)]
+            point[at[1] % len(point)][at[2] % 4] = value
+        return edit
+    interval, end = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    value = draw(cli_rationals())
+
+    def edit(payload):
+        box = payload[field]
+        box[interval % len(box)][end] = value
+    return edit
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_every_analyze_argv_exits_with_a_documented_code(data,
                                                          analyze_samples):
     argv = data.draw(analyze_argv(analyze_samples), label="argv")
+    edit = data.draw(st.none() | sample_edit(), label="edit")
     with tempfile.TemporaryDirectory() as first, \
             tempfile.TemporaryDirectory() as second, \
+            tempfile.TemporaryDirectory() as edited, \
             mock.patch.dict(os.environ, {"APERCUT_BUDGET": "2000"}):
+        if edit is not None:
+            # a re-sealed copy, outside the directories of the runs
+            path = Path(edited) / "in.json"
+            path.write_bytes(Path(argv[2]).read_bytes())
+            _reseal(path, edit)
+            argv[2] = str(path)
         code, out, files = run_in(Path(first), argv)
         assert code in (0, 2, 3, 4, 5, 6)
         if code:

@@ -22,8 +22,8 @@ from apercut.cutproject import (
     _in_interval,
     generate_model_set,
 )
+from apercut.errors import LIMIT
 from apercut.heisenberg import GroupKind
-from apercut.lattice import LIMIT, Lattice
 from apercut.quadratic import QuadNum, RingSpec, RingVariant
 from apercut.quadratic import row_order as _row_order
 
@@ -118,8 +118,10 @@ def test_float_conversion_matches_quadnum_bit_for_bit(data):
     d = ring.d
     expected = [tuple(float(value(r[k], r[c + k], e, d)) for k in range(c))
                 for r in rows]
-    got = Lattice(GroupKind.euclidean(c), d, rows, e).float_coords()
-    assert [tuple(v) for v in got.tolist()] == expected
+    box = Box(((0, 1),) * c)
+    ms = ModelSet(Scheme(GroupKind.euclidean(c), ring), box, box,
+                  tuple(rows), e)
+    assert ms.float_points() == expected
 
 
 @pytest.mark.parametrize("ring", [RingSpec(2), RingSpec(5, FULL)],

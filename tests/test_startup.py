@@ -4,8 +4,9 @@
 Neither `import apercut`, `import apercut.cli` nor any command but
 `analyze` imports numpy, and `analyze` runs on the axes of a product
 sample, loading neither numpy nor `apercut.lattice`, whatever the size of
-its catalogs. Only the pair route loads them: the analysis of a set that
-is no product of its axes (a `ModelSet.from_points` set). Neither `import
+its catalogs. Only the pair route loads them: the exact analyses of a set
+that is no product of its axes (a `ModelSet.from_points` set), whose
+covering estimate and return radii load neither. Neither `import
 apercut.cli` nor `growth`, `cover` and `bounds` load a model-set module or
 `quadratic`. No command loads `dataclasses`, and neither `import
 apercut.cli` nor `growth` loads `hashlib`: only a command that writes a
@@ -197,9 +198,9 @@ def test_model_set_csv_loads_no_numpy(sample):
     assert numpy_loaded == "False"
 
 
-# Every analysis of a set that is no product of its axes runs, on the pair
-# route of `lattice`, which loads numpy.
-FROM_POINTS = """
+# A set that is no product of its axes: 35 points, the corner (5, 5) of
+# the 6 x 6 grid missing.
+FROM_POINTS_SET = """
 import sys
 from fractions import Fraction
 from apercut import analysis
@@ -216,6 +217,10 @@ ms = ModelSet.from_points(Scheme(kind, RingSpec(2)), region, region,
 assert not ms.is_product and ms.grid is None
 assert "numpy" not in sys.modules
 one = Fraction(1)
+"""
+
+# Its exact analyses run on the pair route of `lattice`, which loads numpy.
+FROM_POINTS = FROM_POINTS_SET + """
 catalog = analysis.patch_catalog(ms, one)
 print(analysis.separation(ms).separation_sq, catalog.class_count,
       analysis.repetitivity_radii(ms, one, catalog).max_return_radius,
@@ -230,6 +235,32 @@ def test_from_points_set_analyses_on_numpy(tmp_path):
     # 35 points: the corner (5, 5) is missing, so the centre (4, 4) has a
     # patch of its own and the translates by (1, 1) are no period
     assert proc.stdout.split() == ["1", "2", "3.0", "7", "1.0", "True"]
+
+
+# The float estimates of such a set run in `analysis`, on the grid of its
+# own axes: with its catalog given, neither loads numpy or the pair route.
+FROM_POINTS_ESTIMATES = FROM_POINTS_SET + """
+from apercut.analysis import PatchCatalog, PatchClass
+# the catalog at radius 1: the centres of the core, the patch at (4, 4)
+# alone in its class
+core = [i for i, p in enumerate(ms.float_points())
+        if 1 <= min(p) and max(p) <= 4]
+corner = [i for i in core if ms.float_points()[i] == (4.0, 4.0)]
+classes = tuple(PatchClass(one, (), tuple(c), kind, 2, 1)
+                for c in ([i for i in core if i not in corner], corner))
+catalog = PatchCatalog(one, classes, len(core))
+report = analysis.repetitivity_radii(ms, one, catalog)
+print(*(c.return_radius for c in report.per_class),
+      analysis.covering_radius_estimate(ms, Fraction(1, 2), Fraction(0)),
+      "numpy" in sys.modules, "apercut.lattice" in sys.modules)
+"""
+
+
+def test_from_points_set_estimates_load_no_numpy(tmp_path):
+    proc = run_python(["-c", FROM_POINTS_ESTIMATES], tmp_path)
+    # every centre has a neighbour of the large class at 1; the centre
+    # (1, 1) lies 3 from the corner centre (4, 4)
+    assert proc.stdout.split() == ["1.0", "3.0", "1.0", "False", "False"]
 
 
 @pytest.mark.parametrize("argv", [
