@@ -4,9 +4,7 @@ covering experiments, and dimension-bound calculators.
 
 Every public name is bound on first use (PEP 562), so `import apercut`
 loads no submodule, and a command or script pays only for the modules whose
-names it touches. None of them loads numpy: only the pair route of
-`apercut.lattice` does, which runs the exact analyses (cores, separation,
-patches, periods) of point sets that are no product of axes."""
+names it touches. None of them loads numpy."""
 
 __version__ = "0.1.0"
 

@@ -12,15 +12,15 @@ cannot fake or hide structure:
 In Heisenberg coordinates the t-axis margins are position dependent:
 K^2 + K*sum|x_i| for right translates, K^2 + K*sum|y_i| for left ones.
 
-Every sample the CLI builds or reads is a product of axes: one ascending
-list of values per coordinate (`ModelSet.axes`), the points being all their
-combinations. On such a sample every phase runs here, in pure Python, on
-the axes (`Grid`). The product is (x, y, t)(a, b, tau) = (x + a, y + b,
-t + tau + <x, b>), so the points q with gauge(p^-1 q) <= r of a point p =
-(x, y, t) are found one axis at a time: x' within r of x and y' within r of
-y on their axes by bisection, then, for each b = y' - y, the t' of the t
-axis around s_b = t + <x, b> with tau = t' - s_b inside [-r^2, r^2] and
-<a, b> - tau too (a = x' - x). Every bound is decided exactly, on integer
+Every sample lies in the product of its axes: one ascending list of values
+per coordinate (`ModelSet.axes`). Every sample the CLI builds or reads is
+that whole product, and every phase runs here, in pure Python, on the axes
+(`Grid`). The product is (x, y, t)(a, b, tau) = (x + a, y + b, t + tau +
+<x, b>), so the points q with gauge(p^-1 q) <= r of a point p = (x, y, t)
+are found one axis at a time: x' within r of x and y' within r of y on
+their axes by bisection, then, for each b = y' - y, the t' of the t axis
+around s_b = t + <x, b> with tau = t' - s_b inside [-r^2, r^2] and <a, b>
+- tau too (a = x' - x). Every bound is decided exactly, on integer
 numerators over e or e^2 (`quadratic.sign_pq`), with floats only to skip
 comparisons they settle with a proven margin. On Z^m each axis stands
 alone. The phases built on that neighbourhood:
@@ -41,11 +41,15 @@ alone. The phases built on that neighbourhood:
   point, tested by membership on the axes.
 
 On one axis the return radii need only the neighbours of each centre in
-index order. Any other sample (`ModelSet.from_points` sets) takes the pair
-route of `lattice`, which loads numpy, for its exact phases. Its two float
-estimates stay here: the covering estimate and the return radii scan the
-rows of the grid of its own axes with the same kernel, `_MaxMin`, with no
-bound that skips a row of queries.
+index order. A sample that is no whole product (`ModelSet.from_points`
+sets), or whose float order disagrees with its exact order, has a grid with
+members, the cells that hold its points; each exact phase keeps only
+those. Its cores are the members of the interior runs, its period
+candidates the members among the candidates, and its patches and
+separation pairs come from `NeighborIndex`, which finds the members within
+a radius row by row. Its two float estimates scan every row of its points
+with the same kernel, `_MaxMin`, with no bound that skips a row of
+queries.
 """
 
 from __future__ import annotations
@@ -68,16 +72,7 @@ from .heisenberg import (  # noqa: F401
     sym_dist_leq,
     sym_dist_sq,
 )
-from .quadratic import QuadNum, row_key, row_order, sign_pq
-
-
-def __getattr__(name: str):
-    # the neighbour index of the pair route, loaded with numpy on first use
-    if name == "NeighborIndex":
-        from .lattice import NeighborIndex
-
-        return NeighborIndex
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from .quadratic import QuadNum, numerator_rows, row_key, row_order, sign_pq
 
 
 def element_coords(kind: GroupKind, d: int, e: int,
@@ -119,14 +114,21 @@ FLOAT_SLACK = 2.0 ** -40
 
 
 class Grid:
-    """The axes of a sample that is their product, prepared for the axis
-    kernels. Per axis k: `values[k]`, the ascending numerator pairs (u, w)
-    over e (`ModelSet.axes`), and `floats[k]`, each equal to float() of its
-    value as `ModelSet.float_points` computes it, so the float gauges here
-    are those of the full scans. `magnitude` bounds (|u| + |w|*sqrt(d))/e
-    over every axis value. On a set that is no product of its axes, or
-    whose float order disagrees with its exact order, the grid of its own
-    axes serves only the plain row scan of the float estimates."""
+    """The axes of a sample, prepared for the axis kernels. Per axis k:
+    `values[k]`, the ascending numerator pairs (u, w) over e (`ModelSet.axes`),
+    and `floats[k]`, each equal to float() of its value as
+    `ModelSet.float_points` computes it, so the float gauges here are those
+    of the full scans. `magnitude` bounds (|u| + |w|*sqrt(d))/e over every
+    axis value.
+
+    The sample points lie in the product of the axes; a cell of the product
+    is a tuple of axis indices, or its mixed-radix index. `members` is None
+    when the sample is that whole product, its points in index order, and
+    every axis's float order is its exact order: the product kernels serve
+    it. Otherwise `members` lists the index of each point's cell, ascending
+    as the points are sorted, so the points of a run of cells are a run of
+    point indices; the exact phases then keep the cells that are members,
+    and the float estimates scan the rows of the points."""
 
     def __init__(self, ms: ModelSet) -> None:
         self.kind = kind = ms.scheme.kind
@@ -137,12 +139,14 @@ class Grid:
         self.values = ms.axes
         self.floats = [[(u + w * root) / e for u, w in axis]
                        for axis in self.values]
+        self.ordered = [f == sorted(f) for f in self.floats]
         self.sizes = [len(axis) for axis in self.values]
         strides, stride = [], 1
         for size in reversed(self.sizes):
             strides.append(stride)
             stride *= size
         self.strides = strides[::-1]
+        self.size = stride
         self.magnitude = max([1.0] + [
             (max(map(abs, map(itemgetter(0), axis)), default=0)
              + max(map(abs, map(itemgetter(1), axis)), default=0) * root) / e
@@ -152,18 +156,54 @@ class Grid:
         # the head axes: all of Z^m, x and y of H_n
         self.head = 2 * kind.rank if self.heisenberg else kind.rank
         self._gaps: dict = {}
+        self.members = None
+        if not ms.is_product or not all(self.ordered):
+            c, at = len(self.values), self.positions
+            self.members = [self.index([at[k][row[k], row[c + k]]
+                                        for k in range(c)])
+                            for row in ms.rows]
 
-    @classmethod
-    def build(cls, ms: ModelSet) -> Grid | None:
-        """The grid of ms, or None when ms is no product of its axes or
-        the float order of an axis disagrees with its exact order (then
-        the pair route serves it)."""
-        if not ms.is_product:
-            return None
-        grid = cls(ms)
-        if any(f != sorted(f) for f in grid.floats):
-            return None
-        return grid
+    @functools.cached_property
+    def positions(self) -> list[dict]:
+        """Per axis, each value's index."""
+        return [{v: i for i, v in enumerate(axis)} for axis in self.values]
+
+    def index_of(self, point: int) -> int:
+        """The index of the cell of a sample point."""
+        return point if self.members is None else self.members[point]
+
+    def cell_of(self, point: int) -> list[int]:
+        """The axis indices of a sample point."""
+        return self.cell(self.index_of(point))
+
+    def points(self, start: int, stop: int) -> range:
+        """The sample points in the cells of index start..stop-1."""
+        if self.members is None:
+            return range(start, stop)
+        return range(bisect_left(self.members, start),
+                     bisect_left(self.members, stop))
+
+    def present(self, ranges: Sequence[range]) -> list[tuple]:
+        """The cells of the product of index ranges of the first axes that
+        hold sample points, in index order, each with the index of its
+        first cell on all axes; found one axis at a time, among the runs of
+        points of the cells found so far, so the work grows with the cells
+        present."""
+        members = range(self.size) if self.members is None else self.members
+        level = [((), 0, 0, len(members))]
+        for window, stride in zip(ranges, self.strides):
+            found = []
+            for cell, base, lo, hi in level:
+                at = bisect_left(members, base + window.start * stride, lo, hi)
+                end = bisect_left(members, base + window.stop * stride, at, hi)
+                while at < end:
+                    j = (members[at] - base) // stride
+                    start = base + j * stride
+                    stop = bisect_left(members, start + stride, at, end)
+                    found.append((cell + (j,), start, at, stop))
+                    at = stop
+            level = found
+        return [(cell, base) for cell, base, _, _ in level]
 
     def slack(self, *magnitudes: float) -> float:
         return FLOAT_SLACK * (self.magnitude + 1 + sum(magnitudes))
@@ -183,27 +223,38 @@ class Grid:
     def first(self, k: int, bound: tuple, strict: bool = False) -> int:
         """The first index of axis k whose value is >= bound (> bound when
         strict), for bound = (U, W, D), the value (U + W*sqrt(d))/D, D > 0.
-        Floats settle every value that clears the bound by the slack; the
-        rest are compared exactly."""
+        On an axis in float order, floats settle every value that clears
+        the bound by the slack; the rest are bisected exactly."""
         u_b, w_b, den = bound
-        fb = (u_b + w_b * self.root) / den
-        slack = self.slack((abs(u_b) + abs(w_b) * self.root) / den)
-        floats = self.floats[k]
-        i = bisect_left(floats, fb - slack)
-        j = bisect_left(floats, fb + slack, i)
-        if i == j:
-            return i
         values, e, d = self.values[k], self.e, self.d
+        i, j = 0, len(values)
+        if self.ordered[k]:
+            fb = (u_b + w_b * self.root) / den
+            slack = self.slack((abs(u_b) + abs(w_b) * self.root) / den)
+            floats = self.floats[k]
+            i = bisect_left(floats, fb - slack)
+            j = bisect_left(floats, fb + slack, i)
         least = 1 if strict else 0
-        while i < j and sign_pq(values[i][0] * den - u_b * e,
-                                values[i][1] * den - w_b * e, d) < least:
-            i += 1
+        while i < j:
+            mid = (i + j) // 2
+            if sign_pq(values[mid][0] * den - u_b * e,
+                       values[mid][1] * den - w_b * e, d) < least:
+                i = mid + 1
+            else:
+                j = mid
         return i
 
     def span(self, k: int, lo: tuple, hi: tuple) -> range:
         """The indices of axis k with values in the closed interval [lo,
         hi], bounds as in `first`."""
         return range(self.first(k, lo), self.first(k, hi, strict=True))
+
+    def around(self, k: int, i: int, r: Fraction) -> range:
+        """The indices of axis k with values within r of that of index i."""
+        u, w = self.values[k][i]
+        p, q, e = r.numerator, r.denominator, self.e
+        return self.span(k, (q * u - p * e, q * w, q * e),
+                         (q * u + p * e, q * w, q * e))
 
     def rational_span(self, k: int, lo: Fraction, hi: Fraction) -> range:
         return self.span(k, (lo.numerator, 0, lo.denominator),
@@ -306,14 +357,10 @@ def _interior(ms: ModelSet, depth: Fraction, use_x_margin: bool) -> list[int]:
     if depth < 0:
         raise ValueError("erosion depth must be >= 0")
     grid = ms.grid
-    if grid is None:
-        from .lattice import interior
-
-        return interior(ms, depth, use_x_margin)
-    index = [0]
+    index: list[int] = []
     for _, cells, base in _interior_runs(grid, depth, use_x_margin):
-        index += [base + i for i in cells]
-    return index[1:]
+        index += grid.points(base + cells.start, base + cells.stop)
+    return index
 
 
 def _interior_runs(grid: Grid, depth: Fraction, use_x_margin: bool
@@ -331,15 +378,15 @@ def _interior_runs(grid: Grid, depth: Fraction, use_x_margin: bool
     lo, hi = ivs[last]
     if not grid.heisenberg:
         cells = grid.rational_span(last, lo + depth, hi - depth)
-        for head in itertools.product(*heads):
-            yield head, cells, grid.index(head + (0,))
+        for head, base in grid.present(heads):
+            yield head, cells, base
         return
     n, d, e = grid.n, grid.d, grid.e
     anchor = range(n) if use_x_margin else range(n, 2 * n)
     a, b = depth.numerator, depth.denominator
     low, high = lo + depth * depth, hi - depth * depth
     spans: dict = {}
-    for head in itertools.product(*heads):
+    for head, base in grid.present(heads):
         key = tuple(head[k] for k in anchor)
         cells = spans.get(key)
         if cells is None:
@@ -354,7 +401,7 @@ def _interior_runs(grid: Grid, depth: Fraction, use_x_margin: bool
                        s * a * r.denominator * sw, r.denominator * b * e)
                       for r, s in ((low, 1), (high, -1))]
             cells = spans[key] = grid.span(last, *bounds)
-        yield head, cells, grid.index(head + (0,))
+        yield head, cells, base
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +427,7 @@ def separation(ms: ModelSet) -> SeparationResult:
     The squared distance is exact (squared symmetric gauges stay inside
     the field), and the certificate is the lexicographically smallest pair
     (i, j), i < j, at the minimum. The bracket's upper end is the first
-    radius `_initial_radius` * 2^k whose square reaches the minimum (the
-    radius at which the pair route of `lattice` first finds a pair), and a
+    radius `_initial_radius` * 2^k whose square reaches the minimum, and a
     40-step rational bisection on the exact square then brackets the
     minimum inside [0, that radius].
     """
@@ -389,12 +435,10 @@ def separation(ms: ModelSet) -> SeparationResult:
         return SeparationResult(math.inf, None, None, None)
     radius = _initial_radius(ms)
     grid = ms.grid
-    if grid is None:
-        from .lattice import separation_pairs
-
-        u, w, best_pair, radius = separation_pairs(ms, radius)
-    else:
+    if grid.members is None:
         (u, w), best_pair = _axis_separation(grid)
+    else:
+        (u, w), best_pair = _masked_separation(ms, radius)
     e2 = ms.e * ms.e
     best_sq = QuadNum._mk(u, w, e2, ms.scheme.d)
     while best_sq > radius * radius:
@@ -423,6 +467,37 @@ def _initial_radius(ms: ModelSet) -> Fraction:
     return max(guess, Fraction(1, 16))
 
 
+def _masked_separation(ms: ModelSet, radius: Fraction) -> tuple:
+    """((u, w), (i, j)) of `separation` on a grid with members: the pairs
+    within the radius from `NeighborIndex`, the radius doubled until some
+    pair is within it. Two points differ on some axis by at least its least
+    gap, so the doubling starts at the first radius that the least squared
+    gauge of such a step can reach."""
+    grid = ms.grid
+    d, e2 = grid.d, grid.e * grid.e
+    ex = _Exact(d)
+    steps = []
+    for k in range(len(grid.sizes)):
+        g = _least_gaps(grid, k)[0]
+        if g is not None:
+            t = grid.heisenberg and k == grid.head
+            steps.append((grid.e * g[0], grid.e * g[1]) if t
+                         else _product(g, g, d))
+    low = ex.min(steps)
+    while QuadNum._mk(low[0], low[1], e2, d) > radius * radius:
+        radius *= 2
+    while True:
+        index = NeighborIndex(ms, radius)
+        best = pair = None
+        for i in range(len(ms)):
+            for row, j in index.near(grid.cell_of(i)):
+                if j > i and (best is None or index.below(row, best)):
+                    best, pair = index.sq_gauge(row), (i, j)
+        if best is not None:
+            return best, pair
+        radius *= 2
+
+
 class _Exact:
     """Exact comparisons of values (u, w) over one common denominator."""
 
@@ -436,6 +511,13 @@ class _Exact:
         best = None
         for v in values:
             if best is None or self.cmp(v, best) < 0:
+                best = v
+        return best
+
+    def max(self, values: Iterable[tuple]) -> tuple | None:
+        best = None
+        for v in values:
+            if best is None or self.cmp(v, best) > 0:
                 best = v
         return best
 
@@ -631,9 +713,9 @@ def covering_radius_estimate(
     grid_step; not exact.
 
     The value equals the full grid-by-sample scan bit for bit, through
-    `_MaxMin` below: on a product sample the rows around each grid head are
-    walked outward on the axes (`_Rows`); on any other, every row of the
-    grid of its own axes is sorted by head gauge from the grid head
+    `_MaxMin` below: on a grid without members the rows around each grid
+    head are walked outward on the axes (`_Rows`); on any other, every row
+    of sample points is sorted by head gauge from the grid head
     (`_scan_rows`).
 
     Raises BudgetExceededError before any work when the grid has more
@@ -664,9 +746,8 @@ def covering_radius_estimate(
     floats = [[float(a + k * grid_step) for k in range(count)]
               for a, count in zip(starts, shape)]
     grid, rows = ms.grid, None
-    if grid is None:
-        grid = Grid(ms)
-        rows = _scan_rows(grid, _cells(ms, grid), range(len(ms)))
+    if grid.members is not None:
+        rows = _scan_rows(grid, _cells(grid), range(len(ms)))
     kernel = _MaxMin(grid)
     worst = -math.inf
     for head in itertools.product(*floats[:-1]):
@@ -835,13 +916,9 @@ class _Rows:
                 yield (dist, last, None) + kernel.shear(head, cells)
 
 
-def _cells(ms: ModelSet, grid: Grid) -> list[tuple]:
-    """Per point of ms, its axis indices on grid, the grid of its own
-    axes."""
-    c = len(grid.values)
-    at = [{v: i for i, v in enumerate(axis)} for axis in grid.values]
-    return [tuple(at[k][row[k], row[c + k]] for k in range(c))
-            for row in ms.rows]
+def _cells(grid: Grid) -> list[tuple]:
+    """Per sample point of a grid with members, its axis indices."""
+    return [tuple(grid.cell(i)) for i in grid.members]
 
 
 def _scan_rows(grid: Grid, cells: list, points: Iterable[int]) -> list:
@@ -898,8 +975,8 @@ def delone_report(
 class PatchClass(Record):
     """A patch up to translation, and the sample indices of the centers
     carrying it, ascending. The patch is kept as the numerator rows of the
-    relative coordinates p_c^-1 * q of its points q, in `row_order` (laid
-    out as `lattice.Elems.rows`: the head coordinates over e and, for H_n,
+    relative coordinates p_c^-1 * q of its points q, in `row_order` (the u
+    parts, then the w parts, of the head coordinates over e and, for H_n,
     t over e^2, in a sample of `kind` over Q(sqrt(d))); `relative_coords`,
     the exact coordinates, are built on first use, the center mapped to
     the identity."""
@@ -953,53 +1030,43 @@ def _patch_order(kind: GroupKind, d: int):
 
 
 def patch_at(ms: ModelSet, center_index: int, radius: Fraction,
-             index=None) -> Tuple[tuple, ...]:
+             index: NeighborIndex | None = None) -> Tuple[tuple, ...]:
     """Exact relative patch at one interior center; raises ErosionError for
-    centers whose patch could be clipped by the region boundary. index, a
-    `lattice.NeighborIndex` at radius, serves samples that are no product
-    of their axes."""
+    centers whose patch could be clipped by the region boundary. index, if
+    given, is `NeighborIndex(ms, radius)`, already built."""
     radius = Fraction(radius)
     interior = set(right_interior(ms, radius))
     if center_index not in interior:
         raise ErosionError(
             f"center {center_index} is within {radius} of the region boundary"
         )
-    grid = ms.grid
-    if grid is None:
-        from .lattice import NeighborIndex, patch_rows
-
-        if index is None:
-            index = NeighborIndex(ms, radius)
-        keys, rows = patch_rows(ms, [center_index], radius, index)
-        found = rows[keys[0]]
-    else:
-        cell = grid.cell(center_index)
-        t = cell[-1]
-        patches = _AxisPatches(grid, radius)
-        found = patches.rows(patches.key(cell[:-1], t))
+    if index is None:
+        index = NeighborIndex(ms, radius)
+    found = [row for row, _ in index.near(ms.grid.cell_of(center_index))]
     return tuple(element_coords(ms.scheme.kind, ms.scheme.d, ms.e, found))
 
 
 def patch_catalog(ms: ModelSet, radius: Fraction) -> PatchCatalog:
-    """Group all complete patches at interior centers by exact equality."""
+    """Group all complete patches at interior centers by exact equality:
+    by the keys of `_AxisPatches` on a grid without members, else by the
+    rows `NeighborIndex` finds."""
     radius = Fraction(radius)
     grid = ms.grid
     members: dict = {}
-    if grid is None:
-        from .lattice import NeighborIndex, patch_rows
-
-        centers = right_interior(ms, radius)
-        keys, rows = patch_rows(ms, centers, radius,
-                                NeighborIndex(ms, radius))
-        for center, key in zip(centers, keys):
-            members.setdefault(key, []).append(center)
-        rows_of = rows.__getitem__
-    else:
+    if grid.members is None:
         patches = _AxisPatches(grid, radius)
         for head, cells, base in _interior_runs(grid, radius, True):
             for t, key in zip(cells, patches.run_keys(head, cells)):
                 members.setdefault(key, []).append(base + t)
         rows_of = patches.rows
+    else:
+        index = NeighborIndex(ms, radius)
+        for head, cells, base in _interior_runs(grid, radius, True):
+            for p in grid.points(base + cells.start, base + cells.stop):
+                key = tuple(row for row, _ in index.near(
+                    head + (grid.members[p] - base,)))
+                members.setdefault(key, []).append(p)
+        rows_of = tuple
     count = sum(map(len, members.values()))
     if not count:
         raise ErosionError(f"no interior centers at radius {radius}")
@@ -1190,6 +1257,134 @@ class _AxisPatches:
         return tuple(out)
 
 
+class NeighborIndex:
+    """The sample points within symmetric distance `radius` of a point, on
+    the grid of the sample's axes: the neighbourhoods of `patch_at`, and of
+    the patches and separation of a sample whose grid has members.
+
+    A point q = (x + a, y + b, t') lies within radius r of p = (x, y, t)
+    when every head difference (a and b) is at most r in absolute value and
+    tau = t' - t - c, c = <x, b>, has |tau| <= r^2 and |h - tau| <= r^2, h
+    = <a, b>: t' lies in [t + c + max(0, h) - r^2, t + c + min(0, h) + r^2]
+    (on Z^m, t' within r of t). So the sample points within r of p are, per
+    row of sample points (one head cell) within r of p's head on each head
+    axis, one run of the row, its ends found by `Grid.first`. The rows are
+    found one head axis at a time among the cells of the sample points."""
+
+    def __init__(self, ms: ModelSet, radius: Fraction) -> None:
+        radius = Fraction(radius)
+        if radius <= 0:
+            raise ValueError("index radius must be positive")
+        self.grid = grid = ms.grid
+        self.radius = radius
+        # the last coordinate over den: t over e^2 on H_n, over e on Z^m
+        self.scale = grid.e if grid.heisenberg else 1
+        self.den = grid.e * self.scale
+        self.reach = radius * radius if grid.heisenberg else radius
+        self.spans: dict = {}
+        self.rows: dict = {}
+
+    def head_rows(self, head: tuple) -> list:
+        """The rows of sample points within the radius of the head cell
+        head on each head axis, in index order: the u and the w parts of
+        the head differences, c, the shifts c + max(0, h) and c + min(0, h)
+        (over den) and the index of the row's first cell."""
+        got = self.rows.get(head)
+        if got is not None:
+            return got
+        grid, windows = self.grid, []
+        for k, i in enumerate(head):
+            window = self.spans.get((k, i))
+            if window is None:
+                window = self.spans[k, i] = grid.around(k, i, self.radius)
+            windows.append(window)
+        n, d, values = grid.n, grid.d, grid.values
+        got = self.rows[head] = []
+        for cell, base in grid.present(windows):
+            diffs = [(values[k][j][0] - values[k][i][0],
+                      values[k][j][1] - values[k][i][1])
+                     for k, (i, j) in enumerate(zip(head, cell))]
+            c = h = (0, 0)
+            if grid.heisenberg:
+                c = _dot([values[k][i] for k, i in enumerate(head[:n])],
+                         diffs[n:], d)
+                h = _dot(diffs[:n], diffs[n:], d)
+            shifted = (c[0] + h[0], c[1] + h[1])
+            low, high = ((shifted, c) if sign_pq(h[0], h[1], d) > 0
+                         else (c, shifted))
+            got.append((tuple(u for u, _ in diffs), tuple(w for _, w in diffs),
+                        c, low, high, base))
+        return got
+
+    def near(self, cell: Sequence[int]) -> list[tuple]:
+        """(row, point) for each sample point q within the radius of the
+        cell with axis indices cell, in `row_order` of the rows: the
+        numerator rows of p^-1 q, p the point of the cell, laid out as
+        `PatchClass.rows`."""
+        grid, scale = self.grid, self.scale
+        last = len(grid.sizes) - 1
+        ts = grid.values[last]
+        s0, s1 = scale * ts[cell[last]][0], scale * ts[cell[last]][1]
+        p, q, den = self.reach.numerator, self.reach.denominator, self.den
+        out = []
+        for hu, hw, c, low, high, base in self.head_rows(tuple(cell[:last])):
+            j0 = grid.first(last, (q * (s0 + low[0]) - p * den,
+                                   q * (s1 + low[1]), q * den))
+            j1 = grid.first(last, (q * (s0 + high[0]) + p * den,
+                                   q * (s1 + high[1]), q * den), strict=True)
+            for i in grid.points(base + j0, base + j1):
+                u, w = ts[grid.index_of(i) - base]
+                out.append((hu + (scale * u - s0 - c[0],)
+                            + hw + (scale * w - s1 - c[1],), i))
+        return out
+
+    def candidates(self, coords: Sequence[QuadNum]) -> list[int]:
+        """The sample points within the radius of the point with exact
+        coordinates coords, a cell of the product of the axes."""
+        grid = self.grid
+        (row,), den = numerator_rows([coords])
+        c, (m, rest) = len(coords), divmod(grid.e, den)
+        cell = [grid.positions[k].get((m * row[k], m * row[c + k]))
+                for k in range(c)]
+        if rest or None in cell:
+            raise ValueError(f"{coords} is not on the axes of the sample")
+        return [i for _, i in self.near(cell)]
+
+    def _sq_terms(self, row: tuple) -> Iterator[tuple]:
+        """The terms (u, w) over e^2, up to sign, whose largest absolute
+        value is the squared symmetric gauge of the element with numerator
+        row row (laid out as `near` gives it): the squared head
+        coordinates, then on H_n tau and <a, b> - tau (on Z^m, the squared
+        last coordinate)."""
+        grid = self.grid
+        d, c, n = grid.d, len(grid.sizes), grid.n
+        head = c - 1 if grid.heisenberg else c
+        for k in range(head):
+            yield _product((row[k], row[c + k]), (row[k], row[c + k]), d)
+        if grid.heisenberg:
+            tau = row[c - 1], row[-1]
+            yield tau
+            h = _dot([(row[k], row[c + k]) for k in range(n)],
+                     [(row[k], row[c + k]) for k in range(n, 2 * n)], d)
+            yield h[0] - tau[0], h[1] - tau[1]
+
+    def sq_gauge(self, row: tuple) -> tuple:
+        """The squared symmetric gauge (u, w) over e^2 of the element with
+        numerator row row."""
+        ex = _Exact(self.grid.d)
+        return ex.max(map(ex.abs, self._sq_terms(row)))
+
+    def below(self, row: tuple, bound: tuple) -> bool:
+        """Whether the squared symmetric gauge of the element with
+        numerator row row is below bound (u, w) over e^2, bound > 0."""
+        (bu, bw), d = bound, self.grid.d
+        for u, w in self._sq_terms(row):
+            if (sign_pq(bu - u, bw - w, d) <= 0
+                    or sign_pq(bu + u, bw + w, d) <= 0):
+                return False
+        return True
+
+
 # ---------------------------------------------------------------------------
 # repetitivity
 # ---------------------------------------------------------------------------
@@ -1217,9 +1412,10 @@ def repetitivity_radii(ms: ModelSet, radius: Fraction,
     (their recurrence lies beyond the sampled region). `catalog`, if given,
     is `patch_catalog(ms, radius)`, already built.
 
-    Each radius equals the full scan's bit for bit: on a product sample of
-    one axis by `_line_return_radii`, of more axes by `_axis_return_radii`;
-    on any other by the plain row scan `_scan_return_radii`."""
+    Each radius equals the full scan's bit for bit: on a grid without
+    members of one axis by `_line_return_radii`, of more axes by
+    `_axis_return_radii`; on any other by the plain row scan
+    `_scan_return_radii`."""
     radius = Fraction(radius)
     if catalog is None:
         catalog = patch_catalog(ms, radius)
@@ -1228,8 +1424,8 @@ def repetitivity_radii(ms: ModelSet, radius: Fraction,
                          f"not {radius}")
     members = [cls.centers for cls in catalog.classes]
     grid = ms.grid
-    if grid is None:
-        worst = _scan_return_radii(Grid(ms), ms, members)
+    if grid.members is not None:
+        worst = _scan_return_radii(grid, members)
     elif len(grid.sizes) == 1:
         worst = _line_return_radii(grid, members)
     else:
@@ -1383,17 +1579,16 @@ def _axis_return_radii(grid: Grid, members: Sequence[Sequence[int]]
     return radii
 
 
-def _scan_return_radii(grid: Grid, ms: ModelSet,
-                       members: Sequence[Sequence[int]]) -> list[float]:
-    """`_axis_return_radii` by the plain row scan, on the grid of the own
-    axes of a sample that is no product of them, or whose float order
-    disagrees with its exact order: per class, every query is evaluated by
-    `_MaxMin.nearest` over the class's rows. No bound skips a query row, so
-    the two routes agree only if the bounds of `_axis_return_radii` hold.
-    The offsets between a query row and a row of centres are cached per
-    pair of rows and shared by the classes."""
+def _scan_return_radii(grid: Grid, members: Sequence[Sequence[int]]
+                       ) -> list[float]:
+    """`_axis_return_radii` by the plain row scan, on a grid with members:
+    per class, every query is evaluated by `_MaxMin.nearest` over the
+    class's rows. No bound skips a query row, so the two routes agree only
+    if the bounds of `_axis_return_radii` hold. The offsets between a query
+    row and a row of centres are cached per pair of rows and shared by the
+    classes."""
     kernel = _MaxMin(grid)
-    cells = _cells(ms, grid)
+    cells = _cells(grid)
     queries = [(cell, [grid.floats[k][i] for k, i in enumerate(cell)],
                 points, tq, {})
                for cell, points, tq in _scan_rows(
@@ -1454,13 +1649,7 @@ def period_search(ms: ModelSet, gauge_bound: Fraction,
     core = left_interior(ms, erosion)
     if not core:
         raise ErosionError(f"eroded core empty at depth {erosion}")
-    grid = ms.grid
-    if grid is None:
-        from .lattice import period_rows
-
-        tested, survivors = period_rows(ms, core, gauge_bound)
-    else:
-        tested, survivors = _axis_periods(grid, core, gauge_bound)
+    tested, survivors = _axis_periods(ms.grid, core, gauge_bound)
     kind, d = ms.scheme.kind, ms.scheme.d
     survivors.sort(key=row_key(kind.coord_count, d))
     return PeriodReport(
@@ -1473,72 +1662,70 @@ def period_search(ms: ModelSet, gauge_bound: Fraction,
 
 
 def _axis_periods(grid: Grid, core: list, bound: Fraction) -> tuple:
-    """(candidates, survivor rows) of `period_search` on a product sample.
+    """(candidates, survivor rows) of `period_search`.
 
     With p0 = (x0, y0, t0), q * p0^-1 = (a, b, t' - t0 - <a, y0>) for q =
-    (x0 + a, y0 + b, t'), so the candidates are the x' and y' within the
-    bound of x0 and y0 on their axes and, for each a, the t' within bound^2
-    of t0 + <a, y0>; on Z^m, the values within the bound of p0 on each
-    axis. g*p = (x + a, y + b, t + g_t + <a, y>) lies in the sample when
-    each coordinate lies on its axis."""
+    (x0 + a, y0 + b, t'), so the candidates are the sample points q among
+    the x' and y' within the bound of x0 and y0 on their axes and, for each
+    a, the t' within bound^2 of t0 + <a, y0>; on Z^m, among the values
+    within the bound of p0 on each axis. g*p = (x + a, y + b, t + g_t +
+    <a, y>) lies in the sample when each coordinate lies on its axis and
+    the cell is a sample point's."""
     d, e = grid.d, grid.e
     c = len(grid.sizes)
-    cell0 = grid.cell(core[0])
+    cell0 = grid.cell_of(core[0])
     head = c - 1 if grid.heisenberg else c
-    spans = []
-    for k in range(head):
-        u, w = grid.values[k][cell0[k]]
-        p, q = bound.numerator, bound.denominator
-        spans.append(grid.span(k, (q * u - p * e, q * w, q * e),
-                               (q * u + p * e, q * w, q * e)))
-    steps = list(itertools.product(*[grid.diffs(k, cell0[k], spans[k])
-                                     for k in range(head)]))
-    members = [set(axis) for axis in grid.values]
-    candidates = []
+    values = grid.values
+    spans = [grid.around(k, cell0[k], bound) for k in range(head)]
+    n, b2 = grid.n, bound * bound
     if grid.heisenberg:
-        n = grid.n
-        e2 = e * e
-        t0 = grid.values[-1][cell0[-1]]
-        y0 = [grid.values[n + k][cell0[n + k]] for k in range(n)]
-        b2 = bound * bound
-        for g in steps:
-            # t' - t0 - <a, y0> in [-bound^2, bound^2], over e^2
-            ay = _dot(g[:n], y0, d)
-            s = (e * t0[0] + ay[0], e * t0[1] + ay[1])
-            for j in range(grid.first(c - 1, grid.t_bound(s, -b2)),
-                           grid.first(c - 1, grid.t_bound(s, b2),
-                                      strict=True)):
-                u, w = grid.values[-1][j]
-                candidates.append(g + ((e * u - s[0], e * w - s[1]),))
-    else:
-        candidates = steps
+        t0 = values[-1][cell0[-1]]
+        y0 = [values[n + k][cell0[n + k]] for k in range(n)]
+    candidates = []
+    for cell, base in grid.present(spans):
+        g = tuple((values[k][j][0] - values[k][i][0],
+                   values[k][j][1] - values[k][i][1])
+                  for k, (i, j) in enumerate(zip(cell0, cell)))
+        if not grid.heisenberg:
+            candidates.append(g)
+            continue
+        # t' - t0 - <a, y0> in [-bound^2, bound^2], over e^2
+        ay = _dot(g[:n], y0, d)
+        s = (e * t0[0] + ay[0], e * t0[1] + ay[1])
+        for p in grid.points(
+                base + grid.first(c - 1, grid.t_bound(s, -b2)),
+                base + grid.first(c - 1, grid.t_bound(s, b2), strict=True)):
+            u, w = values[-1][grid.index_of(p) - base]
+            candidates.append(g + ((e * u - s[0], e * w - s[1]),))
     zero = tuple((0, 0) for _ in range(c))
     candidates = [g for g in candidates if g != zero]
     tested = len(candidates)
     # blocks of core points grow while candidates survive
     start, size = 0, 16
     while candidates and start < len(core):
-        points = [[grid.values[k][i] for k, i in enumerate(grid.cell(p))]
+        points = [[grid.values[k][i] for k, i in enumerate(grid.cell_of(p))]
                   for p in core[start:start + size]]
         candidates = [g for g in candidates
-                      if all(_translate_in(grid, members, g, p)
-                             for p in points)]
+                      if all(_translate_in(grid, g, p) for p in points)]
         start += size
         size *= 2
     return tested, [tuple(u for u, _ in g) + tuple(w for _, w in g)
                     for g in candidates]
 
 
-def _translate_in(grid: Grid, members: list, g: tuple, p: list) -> bool:
+def _translate_in(grid: Grid, g: tuple, p: list) -> bool:
     """Whether g*p is a sample point, g with the t part over e^2."""
-    if not grid.heisenberg:
-        return all((a[0] + x[0], a[1] + x[1]) in axis
-                   for a, x, axis in zip(g, p, members))
-    n, d, e = grid.n, grid.d, grid.e
-    for k in range(2 * n):
-        if (g[k][0] + p[k][0], g[k][1] + p[k][1]) not in members[k]:
-            return False
-    ay = _dot(g[:n], p[n:2 * n], d)
-    u = g[-1][0] + e * p[-1][0] + ay[0]
-    w = g[-1][1] + e * p[-1][1] + ay[1]
-    return u % e == 0 and w % e == 0 and (u // e, w // e) in members[-1]
+    at = grid.positions
+    cell = [at[k].get((a[0] + x[0], a[1] + x[1]))
+            for k, (a, x) in enumerate(zip(g[:grid.head], p))]
+    if grid.heisenberg:
+        n, d, e = grid.n, grid.d, grid.e
+        ay = _dot(g[:n], p[n:2 * n], d)
+        u = g[-1][0] + e * p[-1][0] + ay[0]
+        w = g[-1][1] + e * p[-1][1] + ay[1]
+        cell.append(at[-1].get((u // e, w // e))
+                    if u % e == 0 and w % e == 0 else None)
+    if None in cell:
+        return False
+    i = grid.index(cell)
+    return bool(grid.points(i, i + 1))

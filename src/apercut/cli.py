@@ -10,12 +10,10 @@ output bytes; the current implementation runs single-threaded regardless of
 Start-up: each command imports only the modules it runs. `import apercut.cli`
 loads `errors`, `heisenberg` and `serialize`. On top of those, `generate`
 and `check-window` load `cutproject` and `quadratic`, `bounds` loads only
-`bounds`, and `analyze` loads `analysis`, `cutproject` and `quadratic`:
-its samples are products of axes, which the analyses run on in pure
-Python, so it loads neither `lattice` nor numpy.
+`bounds`, and `analyze` loads `analysis`, `cutproject` and `quadratic`.
 `growth` and `cover` load only `growth`: word balls are bitsets on plain
-Python integers, so neither numpy, a model-set module nor `quadratic`. No
-command makes a BLAS call. No command loads `dataclasses` (the value
+Python integers, so neither a model-set module nor `quadratic`. No module
+imports numpy. No command loads `dataclasses` (the value
 types are `errors.Record`s), and `hashlib` loads at the first content
 hash: `generate` and `analyze` load it, `cover` and `bounds` with
 `--out`, and `growth` never.

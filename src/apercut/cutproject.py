@@ -38,7 +38,6 @@ from .quadratic import (
 
 if TYPE_CHECKING:
     from .analysis import Grid
-    from .lattice import Lattice
 
 FractionPair = Tuple[Fraction, Fraction]
 
@@ -126,15 +125,14 @@ def _in_interval(u: int, w: int, e: int, d: int, iv: FractionPair) -> bool:
 class ModelSet(Record):
     """An exact finite sample of a cut-and-project set.
 
-    Each point is one integer numerator row over the common denominator e,
-    laid out as `Lattice.rows`: coordinate k of the point is
-    (row[k] + row[c + k]*sqrt(d))/e, with c coordinates (x_1..x_n, y_1..y_n,
-    t). Its internal point, the conjugate, is the same row with the w parts
-    negated. The points are ring elements, pairwise distinct and sorted
-    lexicographically by coordinates; every physical point is in the region,
-    and every internal point is in the window. `points`, `internal_points`
-    (as `GroupPoint`s), `axes`, `grid` and `lattice` are views built on
-    first use.
+    Each point is one integer numerator row over the common denominator e:
+    coordinate k of the point is (row[k] + row[c + k]*sqrt(d))/e, with c
+    coordinates (x_1..x_n, y_1..y_n, t). Its internal point, the conjugate,
+    is the same row with the w parts negated. The points are ring elements,
+    pairwise distinct and sorted lexicographically by coordinates; every
+    physical point is in the region, and every internal point is in the
+    window. `points`, `internal_points` (as `GroupPoint`s), `axes` and
+    `grid` are views built on first use.
     """
 
     scheme: Scheme
@@ -207,21 +205,13 @@ class ModelSet(Record):
         return math.prod(map(len, self.axes)) == len(self)
 
     @cached_property
-    def grid(self) -> Grid | None:
-        """The axes prepared for the pure-Python kernels of `analysis`,
-        built on first use; None when the set is no product of its axes
-        (`analysis.Grid.build`)."""
+    def grid(self) -> Grid:
+        """The axes prepared for the kernels of `analysis`, built on first
+        use; with members when the set is no product of its axes
+        (`analysis.Grid`)."""
         from .analysis import Grid
 
-        return Grid.build(self)
-
-    @cached_property
-    def lattice(self) -> Lattice:
-        """The rows as a `Lattice`, built on first use by the pair route of
-        `analysis`, for sets that are no product of their axes."""
-        from .lattice import Lattice  # numpy loads with the pair route
-
-        return Lattice(self.scheme.kind, self.scheme.d, self.rows, self.e)
+        return Grid(self)
 
     def validate(self) -> None:
         """Re-verify every structural invariant on the rows; raises

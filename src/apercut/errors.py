@@ -1,6 +1,6 @@
 """Exception types shared across the package, the element budget that
-`check_budget` enforces, the int64 bound `LIMIT` of the numpy integer
-kernels, and `Record`, the base of the package's immutable value types.
+`check_budget` enforces, and `Record`, the base of the package's immutable
+value types.
 
 The CLI maps these onto process exit codes, so library code should raise
 the most specific type that applies.
@@ -12,11 +12,6 @@ import os
 
 DEFAULT_ELEMENT_BUDGET = 50_000_000
 BUDGET_ENV_VAR = "APERCUT_BUDGET"
-
-# `lattice` keeps integer arrays int64 while every value is known to stay
-# below LIMIT and moves them to Python ints beyond it (`lattice.int_array`);
-# word balls use Python ints throughout.
-LIMIT = 1 << 62
 
 
 class Record:

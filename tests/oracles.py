@@ -3,11 +3,11 @@ run on.
 
 Each oracle answers one analysis question by the definition, with
 `QuadNum` products and gauges or float full scans over every pair, so it
-stays independent of the axis kernels, the integer-row kernel and the
-neighbour index. `ROUTES` runs an analysis on a sample as it comes (the
-axis kernels, for a product of axes) and as a set that is no product
-(`pair_route`): the exact phases through the pair route of `lattice`, and
-the float estimates by the plain row scan of `analysis`. The samples are
+stays independent of the axis kernels and the neighbour index. `ROUTES`
+runs an analysis on a sample as it comes (the axis kernels, for a product
+of axes) and as a set that is no product (`pair_route`): the exact phases
+on the cells its grid lists as members, through `analysis.NeighborIndex`,
+and the float estimates by the plain row scan of `analysis`. The samples are
 small (at most about 60 points), which keeps the O(N^2) oracles fast:
 cut-and-project samples with random rational box windows; bare
 `ModelSet.from_points` sets, which reach sparse cases that cut-and-project
@@ -53,9 +53,11 @@ RINGS = (RingSpec(2), RingSpec(3), RingSpec(5), FULL5)
 
 def pair_route(ms):
     """A copy of ms that the analyses serve as they serve samples that are
-    no product of axes."""
+    no product of their axes: the grid of a product copy gets every cell
+    as a member."""
     copy = ModelSet(ms.scheme, ms.window, ms.region, ms.rows, ms.e)
-    copy.__dict__["grid"] = None
+    if copy.grid.members is None:
+        copy.grid.members = list(range(len(ms)))
     return copy
 
 

@@ -26,7 +26,6 @@ from apercut.bounds import (
     tube_dim_bound,
 )
 from apercut.analysis import complexity_table, delone_report
-from apercut.lattice import NeighborIndex, patch_rows
 from apercut.cli import main
 from apercut.cutproject import (
     Box,
@@ -43,6 +42,7 @@ from apercut.quadratic import (
     RingVariant,
     enumerate_ring_in_rectangle,
 )
+from oracles import pair_route
 
 E1 = GroupKind.euclidean(1)
 E2 = GroupKind.euclidean(2)
@@ -239,11 +239,11 @@ def test_heisenberg_model_set_delone_flc_aperiodic():
     assert sep.separation_sq > 0
     assert sep.separation_sq == 1
 
-    # patch-by-center catalog of the radius-8 sample
-    centers8 = right_interior(ms8, one)
-    keys8, rows8 = patch_rows(ms8, centers8, one, NeighborIndex(ms8, one))
-    per_center8 = {i: tuple(ms8.lattice.to_coords(rows8[k]))
-                   for i, k in zip(centers8, keys8)}
+    # patch-by-center catalog of the radius-8 sample, on the masked route
+    cat8 = patch_catalog(pair_route(ms8), one)
+    per_center8 = {i: cls.relative_coords
+                   for cls in cat8.classes for i in cls.centers}
+    assert sorted(per_center8) == right_interior(ms8, one)
     counts8 = Counter(per_center8.values())
     assert len(counts8) == 43
 
@@ -251,14 +251,13 @@ def test_heisenberg_model_set_delone_flc_aperiodic():
     # (Strict equality of the two catalogs is false as a matter of fact:
     # fresh classes do appear at centers beyond gauge norm 8, because a
     # larger physical region samples the window at finer resolution.)
-    pos12 = {p.coords: j for j, p in enumerate(ms12.points)}
-    centers12 = [pos12[ms8.points[i].coords] for i in per_center8]
-    keys12, rows12 = patch_rows(ms12, centers12, one,
-                                NeighborIndex(ms12, one))
-    for key, k12 in zip(per_center8.values(), keys12):
-        assert tuple(ms12.lattice.to_coords(rows12[k12])) == key
-
     cat12 = patch_catalog(ms12, one)
+    per_center12 = {j: cls.relative_coords
+                    for cls in cat12.classes for j in cls.centers}
+    pos12 = {p.coords: j for j, p in enumerate(ms12.points)}
+    for i, key in per_center8.items():
+        assert per_center12[pos12[ms8.points[i].coords]] == key
+
     counts12 = {c.relative_coords: c.multiplicity for c in cat12.classes}
     assert len(counts12) == 51
     assert set(counts8) <= set(counts12)

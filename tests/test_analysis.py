@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from apercut import analysis, lattice
+from apercut import analysis
 from apercut.analysis import (
+    NeighborIndex,
     PatchCatalog,
     PatchClass,
     _initial_radius,
@@ -42,7 +43,6 @@ from apercut.heisenberg import (
     sym_dist_sq,
 )
 from apercut.quadratic import QuadNum, RingSpec, RingVariant, floor_div
-from apercut.lattice import NeighborIndex
 from oracles import (
     ROUTES,
     bare_samples,
@@ -51,6 +51,7 @@ from oracles import (
     brute_separation,
     cut_project_samples,
     dense_covering,
+    dense_gauge,
     float_sym_gauge,
     pair_route,
     progression_samples,
@@ -279,17 +280,17 @@ def on_sheared_edge(ms, radius):
     return count
 
 
-def left_neighbours(ms, radius):
-    """Every (i, j) with gauge(p_i^-1 p_j) <= radius, by the exact kernel
-    over all pairs."""
-    lat = ms.lattice
-    n = len(lat)
-    found = set()
-    for a in range(0, n, 128):
-        i, j = np.divmod(np.arange(a * n, min(a + 128, n) * n), n)
-        near = lat.gauge_leq(lat.left_diff(i, j), radius)
-        found.update(zip(i[near].tolist(), j[near].tolist()))
-    return found
+def neighbours(ms, radius):
+    """Every (i, j) with symmetric distance at most radius: the float full
+    scan decides the pairs whose float gauge is more than 10^-6 from the
+    radius, `QuadNum` gauges the rest."""
+    pts = np.array(ms.float_points(), dtype=float)
+    gauge = dense_gauge(ms.scheme.kind, pts, pts) - float(radius)
+    sure = zip(*np.nonzero(gauge < -1e-6))
+    close = zip(*np.nonzero(np.abs(gauge) <= 1e-6))
+    return {(int(i), int(j)) for i, j in sure} | {
+        (int(i), int(j)) for i, j in close
+        if sym_dist_leq(ms.points[i], ms.points[j], radius)}
 
 
 INDEX_SAMPLES = {
@@ -309,32 +310,13 @@ def test_index_candidates_complete(name, radius):
     ms = INDEX_SAMPLES[name]()
     if name == "h1-edges":
         assert on_sheared_edge(ms, radius) > 0
-    index = NeighborIndex(ms, radius)
-    got = {(i, j) for i, p in enumerate(ms.points)
-           for j in index.candidates(p.coords)}
-    expected = left_neighbours(ms, radius)
-    assert len(expected) > len(ms) or radius < 1
-    assert expected <= got
-
-
-def test_index_pairs_match_candidates_in_any_chunking(monkeypatch):
-    ms = h1_sample(3)
-    index = NeighborIndex(ms, Fraction(3, 2))
-    expected = sorted(
-        (i, j) for i, p in enumerate(ms.points)
-        for j in index.candidates(p.coords))
-    for chunk in (1, 50, 1 << 18):
-        monkeypatch.setattr(lattice, "PAIR_CHUNK", chunk)
-        got = [pair for i, j in index.pairs()
-               for pair in zip(i.tolist(), j.tolist())]
-        assert sorted(got) == expected
-    # chosen centers come out grouped, in the order given, never split
-    centers = [40, 2, 17]
-    monkeypatch.setattr(lattice, "PAIR_CHUNK", 5)
-    chunks = [i.tolist() for i, _ in index.pairs(centers)]
-    assert [i for chunk in chunks for i in chunk] == [
-        c for c in centers for _ in index.candidates(ms.points[c].coords)]
-    assert all(len(set(chunk)) == 1 for chunk in chunks)
+    for route in ROUTES:
+        index = NeighborIndex(route(ms), radius)
+        got = {(i, j) for i, p in enumerate(ms.points)
+               for j in index.candidates(p.coords)}
+        expected = neighbours(ms, radius)
+        assert len(expected) > len(ms) or radius < 1
+        assert got == expected
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +440,7 @@ def covering_samples():
     ids=["e1", "e2", "h1", "h2", "h1-full5", "e2-sparse", "h1-off-origin"])
 def test_covering_radius_equals_dense_scan(ms, step, erosion):
     expected = dense_covering(ms, step, erosion)
-    assert ms.grid is not None
+    assert ms.grid.members is None
     assert covering_radius_estimate(ms, step, erosion) == expected
     assert covering_radius_estimate(pair_route(ms), step, erosion) == expected
 
@@ -471,15 +453,15 @@ def test_index_work_stays_below_region_sized_cells(monkeypatch):
         SCHEME_H1, Box.cube(H1, Fraction(9, 10)),
         Box(((-5, 5), (-5, 5), (-14, 14)))))
     assert len(ms) == 833
-    pairs_near = NeighborIndex.pairs_near
+    near = NeighborIndex.near
     yielded = [0]
 
     def counted(self, *args):
-        for i, j in pairs_near(self, *args):
-            yielded[0] += len(i)
-            yield i, j
+        found = near(self, *args)
+        yielded[0] += len(found)
+        return found
 
-    monkeypatch.setattr(NeighborIndex, "pairs_near", counted)
+    monkeypatch.setattr(NeighborIndex, "near", counted)
     for run, region_sized in [
         (lambda: separation(ms), 49_857),
         (lambda: complexity_table(ms, [1, 2]), 33_605),
@@ -490,13 +472,12 @@ def test_index_work_stays_below_region_sized_cells(monkeypatch):
 
 
 def test_covering_estimate_peak_memory():
-    # the benchmark's H1 sample on the pair route: the row scan holds one
+    # the benchmark's H1 sample, masked: the row scan holds one
     # item per row of sample points for the grid head at hand, a traced
     # peak near 0.1 MB
     ms = pair_route(generate_model_set(
         SCHEME_H1, Box.cube(H1, Fraction(9, 10)),
         Box(((-5, 5), (-5, 5), (-14, 14)))))
-    ms.lattice
     tracemalloc.start()
     try:
         covering_radius_estimate(ms, Fraction(1, 2), Fraction(1))
@@ -563,15 +544,13 @@ def _return_radii(report):
             for c in report.per_class]
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 200, lattice.PAIR_CHUNK])
-def test_max_min_kernel_equals_full_scans_at_any_chunk(chunk, monkeypatch):
+def test_max_min_kernel_equals_full_scans():
     cases = [(sturmian(20), Fraction(1, 10), Fraction(1)),
              (h1_sample(2), Fraction(1, 2), Fraction(0))]
     expected = [dense_covering(*case) for case in cases]
     rep_cases = [(sturmian(100), Fraction(2)), (h1_sample(3), Fraction(1))]
     rep_expected = [reference_return_radii(ms, patch_catalog(ms, radius))
                     for ms, radius in rep_cases]
-    monkeypatch.setattr(lattice, "PAIR_CHUNK", chunk)
     for route in ROUTES:
         assert [covering_radius_estimate(route(ms), *rest)
                 for ms, *rest in cases] == expected
@@ -598,7 +577,7 @@ def test_max_min_kernel_matches_full_scans_on_random_product_classes(data):
     ms = data.draw(cut_project_samples() | progression_samples(),
                    label="sample")
     assume(len(ms) >= 2)
-    assert ms.grid is not None
+    assert ms.grid.members is None
     step = Fraction(2 if ms.scheme.kind.coord_count > 3 else 1)
     route = data.draw(st.sampled_from(ROUTES), label="route")
     _check_kernel(data, route(ms), step)
@@ -639,13 +618,11 @@ def _check_kernel(data, ms, step):
 
 @pytest.mark.parametrize("ms", [sturmian(100), h1_sample(4)],
                          ids=["e1", "h1"])
-def test_repetitivity_row_blocks_match_unblocked(ms, monkeypatch):
-    ms = pair_route(ms)
-    monkeypatch.setattr(lattice, "PAIR_CHUNK", 1 << 40)
-    whole = repetitivity_radii(ms, Fraction(1))
-    for chunk in (1, 5, 64):
-        monkeypatch.setattr(lattice, "PAIR_CHUNK", chunk)
-        assert repetitivity_radii(ms, Fraction(1)) == whole
+def test_repetitivity_row_blocks_match_unblocked(ms):
+    # the axis kernels, which skip the rows of queries that their bounds
+    # rule out, against the row scan of the masked route, which skips none
+    whole = repetitivity_radii(pair_route(ms), Fraction(1))
+    assert repetitivity_radii(ms, Fraction(1)) == whole
     assert any(c.multiplicity > 5 for c in whole.per_class)
 
 
@@ -830,6 +807,119 @@ def test_period_search_finds_left_periods_that_are_not_right_differences():
     report = period_search(ms, Fraction(2), Fraction(2))
     assert [tuple(int(c.a) for c in g) for g in report.nontrivial_periods] \
         == [(-2, 0, 0), (-1, 0, 0), (1, 0, 0), (2, 0, 0)]
+
+
+def test_misordered_product_matches_oracles():
+    """E1 values p - q*sqrt(2) of convergents p/q of sqrt(2), moved by 0 to
+    5. The float of 1023286908188737 - 723573111879672*sqrt(2), which is
+    about 5e-16, comes out as -0.125, below that of 7 - 5*sqrt(2). The set
+    is the product of its one axis, but its float order is not its exact
+    order, so its grid has members, and every analysis must still equal
+    the oracles."""
+    convergents = [(1, 1), (3, 2), (7, 5), (17, 12), (41, 29), (99, 70),
+                   (1023286908188737, 723573111879672)]
+    values = sorted(QuadNum(p + m, -q, 2)
+                    for p, q in convergents for m in range(6))
+    points = [GroupPoint(E1, (v,)) for v in values]
+    internal = [GroupPoint(E1, (v.conjugate(),)) for v in values]
+    region = Box(((-1, 6),))
+    ms = ModelSet.from_points(SCHEME_1D, region, region, points, internal)
+    assert ms.is_product and ms.grid.members is not None
+    assert ms.float_points() != sorted(ms.float_points())
+    result = separation(ms)
+    assert (result.separation_sq, result.certificate, result.bracket) == \
+        brute_separation(ms)
+    for radius in (Fraction(1, 2), Fraction(1)):
+        check_patch_catalog(ms, radius)
+        check_period_search(ms, radius)
+    step = Fraction(1, 4)
+    assert covering_radius_estimate(ms, step, Fraction(0)) == \
+        dense_covering(ms, step, Fraction(0))
+
+
+def large_element(draw, ring, mag):
+    if ring.variant is FULL5.variant:
+        # (p + q*sqrt(d))/2 with p = q (mod 2)
+        p = draw(st.integers(-2 * mag, 2 * mag))
+        q = draw(st.integers(-2 * mag, 2 * mag) | st.just(0))
+        p += (p - q) % 2
+        return QuadNum(Fraction(p, 2), Fraction(q, 2), ring.d)
+    a = draw(st.integers(-mag, mag))
+    b = draw(st.integers(-mag, mag) | st.just(0))
+    return QuadNum(a, b, ring.d)
+
+
+@st.composite
+def large_samples(draw):
+    """`from_points` sets of two to five points of E2, H1 or H2 with
+    coordinates of magnitude up to 8, 2^20 or 2^40, and a radius near the
+    gauges in play."""
+    kind = draw(st.sampled_from([E2, H1, H2]))
+    ring = draw(st.sampled_from([RingSpec(2), RingSpec(3), FULL5,
+                                 RingSpec(13, RingVariant.FULL_INTEGERS)]))
+    mag = draw(st.sampled_from([8, 2 ** 20, 2 ** 40]))
+    pts = sorted({tuple(large_element(draw, ring, mag)
+                        for _ in range(kind.coord_count))
+                  for _ in range(draw(st.integers(2, 5)))})
+    assume(len(pts) > 1)
+    points = [GroupPoint(kind, p) for p in pts]
+    internal = [GroupPoint(kind, tuple(c.conjugate() for c in p))
+                for p in pts]
+    region = Box(tuple((math.floor(min(axis)), math.ceil(max(axis)))
+                       for axis in zip(*pts)))
+    ms = ModelSet.from_points(Scheme(kind, ring), region, region, points,
+                              internal)
+    scale = max(abs(float(c)) for p in pts for c in p) + 1
+    radius = draw(st.sampled_from([
+        Fraction(1, 3), Fraction(1), Fraction(7, 2),
+        Fraction(math.floor(scale)), Fraction(math.floor(scale ** 0.5)),
+        Fraction(math.floor(2 * scale), 3)]))
+    return ms, radius
+
+
+@settings(max_examples=150, deadline=None)
+@given(large_samples())
+def test_index_rows_and_gauges_match_oracle(sample):
+    # per point p, the points q within the radius, with the rows of p^-1 q
+    # in order and their squared gauges, against `QuadNum` products
+    ms, radius = sample
+    kind, d, e = ms.scheme.kind, ms.scheme.d, ms.e
+    index = NeighborIndex(ms, radius)
+    for i, p in enumerate(ms.points):
+        inv_p = inv_coords(kind, p.coords)
+        expected = sorted((mul_coords(kind, inv_p, q.coords), j)
+                          for j, q in enumerate(ms.points)
+                          if sym_dist_leq(p, q, radius))
+        got = index.near(ms.grid.cell_of(i))
+        assert [(tuple(analysis.element_coords(kind, d, e, [row])[0]), j)
+                for row, j in got] == expected
+        for row, j in got:
+            u, w = index.sq_gauge(row)
+            sq = sym_dist_sq(p, ms.points[j])
+            assert QuadNum(Fraction(u, e * e), Fraction(w, e * e), d) == sq
+            assert not index.below(row, (u, w))
+            assert index.below(row, (u + 1, w))
+
+
+@settings(max_examples=150, deadline=None)
+@given(large_samples(), st.data())
+def test_translates_membership_matches_oracle(sample, data):
+    # g*p is a sample point, for g = p_a^-1 p_b and a sample point p
+    ms, _ = sample
+    kind, e = ms.scheme.kind, ms.e
+    members = {p.coords for p in ms.points}
+    c = kind.coord_count
+    for a, b in itertools.product(range(len(ms)), repeat=2):
+        g = mul_coords(kind, inv_coords(kind, ms.points[a].coords),
+                       ms.points[b].coords)
+        dens = [e] * ms.grid.head + [e * e] * (c - ms.grid.head)
+        g_rows = tuple((int(x.a * den), int(x.b * den))
+                       for x, den in zip(g, dens))
+        m = data.draw(st.integers(0, len(ms) - 1))
+        row = ms.rows[m]
+        p = [(row[k], row[c + k]) for k in range(c)]
+        assert analysis._translate_in(ms.grid, g_rows, p) == (
+            mul_coords(kind, g, ms.points[m].coords) in members)
 
 
 def test_delone_report_combined():

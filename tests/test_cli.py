@@ -202,8 +202,8 @@ def test_analyze_never_builds_point_views(tmp_path, capsys, monkeypatch):
     ])
     assert code == 0, err
     built = vars(samples[0])
-    assert built["grid"] is not None
-    assert "lattice" not in built
+    # the product grid, with no membership map
+    assert built["grid"].members is None
     assert "points" not in built and "internal_points" not in built
 
 

@@ -5,7 +5,7 @@ A `ModelSet` holds each point as integer numerators over one denominator e
 window test, the order of adjacent rows and the float conversion are decided
 on those integers; each must agree with the same question asked of QuadNum
 values. Numerators are drawn at three magnitudes: small, past 2^31, and past
-the int64 bound at which `Lattice` moves to Python ints.
+2^64.
 """
 
 import math
@@ -22,7 +22,6 @@ from apercut.cutproject import (
     _in_interval,
     generate_model_set,
 )
-from apercut.errors import LIMIT
 from apercut.heisenberg import GroupKind
 from apercut.quadratic import QuadNum, RingSpec, RingVariant
 from apercut.quadratic import row_order as _row_order
@@ -31,7 +30,7 @@ FULL = RingVariant.FULL_INTEGERS
 # (ring, e): the sample denominator each ring's elements share
 RINGS = ((RingSpec(2), 1), (RingSpec(3), 1), (RingSpec(5, FULL), 2),
          (RingSpec(13, FULL), 2))
-MAGNITUDES = (8, 2 ** 33, 4 * LIMIT)
+MAGNITUDES = (8, 2 ** 33, 4 * (1 << 62))
 
 SETTINGS = settings(max_examples=200, deadline=None)
 

@@ -1,16 +1,13 @@
 """Start-up cost: which modules each command loads and which threads
 `growth` starts, checked in fresh interpreters.
 
-Neither `import apercut`, `import apercut.cli` nor any command but
-`analyze` imports numpy, and `analyze` runs on the axes of a product
-sample, loading neither numpy nor `apercut.lattice`, whatever the size of
-its catalogs. Only the pair route loads them: the exact analyses of a set
-that is no product of its axes (a `ModelSet.from_points` set), whose
-covering estimate and return radii load neither. Neither `import
-apercut.cli` nor `growth`, `cover` and `bounds` load a model-set module or
-`quadratic`. No command loads `dataclasses`, and neither `import
-apercut.cli` nor `growth` loads `hashlib`: only a command that writes a
-content hash does.
+Neither `import apercut`, `import apercut.cli` nor any command imports
+numpy, whatever the size of the catalogs of `analyze`, and every analysis
+of a set that is no product of its axes (a `ModelSet.from_points` set)
+runs with numpy unimportable. Neither `import apercut.cli` nor `growth`,
+`cover` and `bounds` load a model-set module or `quadratic`. No command
+loads `dataclasses`, and neither `import apercut.cli` nor `growth` loads
+`hashlib`: only a command that writes a content hash does.
 """
 
 import os
@@ -107,7 +104,7 @@ def test_word_commands_load_no_model_set_module(argv, tmp_path):
                       tmp_path)
     modules = imported_modules(proc.stderr)
     assert "apercut.growth" in modules
-    assert not modules & (MODEL_SET_MODULES | {"apercut.lattice"})
+    assert not modules & MODEL_SET_MODULES
 
 
 # The threads before and after an in-process growth command, whether numpy
@@ -182,7 +179,6 @@ def test_analyze_loads_no_numpy(argv, expected, sample):
     modules = imported_modules(proc.stderr)
     assert "apercut.analysis" in modules
     assert not loads_numpy(modules)
-    assert "apercut.lattice" not in modules
 
 
 def test_model_set_csv_loads_no_numpy(sample):
@@ -201,7 +197,6 @@ def test_model_set_csv_loads_no_numpy(sample):
 # A set that is no product of its axes: 35 points, the corner (5, 5) of
 # the 6 x 6 grid missing.
 FROM_POINTS_SET = """
-import sys
 from fractions import Fraction
 from apercut import analysis
 from apercut.cutproject import Box, ModelSet, Scheme
@@ -214,32 +209,33 @@ points = [GroupPoint(kind, tuple(QuadNum(v, 0, 2) for v in c))
 region = Box(((0, 5), (0, 5)))
 ms = ModelSet.from_points(Scheme(kind, RingSpec(2)), region, region,
                           points, points)
-assert not ms.is_product and ms.grid is None
-assert "numpy" not in sys.modules
+assert not ms.is_product and ms.grid.members is not None
 one = Fraction(1)
 """
 
-# Its exact analyses run on the pair route of `lattice`, which loads numpy.
-FROM_POINTS = FROM_POINTS_SET + """
+# Its analyses run with numpy unimportable: a None entry in sys.modules
+# makes `import numpy` raise ImportError.
+FROM_POINTS = """
+import sys
+sys.modules["numpy"] = None
+""" + FROM_POINTS_SET + """
 catalog = analysis.patch_catalog(ms, one)
 print(analysis.separation(ms).separation_sq, catalog.class_count,
       analysis.repetitivity_radii(ms, one, catalog).max_return_radius,
       len(analysis.period_search(ms, one, one).nontrivial_periods),
-      analysis.covering_radius_estimate(ms, Fraction(1, 2), Fraction(0)),
-      "numpy" in sys.modules)
+      analysis.covering_radius_estimate(ms, Fraction(1, 2), Fraction(0)))
 """
 
 
-def test_from_points_set_analyses_on_numpy(tmp_path):
+def test_from_points_set_analyses_without_numpy(tmp_path):
     proc = run_python(["-c", FROM_POINTS], tmp_path)
     # 35 points: the corner (5, 5) is missing, so the centre (4, 4) has a
     # patch of its own and the translates by (1, 1) are no period
-    assert proc.stdout.split() == ["1", "2", "3.0", "7", "1.0", "True"]
+    assert proc.stdout.split() == ["1", "2", "3.0", "7", "1.0"]
 
 
-# The float estimates of such a set run in `analysis`, on the grid of its
-# own axes: with its catalog given, neither loads numpy or the pair route.
-FROM_POINTS_ESTIMATES = FROM_POINTS_SET + """
+# The float estimates of such a set, with its catalog given.
+FROM_POINTS_ESTIMATES = "import sys\n" + FROM_POINTS_SET + """
 from apercut.analysis import PatchCatalog, PatchClass
 # the catalog at radius 1: the centres of the core, the patch at (4, 4)
 # alone in its class
@@ -252,7 +248,7 @@ catalog = PatchCatalog(one, classes, len(core))
 report = analysis.repetitivity_radii(ms, one, catalog)
 print(*(c.return_radius for c in report.per_class),
       analysis.covering_radius_estimate(ms, Fraction(1, 2), Fraction(0)),
-      "numpy" in sys.modules, "apercut.lattice" in sys.modules)
+      "numpy" in sys.modules)
 """
 
 
@@ -260,7 +256,7 @@ def test_from_points_set_estimates_load_no_numpy(tmp_path):
     proc = run_python(["-c", FROM_POINTS_ESTIMATES], tmp_path)
     # every centre has a neighbour of the large class at 1; the centre
     # (1, 1) lies 3 from the corner centre (4, 4)
-    assert proc.stdout.split() == ["1.0", "3.0", "1.0", "False", "False"]
+    assert proc.stdout.split() == ["1.0", "3.0", "1.0", "False"]
 
 
 @pytest.mark.parametrize("argv", [
