@@ -323,3 +323,43 @@ def progression_samples(draw):
 def small_samples():
     return (cut_project_samples() | bare_samples(min_size=8)
             | progression_samples())
+
+
+def large_element(draw, ring, mag):
+    if ring.variant is FULL5.variant:
+        # (p + q*sqrt(d))/2 with p = q (mod 2)
+        p = draw(st.integers(-2 * mag, 2 * mag))
+        q = draw(st.integers(-2 * mag, 2 * mag) | st.just(0))
+        p += (p - q) % 2
+        return QuadNum(Fraction(p, 2), Fraction(q, 2), ring.d)
+    a = draw(st.integers(-mag, mag))
+    b = draw(st.integers(-mag, mag) | st.just(0))
+    return QuadNum(a, b, ring.d)
+
+
+@st.composite
+def large_samples(draw):
+    """`from_points` sets of two to five points of E2, H1 or H2 with
+    coordinates of magnitude up to 8, 2^20 or 2^40, and a radius near the
+    gauges in play."""
+    kind = draw(st.sampled_from([E2, H1, H2]))
+    ring = draw(st.sampled_from([RingSpec(2), RingSpec(3), FULL5,
+                                 RingSpec(13, RingVariant.FULL_INTEGERS)]))
+    mag = draw(st.sampled_from([8, 2 ** 20, 2 ** 40]))
+    pts = sorted({tuple(large_element(draw, ring, mag)
+                        for _ in range(kind.coord_count))
+                  for _ in range(draw(st.integers(2, 5)))})
+    assume(len(pts) > 1)
+    points = [GroupPoint(kind, p) for p in pts]
+    internal = [GroupPoint(kind, tuple(c.conjugate() for c in p))
+                for p in pts]
+    region = Box(tuple((math.floor(min(axis)), math.ceil(max(axis)))
+                       for axis in zip(*pts)))
+    ms = ModelSet.from_points(Scheme(kind, ring), region, region, points,
+                              internal)
+    scale = max(abs(float(c)) for p in pts for c in p) + 1
+    radius = draw(st.sampled_from([
+        Fraction(1, 3), Fraction(1), Fraction(7, 2),
+        Fraction(math.floor(scale)), Fraction(math.floor(scale ** 0.5)),
+        Fraction(math.floor(2 * scale), 3)]))
+    return ms, radius

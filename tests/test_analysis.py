@@ -53,6 +53,7 @@ from oracles import (
     dense_covering,
     dense_gauge,
     float_sym_gauge,
+    large_samples,
     pair_route,
     progression_samples,
     reference_return_radii,
@@ -835,70 +836,6 @@ def test_misordered_product_matches_oracles():
     step = Fraction(1, 4)
     assert covering_radius_estimate(ms, step, Fraction(0)) == \
         dense_covering(ms, step, Fraction(0))
-
-
-def large_element(draw, ring, mag):
-    if ring.variant is FULL5.variant:
-        # (p + q*sqrt(d))/2 with p = q (mod 2)
-        p = draw(st.integers(-2 * mag, 2 * mag))
-        q = draw(st.integers(-2 * mag, 2 * mag) | st.just(0))
-        p += (p - q) % 2
-        return QuadNum(Fraction(p, 2), Fraction(q, 2), ring.d)
-    a = draw(st.integers(-mag, mag))
-    b = draw(st.integers(-mag, mag) | st.just(0))
-    return QuadNum(a, b, ring.d)
-
-
-@st.composite
-def large_samples(draw):
-    """`from_points` sets of two to five points of E2, H1 or H2 with
-    coordinates of magnitude up to 8, 2^20 or 2^40, and a radius near the
-    gauges in play."""
-    kind = draw(st.sampled_from([E2, H1, H2]))
-    ring = draw(st.sampled_from([RingSpec(2), RingSpec(3), FULL5,
-                                 RingSpec(13, RingVariant.FULL_INTEGERS)]))
-    mag = draw(st.sampled_from([8, 2 ** 20, 2 ** 40]))
-    pts = sorted({tuple(large_element(draw, ring, mag)
-                        for _ in range(kind.coord_count))
-                  for _ in range(draw(st.integers(2, 5)))})
-    assume(len(pts) > 1)
-    points = [GroupPoint(kind, p) for p in pts]
-    internal = [GroupPoint(kind, tuple(c.conjugate() for c in p))
-                for p in pts]
-    region = Box(tuple((math.floor(min(axis)), math.ceil(max(axis)))
-                       for axis in zip(*pts)))
-    ms = ModelSet.from_points(Scheme(kind, ring), region, region, points,
-                              internal)
-    scale = max(abs(float(c)) for p in pts for c in p) + 1
-    radius = draw(st.sampled_from([
-        Fraction(1, 3), Fraction(1), Fraction(7, 2),
-        Fraction(math.floor(scale)), Fraction(math.floor(scale ** 0.5)),
-        Fraction(math.floor(2 * scale), 3)]))
-    return ms, radius
-
-
-@settings(max_examples=150, deadline=None)
-@given(large_samples())
-def test_index_rows_and_gauges_match_oracle(sample):
-    # per point p, the points q within the radius, with the rows of p^-1 q
-    # in order and their squared gauges, against `QuadNum` products
-    ms, radius = sample
-    kind, d, e = ms.scheme.kind, ms.scheme.d, ms.e
-    index = NeighborIndex(ms, radius)
-    for i, p in enumerate(ms.points):
-        inv_p = inv_coords(kind, p.coords)
-        expected = sorted((mul_coords(kind, inv_p, q.coords), j)
-                          for j, q in enumerate(ms.points)
-                          if sym_dist_leq(p, q, radius))
-        got = index.near(ms.grid.cell_of(i))
-        assert [(tuple(analysis.element_coords(kind, d, e, [row])[0]), j)
-                for row, j in got] == expected
-        for row, j in got:
-            u, w = index.sq_gauge(row)
-            sq = sym_dist_sq(p, ms.points[j])
-            assert QuadNum(Fraction(u, e * e), Fraction(w, e * e), d) == sq
-            assert not index.below(row, (u, w))
-            assert index.below(row, (u + 1, w))
 
 
 @settings(max_examples=150, deadline=None)
