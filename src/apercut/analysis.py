@@ -41,15 +41,15 @@ alone. The phases built on that neighbourhood:
   point, tested by membership on the axes.
 
 On one axis the return radii need only the neighbours of each centre in
-index order. A sample that is no whole product (`ModelSet.from_points`
-sets), or whose float order disagrees with its exact order, has a grid with
-members, the cells that hold its points; each exact phase keeps only
-those. Its cores are the members of the interior runs, its period
-candidates the members among the candidates, and its patches and
-separation pairs come from `NeighborIndex`, which finds the members within
-a radius row by row. Its two float estimates scan every row of its points
-with the same kernel, `_MaxMin`, with no bound that skips a row of
-queries.
+float order. The float estimates read axes and rows in float order, which
+need not be the exact order. A sample that is no whole product
+(`ModelSet.from_points` sets) has a grid with members, the cells that hold
+its points; each exact phase keeps only those. Its cores are the members
+of the interior runs, its period candidates the members among the
+candidates, and its patches and separation pairs come from
+`NeighborIndex`, which finds the members within a radius row by row. Its
+float estimates take a product's walk and bounds over the head cells that
+hold points.
 """
 
 from __future__ import annotations
@@ -123,12 +123,12 @@ class Grid:
 
     The sample points lie in the product of the axes; a cell of the product
     is a tuple of axis indices, or its mixed-radix index. `members` is None
-    when the sample is that whole product, its points in index order, and
-    every axis's float order is its exact order: the product kernels serve
-    it. Otherwise `members` lists the index of each point's cell, ascending
-    as the points are sorted, so the points of a run of cells are a run of
-    point indices; the exact phases then keep the cells that are members,
-    and the float estimates scan the rows of the points."""
+    when the sample is that whole product, its points in index order: the
+    product kernels serve it. Otherwise `members` lists the index of each
+    point's cell, ascending as the points are sorted, so the points of a
+    run of cells are a run of point indices; the exact phases then keep the
+    cells that are members, and the float estimates the rows that hold
+    them. `first` bisects the floats of an axis only if they ascend."""
 
     def __init__(self, ms: ModelSet) -> None:
         self.kind = kind = ms.scheme.kind
@@ -157,7 +157,7 @@ class Grid:
         self.head = 2 * kind.rank if self.heisenberg else kind.rank
         self._gaps: dict = {}
         self.members = None
-        if not ms.is_product or not all(self.ordered):
+        if not ms.is_product:
             c, at = len(self.values), self.positions
             self.members = [self.index([at[k][row[k], row[c + k]]
                                         for k in range(c)])
@@ -354,8 +354,6 @@ def left_interior(ms: ModelSet, depth: Fraction) -> list[int]:
 
 
 def _interior(ms: ModelSet, depth: Fraction, use_x_margin: bool) -> list[int]:
-    if depth < 0:
-        raise ValueError("erosion depth must be >= 0")
     grid = ms.grid
     index: list[int] = []
     for _, cells, base in _interior_runs(grid, depth, use_x_margin):
@@ -366,27 +364,37 @@ def _interior(ms: ModelSet, depth: Fraction, use_x_margin: bool) -> list[int]:
 def _interior_runs(grid: Grid, depth: Fraction, use_x_margin: bool
                    ) -> Iterator[tuple]:
     """The interior at depth as runs along the last axis, in index order:
-    (head cell, last-axis index range, index of the head cell's first
-    point). The head axes keep the values within [lo + depth, hi - depth];
+    (head cell, last-axis range, index of the head cell's first point)."""
+    heads, last = _interior_spans(grid, depth, use_x_margin)
+    for head, base in grid.present(heads):
+        yield head, last(head), base
+
+
+def _interior_spans(grid: Grid, depth: Fraction, use_x_margin: bool
+                    ) -> tuple:
+    """(heads, last) of the interior at depth: the index range of each head
+    axis, and last(head), the last-axis index range kept in the head cell
+    head. The head axes keep the values within [lo + depth, hi - depth];
     on H_n the t axis keeps lo + m <= t <= hi - m, the margin m = depth^2 +
     depth * sum|anchor| of the anchor coordinates (x for right translates,
     y for left ones)."""
+    if depth < 0:
+        raise ValueError("erosion depth must be >= 0")
     ivs = grid.region.intervals
-    last = len(ivs) - 1
+    t = len(ivs) - 1
     heads = [grid.rational_span(k, lo + depth, hi - depth)
-             for k, (lo, hi) in enumerate(ivs[:last])]
-    lo, hi = ivs[last]
+             for k, (lo, hi) in enumerate(ivs[:t])]
+    lo, hi = ivs[t]
     if not grid.heisenberg:
-        cells = grid.rational_span(last, lo + depth, hi - depth)
-        for head, base in grid.present(heads):
-            yield head, cells, base
-        return
+        cells = grid.rational_span(t, lo + depth, hi - depth)
+        return heads, lambda head: cells
     n, d, e = grid.n, grid.d, grid.e
     anchor = range(n) if use_x_margin else range(n, 2 * n)
     a, b = depth.numerator, depth.denominator
     low, high = lo + depth * depth, hi - depth * depth
     spans: dict = {}
-    for head, base in grid.present(heads):
+
+    def last(head: Sequence[int]) -> range:
         key = tuple(head[k] for k in anchor)
         cells = spans.get(key)
         if cells is None:
@@ -400,8 +408,9 @@ def _interior_runs(grid: Grid, depth: Fraction, use_x_margin: bool
             bounds = [(r.numerator * b * e + s * a * r.denominator * su,
                        s * a * r.denominator * sw, r.denominator * b * e)
                       for r, s in ((low, 1), (high, -1))]
-            cells = spans[key] = grid.span(last, *bounds)
-        yield head, cells, base
+            cells = spans[key] = grid.span(t, *bounds)
+        return cells
+    return heads, last
 
 
 # ---------------------------------------------------------------------------
@@ -595,12 +604,12 @@ def _least_dy_pair(grid: Grid, bound: tuple | None) -> tuple | None:
     Below the bound, which is at most the least squared x gap, such a pair
     has dx = 0, so for x and b = dy its squared gauge is max(|b|^2, |tau|)
     with tau = t' - t - <x, b>: for each t the best t' is a neighbour of
-    t + <x, b> on the t axis. y itself enters only through which b the y
-    axes realise."""
+    t + <x, b> on the t axis (`Grid.first`). y itself enters only through
+    which b the y axes realise."""
     n, d, e = grid.n, grid.d, grid.e
     ex = _Exact(d)
     larger = functools.cmp_to_key(ex.cmp)
-    ts, tf = grid.values[2 * n], grid.floats[2 * n]
+    ts, e2 = grid.values[2 * n], e * e
 
     def below(v: tuple) -> bool:
         return bound is None or ex.cmp(v, bound) < 0
@@ -618,12 +627,11 @@ def _least_dy_pair(grid: Grid, bound: tuple | None) -> tuple | None:
         for dy in dys:
             head = max((_product(v, v, d) for v in dy), key=larger)
             c = _dot(x, dy, d)
-            cf = (c[0] + c[1] * grid.root) / (e * e)
-            for t, (tu, tw) in enumerate(ts):
-                j = bisect_left(tf, tf[t] + cf)
-                for near in ts[max(j - 1, 0):j + 2]:
-                    tau = ex.abs((e * (near[0] - tu) - c[0],
-                                  e * (near[1] - tw) - c[1]))
+            for tu, tw in ts:
+                s = (e * tu + c[0], e * tw + c[1])  # t + <x, b>
+                j = grid.first(2 * n, s + (e2,))
+                for near in ts[max(j - 1, 0):j + 1]:
+                    tau = ex.abs((e * near[0] - s[0], e * near[1] - s[1]))
                     value = max(head, tau, key=larger)
                     if below(value) and (best is None
                                          or ex.cmp(value, best) < 0):
@@ -713,10 +721,8 @@ def covering_radius_estimate(
     grid_step; not exact.
 
     The value equals the full grid-by-sample scan bit for bit, through
-    `_MaxMin` below: on a grid without members the rows around each grid
-    head are walked outward on the axes (`_Rows`); on any other, every row
-    of sample points is sorted by head gauge from the grid head
-    (`_scan_rows`).
+    `_MaxMin` below: the rows around each grid head are walked outward on
+    the axes (`_Rows`), over the head cells that hold sample points.
 
     Raises BudgetExceededError before any work when the grid has more
     points than `errors.element_budget()`.
@@ -745,17 +751,17 @@ def covering_radius_estimate(
     check_budget(total, f"covering grid of {total} points")
     floats = [[float(a + k * grid_step) for k in range(count)]
               for a, count in zip(starts, shape)]
-    grid, rows = ms.grid, None
-    if grid.members is not None:
-        rows = _scan_rows(grid, _cells(grid), range(len(ms)))
+    grid = ms.grid
     kernel = _MaxMin(grid)
+    if grid.members is None:
+        rows = dict.fromkeys(itertools.product(*map(range, grid.sizes[:-1])),
+                             kernel.axes[-1][0])
+    else:
+        rows = {c: ts for _, c, _, ts in _head_rows(grid, range(len(ms)))}
     worst = -math.inf
     for head in itertools.product(*floats[:-1]):
-        if rows is None:
-            walk = _Rows(kernel, head)
-            items, extend = walk.items, walk.extend
-        else:
-            items, extend = _scan_items(kernel, head, rows, {}), None
+        walk = _Rows(kernel, head, rows)
+        items, extend = walk.items, walk.extend
         for t in floats[-1]:
             worst = max(worst, kernel.nearest(items, t, None, worst, extend))
     return worst
@@ -765,9 +771,9 @@ class _MaxMin:
     """The max-min kernel of every sample, on the grid of its axes: the
     float symmetric gauge from a query point to its nearest target, the
     query itself excluded. The targets are sample points grouped by head
-    cell (all axes but the last) into rows, each row a sorted list of
-    last-axis floats: every sample point for the covering estimate, the
-    centres of one class for the return radii.
+    cell (all axes but the last) into rows, each row a list of last-axis
+    floats in ascending order: every sample point for the covering
+    estimate, the centres of one class for the return radii.
 
     `nearest` reads rows in order of increasing head gauge (the max over
     the head axes of |dx| and |dy|), and stops at a row whose head gauge
@@ -791,6 +797,11 @@ class _MaxMin:
         region = max(abs(v) for iv in grid.region.intervals for v in iv)
         scale = max(grid.magnitude, float(region)) + 1
         self.slack = FLOAT_SLACK * (grid.n + 2) * scale * scale
+        # per axis, its floats in ascending order and their axis indices
+        self.axes = []
+        for f in grid.floats:
+            order = sorted(range(len(f)), key=f.__getitem__)
+            self.axes.append(([f[i] for i in order], order))
 
     def offset(self, head: Sequence[float], cell: Sequence[int]) -> tuple:
         """(head gauge, <c_x, dy>, <p_x, dy>) from a query with head floats
@@ -860,18 +871,20 @@ class _MaxMin:
 
 
 class _Rows:
-    """The rows of every sample point around one query head, in order of
+    """The rows of sample points around one query head, in order of
     increasing head gauge, built only as far as they are read and shared
-    by the queries of that head, as items of `_MaxMin.nearest`. Per head
-    axis the points' values are taken outward from the query, nearest
-    first; a row is emitted when the last of its head values is taken, at
-    the largest of their gauges."""
+    by the queries of that head, as items of `_MaxMin.nearest`; rows maps
+    each head cell that holds points to their last floats, ascending. Per
+    head axis the values are taken outward from the query in float order;
+    a head cell is emitted when its last head value is taken, at the
+    largest of their gauges."""
 
     __slots__ = ("items", "_gen")
 
-    def __init__(self, kernel: _MaxMin, head: Sequence[float]) -> None:
+    def __init__(self, kernel: _MaxMin, head: Sequence[float],
+                 rows: dict) -> None:
         self.items: list = []
-        self._gen = self._walk(kernel, head)
+        self._gen = self._walk(kernel, head, rows)
 
     def extend(self) -> bool:
         item = next(self._gen, None)
@@ -881,23 +894,23 @@ class _Rows:
         return True
 
     @staticmethod
-    def _outward(floats: list, q: float) -> Iterator[tuple]:
+    def _outward(axis: tuple, q: float) -> Iterator[tuple]:
+        floats, order = axis
         j = bisect_left(floats, q)
         i = j - 1
         while i >= 0 or j < len(floats):
             if j == len(floats) or i >= 0 and q - floats[i] < floats[j] - q:
-                yield abs(floats[i] - q), i
+                yield abs(floats[i] - q), order[i]
                 i -= 1
             else:
-                yield abs(floats[j] - q), j
+                yield abs(floats[j] - q), order[j]
                 j += 1
 
-    def _walk(self, kernel: _MaxMin, head: Sequence[float]) -> Iterator:
-        grid = kernel.grid
-        last = grid.floats[-1]
-        walks = [self._outward(f, q) for f, q in zip(grid.floats, head)]
+    def _walk(self, kernel: _MaxMin, head: Sequence[float],
+              rows: dict) -> Iterator:
+        walks = [self._outward(axis, q) for axis, q in zip(kernel.axes, head)]
         if not walks:
-            yield 0.0, last, None, 0.0, 0.0
+            yield 0.0, rows[()], None, 0.0, 0.0
             return
         taken: list = [[] for _ in walks]
         pending = [next(w, None) for w in walks]
@@ -913,40 +926,26 @@ class _Rows:
             if not all(parts):
                 continue
             for cells in itertools.product(*parts):
-                yield (dist, last, None) + kernel.shear(head, cells)
+                ts = rows.get(cells)
+                if ts is not None:
+                    yield (dist, ts, None) + kernel.shear(head, cells)
 
 
-def _cells(grid: Grid) -> list[tuple]:
-    """Per sample point of a grid with members, its axis indices."""
-    return [tuple(grid.cell(i)) for i in grid.members]
-
-
-def _scan_rows(grid: Grid, cells: list, points: Iterable[int]) -> list:
-    """The points, with axis indices cells, as rows of the plain scan: per
-    head cell (every axis but the last, on Z^m too), (head cell, points,
-    last-axis floats), sorted by float, which need not be index order."""
-    last = grid.floats[-1]
-    rows: dict = {}
+def _head_rows(grid: Grid, points: Iterable[int]) -> list:
+    """The points as rows, one per head cell (every axis but the last, on
+    Z^m too): (head number, head cell, points, last floats), the points in
+    the order of their last floats, which need not be index order."""
+    size, last, index_of = grid.sizes[-1], grid.floats[-1], grid.index_of
+    found: dict = {}
     for p in points:
-        rows.setdefault(cells[p][:-1], []).append((last[cells[p][-1]], p))
-    return [(head, [p for _, p in row], [f for f, _ in row])
-            for head, row in ((h, sorted(r)) for h, r in rows.items())]
-
-
-def _scan_items(kernel: _MaxMin, head: Sequence[float], rows: list,
-                known: dict, own: tuple | None = None) -> list:
-    """The items of `_MaxMin.nearest` from a query with head floats head to
-    the rows of `_scan_rows`, in order of increasing head gauge; the
-    offsets are cached in known by head cell, and only the row of head cell
-    own (the query's) keeps its points."""
-    items = []
-    for cell, points, ts in rows:
-        got = known.get(cell)
-        if got is None:
-            got = known[cell] = kernel.offset(head, cell)
-        items.append((got[0], ts, points if cell == own else None) + got[1:])
-    items.sort(key=itemgetter(0))
-    return items
+        c = index_of(p)
+        found.setdefault(c // size, []).append((last[c % size], p))
+    rows = []
+    for h, row in found.items():
+        row.sort()
+        rows.append((h, tuple(grid.cell(h * size)[:-1]),
+                     [p for _, p in row], [f for f, _ in row]))
+    return rows
 
 
 class DeloneReport(Record):
@@ -1035,14 +1034,16 @@ def patch_at(ms: ModelSet, center_index: int, radius: Fraction,
     centers whose patch could be clipped by the region boundary. index, if
     given, is `NeighborIndex(ms, radius)`, already built."""
     radius = Fraction(radius)
-    interior = set(right_interior(ms, radius))
-    if center_index not in interior:
+    heads, last = _interior_spans(ms.grid, radius, True)
+    cell = ms.grid.cell_of(center_index)
+    if not (all(i in span for i, span in zip(cell, heads))
+            and cell[-1] in last(cell[:-1])):
         raise ErosionError(
             f"center {center_index} is within {radius} of the region boundary"
         )
     if index is None:
         index = NeighborIndex(ms, radius)
-    found = [row for row, _ in index.near(ms.grid.cell_of(center_index))]
+    found = [row for row, _ in index.near(cell)]
     return tuple(element_coords(ms.scheme.kind, ms.scheme.d, ms.e, found))
 
 
@@ -1412,10 +1413,8 @@ def repetitivity_radii(ms: ModelSet, radius: Fraction,
     (their recurrence lies beyond the sampled region). `catalog`, if given,
     is `patch_catalog(ms, radius)`, already built.
 
-    Each radius equals the full scan's bit for bit: on a grid without
-    members of one axis by `_line_return_radii`, of more axes by
-    `_axis_return_radii`; on any other by the plain row scan
-    `_scan_return_radii`."""
+    Each radius equals the full scan's bit for bit: on a sample of one axis
+    by `_line_return_radii`, of more axes by `_axis_return_radii`."""
     radius = Fraction(radius)
     if catalog is None:
         catalog = patch_catalog(ms, radius)
@@ -1424,9 +1423,7 @@ def repetitivity_radii(ms: ModelSet, radius: Fraction,
                          f"not {radius}")
     members = [cls.centers for cls in catalog.classes]
     grid = ms.grid
-    if grid.members is not None:
-        worst = _scan_return_radii(grid, members)
-    elif len(grid.sizes) == 1:
+    if len(grid.sizes) == 1:
         worst = _line_return_radii(grid, members)
     else:
         worst = _axis_return_radii(grid, members)
@@ -1444,14 +1441,15 @@ def repetitivity_radii(ms: ModelSet, radius: Fraction,
 
 def _line_return_radii(grid: Grid, members: Sequence[Sequence[int]]
                        ) -> list[float]:
-    """`_axis_return_radii` on a sample of one axis, where index order is
-    float order: the nearest other centre of a class is a neighbour in that
-    order, so only the queries next to the centres and around the float
-    midpoints between them can give the maximum."""
+    """`_axis_return_radii` on a sample of one axis: the nearest other
+    centre of a class is a neighbour in float order, so only the queries
+    next to the centres and around the float midpoints between them can
+    give the maximum."""
     floats = grid.floats[0]
-    queries = sorted(c for centers in members for c in centers)
-    qf = [floats[c] for c in queries]
-    at = {c: i for i, c in enumerate(queries)}
+    queries = sorted((floats[grid.index_of(c)], c)
+                     for centers in members for c in centers)
+    qf = [f for f, _ in queries]
+    at = {c: i for i, (_, c) in enumerate(queries)}
     return [_line_return_radius(qf, sorted(at[c] for c in centers))
             for centers in members]
 
@@ -1491,15 +1489,16 @@ def _line_return_radius(qf: list, positions: list) -> float:
 
 def _axis_return_radii(grid: Grid, members: Sequence[Sequence[int]]
                        ) -> list[float]:
-    """`repetitivity_radii` on a product sample of more than one axis: per
-    class (its ascending centres), the largest over the queries, every
-    centre of every class, of the float gauge to the nearest centre of the
-    class other than the query itself (-inf when none has one).
+    """`repetitivity_radii` on a sample of more than one axis: per class
+    (its ascending centres), the largest over the queries, every centre of
+    every class, of the float gauge to the nearest centre of the class
+    other than the query itself (-inf when none has one).
 
     The points of one head cell (every axis but the last, on Z^m too) form
-    a row. Take a row h of queries, last floats t_lo to t_hi, and a row of
-    centres of the class, last floats ts with largest gap `gap`, at head
-    gauge `dist` from h. With cd = <c_x, dy>, pd = <p_x, dy> and mid = (cd
+    a row, in ascending order of their last floats (`_head_rows`). Take a
+    row h of queries, last floats t_lo to t_hi, and a row of centres of the
+    class, last floats ts with largest gap `gap`, at head gauge `dist` from
+    h. With cd = <c_x, dy>, pd = <p_x, dy> and mid = (cd
     + pd)/2, the t part of the gauge from t to t' is max(|t' - t - cd|,
     |t' - t - pd|) = |t' - (t + mid)| + |cd - pd|/2 (on Z^m, |t' - t|), and
     for t + mid in [t_lo + mid, t_hi + mid] some t' lies within max(ts[0] -
@@ -1513,20 +1512,17 @@ def _axis_return_radii(grid: Grid, members: Sequence[Sequence[int]]
     whose bound is <= the running maximum ends the class, since none of
     its queries, nor those of the rows after it, can raise it."""
     kernel = _MaxMin(grid)
-    size, last = grid.sizes[-1], grid.floats[-1]
     heisenberg, slack = kernel.heisenberg, kernel.slack
 
     def by_row(points: Iterable[int]) -> list:
-        # (head number, head cell, points, last floats, largest gap)
-        rows: dict = {}
-        for p in points:
-            rows.setdefault(p // size, []).append(p)
-        out = []
-        for h, found in rows.items():
-            ts = [last[p - h * size] for p in found]
+        # (head number, head cell, points, last floats, ts[0], ts[-1], the
+        # reach gap/2 from other rows and gap from its own, inf at one point)
+        rows = []
+        for h, cell, found, ts in _head_rows(grid, points):
             gap = max(map(float.__sub__, ts[1:], ts[:-1]), default=0.0)
-            out.append((h, grid.cell(h * size)[:-1], found, ts, gap))
-        return out
+            rows.append((h, cell, found, ts, ts[0], ts[-1], gap / 2,
+                         gap if len(ts) > 1 else math.inf))
+        return rows
 
     def offset(head: list, cell: list, tq: list) -> tuple:
         # (dist, cd, pd, t_lo + mid, t_hi + mid, |cd - pd|/2)
@@ -1538,26 +1534,23 @@ def _axis_return_radii(grid: Grid, members: Sequence[Sequence[int]]
     # number, shared by the classes
     queries = [(h, [grid.floats[k][i] for k, i in enumerate(cell)], points,
                 tq, {})
-               for h, cell, points, tq, _ in by_row(sorted(
-                   itertools.chain(*members)))]
+               for h, cell, points, tq in _head_rows(
+                   grid, itertools.chain(*members))]
     radii = []
     for centers in members:
         targets = by_row(centers)
         visits = []
         for h, head, points, tq, known in queries:
             bound = math.inf
-            for r, cell, _, ts, gap in targets:
+            for r, cell, _, _, first, end, other, own in targets:
                 got = known.get(r)
                 if got is None:
                     got = known[r] = offset(head, cell, tq)
                 dist, _, _, lo, hi, half = got
                 if dist >= bound:
                     continue
-                if r != h:
-                    gap /= 2
-                elif len(ts) == 1:
-                    continue
-                part = max(ts[0] - lo, hi - ts[-1], gap) + half + slack
+                part = (max(first - lo, hi - end, other if r != h else own)
+                        + half + slack)
                 if heisenberg:
                     part = math.sqrt(part)
                 bound = min(bound, part if part > dist else dist)
@@ -1569,36 +1562,8 @@ def _axis_return_radii(grid: Grid, members: Sequence[Sequence[int]]
                 break
             items = sorted(((known[r][0], ts, found if r == h else None)
                             + known[r][1:3]
-                            for r, _, found, ts, _ in targets),
+                            for r, _, found, ts, *_ in targets),
                            key=itemgetter(0))
-            for p, t in zip(points, tq):
-                found = kernel.nearest(items, t, p, worst)
-                if worst < found < math.inf:
-                    worst = found
-        radii.append(worst)
-    return radii
-
-
-def _scan_return_radii(grid: Grid, members: Sequence[Sequence[int]]
-                       ) -> list[float]:
-    """`_axis_return_radii` by the plain row scan, on a grid with members:
-    per class, every query is evaluated by `_MaxMin.nearest` over the
-    class's rows. No bound skips a query row, so the two routes agree only
-    if the bounds of `_axis_return_radii` hold. The offsets between a query
-    row and a row of centres are cached per pair of rows and shared by the
-    classes."""
-    kernel = _MaxMin(grid)
-    cells = _cells(grid)
-    queries = [(cell, [grid.floats[k][i] for k, i in enumerate(cell)],
-                points, tq, {})
-               for cell, points, tq in _scan_rows(
-                   grid, cells, sorted(itertools.chain(*members)))]
-    radii = []
-    for centers in members:
-        targets = _scan_rows(grid, cells, centers)
-        worst = -math.inf
-        for cell, head, points, tq, known in queries:
-            items = _scan_items(kernel, head, targets, known, cell)
             for p, t in zip(points, tq):
                 found = kernel.nearest(items, t, p, worst)
                 if worst < found < math.inf:

@@ -7,7 +7,7 @@ stays independent of the axis kernels and the neighbour index. `ROUTES`
 runs an analysis on a sample as it comes (the axis kernels, for a product
 of axes) and as a set that is no product (`pair_route`): the exact phases
 on the cells its grid lists as members, through `analysis.NeighborIndex`,
-and the float estimates by the plain row scan of `analysis`. The samples are
+and the float estimates over the rows of those cells. The samples are
 small (at most about 60 points), which keeps the O(N^2) oracles fast:
 cut-and-project samples with random rational box windows; bare
 `ModelSet.from_points` sets, which reach sparse cases that cut-and-project

@@ -344,6 +344,23 @@ def test_patch_at_equals_brute_force():
         assert ident in got
 
 
+@pytest.mark.parametrize("radius", [Fraction(1, 2), Fraction(1)],
+                         ids=["1/2", "1"])
+def test_patch_at_raises_exactly_off_the_right_interior(radius):
+    ms = h1_sample(3)
+    interior = set(right_interior(ms, radius))
+    assert 0 < len(interior) < len(ms)
+    for route in ROUTES:
+        sample = route(ms)
+        index = NeighborIndex(sample, radius)
+        for i in range(len(ms)):
+            if i in interior:
+                assert patch_at(sample, i, radius, index)
+            else:
+                with pytest.raises(ErosionError):
+                    patch_at(sample, i, radius, index)
+
+
 def test_patch_at_boundary_raises():
     ms = periodic_control_model_set(SCHEME_1D, Box(((-5, 5),)))
     # the outermost point sits on the region boundary; its radius-2 patch
@@ -473,9 +490,9 @@ def test_index_work_stays_below_region_sized_cells(monkeypatch):
 
 
 def test_covering_estimate_peak_memory():
-    # the benchmark's H1 sample, masked: the row scan holds one
-    # item per row of sample points for the grid head at hand, a traced
-    # peak near 0.1 MB
+    # the benchmark's H1 sample, masked: the covering holds the last floats
+    # of each head cell that holds points, and the rows walked so far for
+    # the grid head at hand, a traced peak near 0.14 MB
     ms = pair_route(generate_model_set(
         SCHEME_H1, Box.cube(H1, Fraction(9, 10)),
         Box(((-5, 5), (-5, 5), (-14, 14)))))
@@ -606,25 +623,81 @@ def _check_kernel(data, ms, step):
     for point, label in enumerate(labels):
         if label >= 0:
             members.setdefault(label, []).append(point)
-    if not members:
-        return
+    if members:
+        _check_classes(ms, list(members.values()))
+
+
+def _check_classes(ms, groups):
+    """The return radii of classes with the centres groups, against the
+    full scan."""
     one = Fraction(1)
     classes = tuple(PatchClass(one, ((k,),), tuple(m), ms.scheme.kind,
                                ms.scheme.d, ms.e)
-                    for k, m in enumerate(members.values()))
-    catalog = PatchCatalog(one, classes, sum(map(len, members.values())))
+                    for k, m in enumerate(groups))
+    catalog = PatchCatalog(one, classes, sum(map(len, groups)))
     assert _return_radii(repetitivity_radii(ms, one, catalog)) == \
         reference_return_radii(ms, catalog)
+
+
+def sparse_h1():
+    """Eight H1 points near x = -44, in 7 of the 5 x 5 head cells (x, y)
+    of their axes. With one centre per class, query rows tie the return
+    radius of their class up to rounding, so the row bounds hold only with
+    their slack."""
+    coords = [((-43, 0), (-3, 0), (0, 1)), ((-43, 0), (0, 0), (-3, 0)),
+              ((-43, 0), (0, 0), (0, 0)), ((-43, 1), (-2, -1), (-2, -1)),
+              ((-43, -1), (0, 0), (0, 0)), ((-45, -1), (-2, -1), (0, -1)),
+              ((-45, -1), (0, -1), (0, 0)), ((-46, 0), (0, 1), (-2, -1))]
+    return bare_set(H1, [tuple(QuadNum(a, b, 2) for a, b in c)
+                         for c in coords],
+                    Box(((-47, -41), (-4, 2), (-4, 2))))
+
+
+def progression_e2():
+    """The 5 x 7 product of the multiples of sqrt(2) - 1: the four centres
+    of one class lie in two head rows, and the return radius of that class
+    is held by a query of another row in the middle of a gap of theirs."""
+    step = QuadNum(-1, 1, 2)
+    return bare_set(E2, [(i * step, j * step)
+                         for i in range(5) for j in range(7)],
+                    Box(((0, 2), (0, 3))))
+
+
+def bare_set(kind, coords, region):
+    """The `from_points` set over Z[sqrt(2)] of the coordinate tuples."""
+    coords = sorted(coords)
+    return ModelSet.from_points(
+        Scheme(kind, RingSpec(2)), region, region,
+        [GroupPoint(kind, c) for c in coords],
+        [GroupPoint(kind, tuple(v.conjugate() for v in c)) for c in coords])
+
+
+@pytest.mark.parametrize("ms,groups", [
+    (sparse_h1(), [[i] for i in range(8)]),
+    (progression_e2(), [[i for i in range(35) if i not in (8, 13, 23, 27)],
+                        [8, 13, 23, 27]]),
+], ids=["h1-sparse", "e2-progression"])
+def test_row_bounds_and_rows_on_tight_cases(ms, groups):
+    # the return radii with bounds any tighter, and the covering with a
+    # row for a head cell that holds no point, differ from the full scans
+    expected = dense_covering(ms, Fraction(1, 2), Fraction(0))
+    for route in ROUTES:
+        _check_classes(route(ms), groups)
+        assert covering_radius_estimate(route(ms), Fraction(1, 2),
+                                        Fraction(0)) == expected
 
 
 @pytest.mark.parametrize("ms", [sturmian(100), h1_sample(4)],
                          ids=["e1", "h1"])
 def test_repetitivity_row_blocks_match_unblocked(ms):
-    # the axis kernels, which skip the rows of queries that their bounds
-    # rule out, against the row scan of the masked route, which skips none
-    whole = repetitivity_radii(pair_route(ms), Fraction(1))
-    assert repetitivity_radii(ms, Fraction(1)) == whole
-    assert any(c.multiplicity > 5 for c in whole.per_class)
+    # both routes, which skip the rows of queries that their bounds rule
+    # out, against the full scan, which skips none
+    catalog = patch_catalog(ms, Fraction(1))
+    expected = reference_return_radii(ms, catalog)
+    for route in ROUTES:
+        assert _return_radii(repetitivity_radii(route(ms), Fraction(1),
+                                                catalog)) == expected
+    assert any(c.multiplicity > 5 for c in catalog.classes)
 
 
 @pytest.mark.parametrize("ms", [sturmian(100), h1_sample(4)],
@@ -734,6 +807,7 @@ def check_period_search(ms, bound):
 @settings(max_examples=150, deadline=None)
 @given(ms=small_samples())
 def test_separation_matches_brute_force_on_random_samples(ms):
+    assert (ms.grid.members is None) == ms.is_product
     if len(ms) < 2:
         return
     least, pair, bracket = brute_separation(ms)
@@ -815,8 +889,8 @@ def test_misordered_product_matches_oracles():
     5. The float of 1023286908188737 - 723573111879672*sqrt(2), which is
     about 5e-16, comes out as -0.125, below that of 7 - 5*sqrt(2). The set
     is the product of its one axis, but its float order is not its exact
-    order, so its grid has members, and every analysis must still equal
-    the oracles."""
+    order. Its grid has no members, as for any whole product, and every
+    analysis must still equal the oracles."""
     convergents = [(1, 1), (3, 2), (7, 5), (17, 12), (41, 29), (99, 70),
                    (1023286908188737, 723573111879672)]
     values = sorted(QuadNum(p + m, -q, 2)
@@ -825,7 +899,7 @@ def test_misordered_product_matches_oracles():
     internal = [GroupPoint(E1, (v.conjugate(),)) for v in values]
     region = Box(((-1, 6),))
     ms = ModelSet.from_points(SCHEME_1D, region, region, points, internal)
-    assert ms.is_product and ms.grid.members is not None
+    assert ms.is_product and ms.grid.members is None
     assert ms.float_points() != sorted(ms.float_points())
     result = separation(ms)
     assert (result.separation_sq, result.certificate, result.bracket) == \
@@ -836,6 +910,41 @@ def test_misordered_product_matches_oracles():
     step = Fraction(1, 4)
     assert covering_radius_estimate(ms, step, Fraction(0)) == \
         dense_covering(ms, step, Fraction(0))
+
+
+def test_misordered_heisenberg_product_matches_oracles(monkeypatch):
+    """One x, y in {0, 1} and t = 2m -+ (P - Q*sqrt(2)) for the convergent
+    P/Q of sqrt(2) with Q = 143263821649299118: exact t gaps near 2, above
+    the squared y gap 1, so separation takes the pairs with dy != 0
+    (`_least_dy_pair`). Every t float comes out as 32.0 or -32.0, against
+    exact values from 0 to 10, so the t axis is out of float order; the
+    sample is still a whole product, with no members."""
+    p, q = 202605639573839043, 143263821649299118
+    ts = [QuadNum(2 * m + s * p, -s * q, 2)
+          for m, s in enumerate([-1, -1, 1, 1, 1, 1])]
+    ms = bare_set(H1, [(QuadNum(0, 0, 2), QuadNum(y, 0, 2), t)
+                       for y in (0, 1) for t in ts],
+                  Box(((-1, 1), (-1, 2), (-2, 12))))
+    assert ms.is_product and ms.grid.members is None
+    assert ms.grid.floats[2] == [32.0, 32.0, -32.0, -32.0, -32.0, -32.0]
+    least_dy_pair, least_dy = analysis._least_dy_pair, []
+
+    def spy(*args):
+        least_dy.append(args)
+        return least_dy_pair(*args)
+    monkeypatch.setattr(analysis, "_least_dy_pair", spy)
+    result = separation(ms)
+    assert least_dy
+    assert (result.separation_sq, result.certificate, result.bracket) == \
+        brute_separation(ms)
+    for radius in (Fraction(1, 2), Fraction(1)):
+        check_patch_catalog(ms, radius)
+        check_period_search(ms, radius)
+    for step in (Fraction(1, 2), Fraction(1)):
+        expected = dense_covering(ms, step, Fraction(0))
+        for route in ROUTES:
+            assert covering_radius_estimate(route(ms), step, Fraction(0)) \
+                == expected
 
 
 @settings(max_examples=150, deadline=None)
